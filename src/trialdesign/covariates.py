@@ -224,8 +224,18 @@ class CovariateSchema:
             raw_cols = doc["columns"]
         except (TypeError, KeyError):
             raise ValueError("schema document needs a top-level 'columns' list")
+        if not isinstance(raw_cols, (list, tuple)):
+            raise ValueError("schema 'columns' must be a list")
         cols = []
-        for entry in raw_cols:
+        for pos, entry in enumerate(raw_cols):
+            where = f"schema column {pos}"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: expected a mapping, got {type(entry).__name__}")
+            for key in ("name", "kind", "levels"):
+                if key not in entry:
+                    raise ValueError(f"{where}: missing key {key!r}")
+            if not isinstance(entry["levels"], (list, tuple)):
+                raise ValueError(f"{where}: 'levels' must be a list")
             cols.append(
                 SchemaColumn(
                     name=str(entry["name"]),
@@ -242,7 +252,10 @@ class CovariateSchema:
         if str(path).endswith(".json"):
             doc = json.loads(text)
         else:
-            doc = yaml.safe_load(text)
+            try:
+                doc = yaml.safe_load(text)
+            except yaml.YAMLError as err:
+                raise ValueError(f"{path}: malformed YAML: {err}") from None
         return cls.from_dict(doc)
 
 

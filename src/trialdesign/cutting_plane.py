@@ -58,7 +58,8 @@ def solve_exact(
     Status is "optimal" only when the final master solve carried an
     optimality certificate and the separation solve was exact; hitting a
     time or node budget downgrades it to "incumbent" with the best
-    subproblem value found so far.
+    subproblem value found so far.  One master/separation round always
+    runs, however small the time limit.
     """
     if master_mode not in MASTER_MODES:
         raise ValueError(f"master_mode must be one of {MASTER_MODES}")
@@ -95,8 +96,8 @@ def solve_exact(
 
     while True:
         remaining = deadline - time.monotonic()
-        if remaining <= 0.01:
-            break
+        if iteration and remaining <= 0.01:
+            break  # the first master/separation round always runs
         iteration += 1
         if iteration_cap is not None and iteration > iteration_cap:
             raise DuplicateCut(
@@ -154,7 +155,6 @@ def solve_exact(
     if converged:
         status = "optimal"
     wall = time.monotonic() - t0
-    assert best_x is not None, "no master solve completed within the budget"
 
     try:
         orig, _ = original_value(A, best_x, report_space, cache)

@@ -147,14 +147,53 @@ def write_allocation_csv(path, allocation: Allocation) -> None:
 
 
 def read_allocation_csv(path) -> Allocation:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    """Read 'index,sign' rows; the indices must cover 0..n-1 once each.
+
+    Blank lines are skipped.  Every other defect (a wrong header, a row
+    without exactly two fields, a non-integer, a sign other than +/-1, a
+    duplicate, missing or out-of-range index, or an unbalanced or empty
+    allocation) raises ValueError naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except (csv.Error, UnicodeDecodeError) as err:
+        raise ValueError(f"{path}: {err}") from None
     if not rows or rows[0] != ["index", "sign"]:
         raise ValueError(f"{path}: expected an 'index,sign' header")
-    signs = np.empty(len(rows) - 1, dtype=np.int64)
-    for row in rows[1:]:
-        signs[int(row[0])] = int(row[1])
-    return Allocation(signs)
+    lines = {}  # index -> line number
+    by_index = {}
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
+        try:
+            idx, sign = int(row[0]), int(row[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line}: index and sign must be integers, got {row!r}"
+            ) from None
+        if sign not in (-1, 1):
+            raise ValueError(f"{path}: line {line}: sign must be +1 or -1, got {sign}")
+        if idx in lines:
+            raise ValueError(
+                f"{path}: line {line}: duplicate index {idx} (first on line {lines[idx]})"
+            )
+        lines[idx] = line
+        by_index[idx] = sign
+    n = len(by_index)
+    outside = sorted(i for i in by_index if not 0 <= i < n)
+    if outside:
+        missing = sorted(set(range(n)) - by_index.keys())
+        raise ValueError(
+            f"{path}: {n} rows need indices 0..{n - 1}: out of range {outside[:5]}, "
+            f"missing {missing[:5]}"
+        )
+    try:
+        return Allocation(np.array([by_index[i] for i in range(n)], dtype=np.int64))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 __all__ = [

@@ -6,9 +6,12 @@ the implementation against something that cannot share its bugs.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
+
+from trialdesign.bqp import MOVE_RTOL
 
 
 def random_design(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,6 +91,59 @@ def brute_bilevel_surrogate(H: np.ndarray) -> float:
         M = oracle_surrogate_matrix(H, x)
         best = min(best, float(np.einsum("zi,ij,zj->z", Z, M, Z).max()))
     return best
+
+
+def naive_descent(
+    c: np.ndarray, A: np.ndarray, diag: np.ndarray, x0: np.ndarray, deadline: float
+) -> tuple[np.ndarray, float]:
+    """Steepest descent that re-gathers the whole swap block on every move.
+
+    Reference for the heuristic's slot-indexed descent: the same moves,
+    the same tie rule (row-major argmin over sorted index sets, so the
+    smallest (plus, minus) pair wins) and the same arithmetic order.
+    """
+    K = A.shape[0]
+    x = x0.astype(float).copy()
+    g = A @ x
+    f = c + g @ x
+    while time.monotonic() <= deadline:
+        cur = float(f.max())
+        tol = MOVE_RTOL * (1.0 + abs(cur))
+        plus = np.flatnonzero(x > 0)
+        minus = np.flatnonzero(x < 0)
+        best_val = np.inf
+        best_move: tuple[int, ...] | None = None
+        if plus.size and minus.size:
+            block = None
+            for k in range(K):
+                u = -4.0 * g[k, plus] + 4.0 * diag[k, plus]
+                v = 4.0 * g[k, minus] + 4.0 * diag[k, minus]
+                cand = f[k] + u[:, None] + v[None, :] - 8.0 * A[k][np.ix_(plus, minus)]
+                block = cand if block is None else np.maximum(block, cand)
+            flat = int(np.argmin(block))
+            i, j = divmod(flat, minus.size)
+            best_val = float(block[i, j])
+            best_move = (int(plus[i]), int(minus[j]))
+        total = int(round(x.sum()))
+        if total != 0:
+            side = np.flatnonzero(x == float(np.sign(total)))
+            if side.size:
+                single = None
+                for k in range(K):
+                    cand = f[k] - 4.0 * x[side] * g[k, side] + 4.0 * diag[k, side]
+                    single = cand if single is None else np.maximum(single, cand)
+                t = int(np.argmin(single))
+                if float(single[t]) < best_val:
+                    best_val = float(single[t])
+                    best_move = (int(side[t]),)
+        if best_move is None or best_val >= cur - tol:
+            break
+        for idx in best_move:
+            g -= 2.0 * x[idx] * A[:, :, idx]
+        for idx in best_move:
+            x[idx] = -x[idx]
+        f = c + g @ x
+    return x, float((c + np.einsum("kij,i,j->k", A, x, x)).max())
 
 
 @pytest.fixture

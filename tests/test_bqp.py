@@ -3,16 +3,23 @@ import time
 import numpy as np
 import pytest
 
-from conftest import balanced_corners, brute_min_max_cuts, oracle_lb_matrix
+from conftest import (
+    balanced_corners,
+    brute_min_max_cuts,
+    naive_descent,
+    oracle_lb_matrix,
+    random_design,
+)
 from trialdesign.bqp import (
     BqpResult,
     CutSet,
     _batched_pg,
     _corner_bounds,
+    _descent,
     minimize_max_quadratic,
 )
 from trialdesign.limits import SolveLimits
-from trialdesign.objective import Allocation
+from trialdesign.objective import Allocation, random_balanced_signs
 
 
 def random_cuts(n: int, k: int, rng: np.random.Generator) -> CutSet:
@@ -211,6 +218,62 @@ class TestHeuristic:
             minimize_max_quadratic(
                 cuts, SolveLimits(mode="heuristic"), warm_start=[1.0, 1.0, 1.0, -1.0]
             )
+
+
+class TestDescentOracle:
+    """The slot-indexed descent must match the gather-based one bit for bit."""
+
+    @staticmethod
+    def run_both(cuts: CutSet, x0: np.ndarray) -> np.ndarray:
+        c, A = cuts.constants, cuts.matrices
+        diag = np.einsum("kii->ki", A).copy()
+        x_new, v_new = _descent(c, A, diag, x0, np.inf)
+        x_old, v_old = naive_descent(c, A, diag, x0, np.inf)
+        assert np.array_equal(x_new, x_old)
+        assert v_new == v_old
+        return x_new
+
+    def test_lb_matrix_with_exact_ties(self):
+        # iid +/-1 covariates at p=4 give at most 8 distinct rows, so the
+        # swap block is full of exact ties.  A tie only decides between
+        # slots out of index order after a swap has been reversed, which
+        # is rare; with this seed it happens (in the fourth descent), and
+        # a "first slot wins" rule fails the test.
+        rng = np.random.default_rng(118)
+        H = random_design(200, 4, rng)
+        assert np.unique(H, axis=0).shape[0] <= 8
+        cuts = CutSet(constants=np.zeros(1), matrices=oracle_lb_matrix(H)[None])
+        for _ in range(4):
+            self.run_both(cuts, random_balanced_signs(200, rng).astype(float))
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_random_psd_cuts(self, k):
+        rng = np.random.default_rng(103 + k)
+        cuts = random_cuts(40, k, rng)
+        for _ in range(3):
+            self.run_both(cuts, random_balanced_signs(40, rng).astype(float))
+
+    def test_odd_n_single_flips(self):
+        # swaps keep the sum; a final sum of the other sign proves that a
+        # single flip (and so a block rebuild) happened
+        rng = np.random.default_rng(107)
+        flipped = 0
+        for n, k in [(31, 1), (31, 2), (45, 3), (61, 1)]:
+            cuts = random_cuts(n, k, rng)
+            for _ in range(4):
+                x0 = random_balanced_signs(n, rng).astype(float)
+                x = self.run_both(cuts, x0)
+                flipped += int(x.sum() != x0.sum())
+        assert flipped > 0
+
+    def test_warm_start(self):
+        rng = np.random.default_rng(109)
+        H = random_design(120, 5, rng)
+        cuts = CutSet(constants=np.zeros(1), matrices=oracle_lb_matrix(H)[None])
+        warm = np.tile([1.0, -1.0], 60)
+        x = self.run_both(cuts, warm)
+        # a descent from its own fixed point makes no move
+        assert np.array_equal(self.run_both(cuts, x), x)
 
 
 class TestNodeBounds:

@@ -90,6 +90,41 @@ class TestEncode:
         assert doc["columns"][0] == "intercept"
         assert read_matrix_csv(out).shape == (5, 4)
 
+    @pytest.mark.parametrize("missing", ["name", "kind", "levels"])
+    def test_schema_column_missing_key_is_reported(self, tmp_path, capsys, missing):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("sex,age\nM,a\nF,b\n")
+        column = {"name": "age", "kind": "categorical", "levels": ["a", "b"]}
+        del column[missing]
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(
+            json.dumps(
+                {"columns": [{"name": "sex", "kind": "binary", "levels": ["F", "M"]}, column]}
+            )
+        )
+        code, doc, err = run_cli(
+            capsys, "encode", "--csv", str(csv_path),
+            "--schema", str(schema_path), "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 1
+        assert doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == f"schema column 1: missing key {missing!r}"
+
+    def test_malformed_yaml_schema_is_reported(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("sex\nM\nF\n")
+        schema_path = tmp_path / "schema.yaml"
+        schema_path.write_text("columns:\n  - name: [sex\n")
+        code, doc, err = run_cli(
+            capsys, "encode", "--csv", str(csv_path),
+            "--schema", str(schema_path), "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 1
+        assert doc is None
+        assert "malformed YAML" in json.loads(err)["error"]["message"]
+
 
 class TestDesign:
     def test_lb_on_toy(self, toy_csv, tmp_path, capsys):
@@ -132,6 +167,21 @@ class TestDesign:
         for values in doc["diagnostics"]["quantiles"]["surrogate"].values():
             assert values >= 0.5 - 1e-12
         assert len(doc["allocation"]) == 4
+
+    def test_exact_with_tiny_time_limit_finishes_one_round(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        run_cli(capsys, "synth", "--n", "30", "--p", "4", "--seed", "1", "--out", str(matrix))
+        code, doc, err = run_cli(
+            capsys, "design", "--matrix", str(matrix), "--method", "exact",
+            "--time-limit", "0.001",
+        )
+        assert code == 0, err
+        assert doc["status"] == "incumbent"
+        assert doc["diagnostics"]["iterations"] == 1
+        assert len(doc["diagnostics"]["history"]) == 1
+        assert len(doc["allocation"]) == 30
+        assert abs(sum(doc["allocation"])) <= 1
+        assert np.isfinite(doc["surrogate_value"])
 
     def test_missing_matrix_is_reported(self, tmp_path, capsys):
         code, doc, err = run_cli(
@@ -215,6 +265,21 @@ class TestEvaluate:
         )
         assert code == 1
         assert "allocation length" in json.loads(err)["error"]["message"]
+
+    def test_malformed_allocation_csv_is_reported(self, toy_csv, tmp_path, capsys):
+        # a duplicated index used to leave one entry of np.empty unwritten
+        alloc_path = tmp_path / "alloc.csv"
+        alloc_path.write_text("index,sign\n0,1\n1,-1\n1,1\n3,-1\n")
+        code, doc, err = run_cli(
+            capsys, "evaluate", "--matrix", str(toy_csv),
+            "--allocation", str(alloc_path),
+        )
+        assert code == 1
+        assert doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(str(alloc_path))
+        assert "duplicate index 1" in error["message"]
 
 
 class TestScan:

@@ -205,6 +205,21 @@ class TestSchema:
         schema = CovariateSchema.from_dict(doc)
         assert schema.encoded_names() == ("intercept", "sex=M", "age=young", "age=old")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"columns": "sex"}, "'columns' must be a list"),
+            ({"columns": ["sex"]}, "schema column 0: expected a mapping, got str"),
+            ({"columns": [{"kind": "binary", "levels": ["F", "M"]}]},
+             "schema column 0: missing key 'name'"),
+            ({"columns": [{"name": "sex", "kind": "binary", "levels": "FM"}]},
+             "schema column 0: 'levels' must be a list"),
+        ],
+    )
+    def test_from_dict_rejects_malformed_columns(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            CovariateSchema.from_dict(doc)
+
     def test_from_file_json_and_yaml(self, tmp_path: Path):
         doc = {"columns": [{"name": "sex", "kind": "binary", "levels": ["F", "M"]}]}
         jpath = tmp_path / "schema.json"

@@ -1,7 +1,12 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trialdesign.covariates import matrix_hash
 from trialdesign.objective import Allocation
@@ -142,6 +147,70 @@ class TestAllocationCsv:
         path.write_text("patient,arm\n0,1\n")
         with pytest.raises(ValueError, match="header"):
             read_allocation_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1\n1,-1\n1,1\n0,-1\n", "line 4: duplicate index 1 \\(first on line 3\\)"),
+            ("0,1\n2,-1\n", "missing \\[1\\]"),
+            ("0,1\n1,-1\n7,1\n3,-1\n", "out of range \\[7\\]"),
+            ("0,1\n-1,-1\n", "out of range \\[-1\\]"),
+            ("0,1\n1.0,-1\n", "line 3: index and sign must be integers"),
+            ("0,1\nx,-1\n", "line 3: index and sign must be integers"),
+            ("0,1\n1,0\n", "line 3: sign must be \\+1 or -1"),
+            ("0,1\n1,-1,5\n", "line 3: expected 2 fields, got 3"),
+            ("0,1\n1,1\n", "unbalanced"),
+            ("", "non-empty"),
+        ],
+        ids=[
+            "duplicate", "missing", "out-of-range", "negative", "float-index",
+            "text-index", "zero-sign", "extra-field", "unbalanced", "no-rows",
+        ],
+    )
+    def test_rejects_malformed_rows_naming_the_file(self, tmp_path, body, message):
+        path = tmp_path / "alloc.csv"
+        path.write_text("index,sign\n" + body)
+        with pytest.raises(ValueError, match=message) as info:
+            read_allocation_csv(path)
+        assert str(info.value).startswith(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("index,sign\n1,-1\n\n0,1\n\n")
+        assert read_allocation_csv(path).x.tolist() == [1, -1]
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.tuples(st.integers(-2, 8), st.sampled_from([-1, 1])),
+                st.tuples(
+                    st.one_of(st.integers(), st.text(max_size=4)),
+                    st.one_of(st.integers(-2, 2), st.text(max_size=4)),
+                ),
+                st.lists(st.text(max_size=3), max_size=3),
+            ),
+            max_size=8,
+        )
+    )
+    def test_fuzzed_rows_give_allocation_or_value_error(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["index", "sign"])
+                writer.writerows(rows)
+            try:
+                alloc = read_allocation_csv(path)
+            except ValueError as err:
+                assert str(err).startswith(str(path))
+                return
+        # accepted: the indices were exactly 0..n-1 and the signs balanced
+        by_index = {int(r[0]): int(r[1]) for r in rows if r}
+        assert sorted(by_index) == list(range(alloc.n))
+        assert alloc.x.tolist() == [by_index[i] for i in range(alloc.n)]
 
 
 def test_matrix_hash_reexport(toy_design):
