@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .covariates import as_matrix
 from .errors import AllConfounded, ConfoundedDesign
 from .limits import SolveLimits
@@ -82,7 +81,6 @@ def rand_benchmark(
     allocations: list[Allocation] | None = None,
     cache: SpectralCache | None = None,
     limits: SolveLimits | None = None,
-    threads: int = 1,
 ) -> RandBenchmark:
     """Evaluate the objective on random balanced allocations.
 
@@ -111,7 +109,7 @@ def rand_benchmark(
         except ConfoundedDesign:
             return float("nan")
 
-    values = np.array(ordered_map(one, allocations, threads))
+    values = np.array([one(alloc) for alloc in allocations])
     valid = values[~np.isnan(values)]
     if valid.size == 0:
         raise AllConfounded(f"all {replicates} random allocations were confounded")

@@ -6,9 +6,8 @@ over balance-preserving moves: opposite-sign pair swaps, plus single
 flips when n is odd.  Each descent scores all swaps from a block
 8 A_k[plus, minus] kept in slot order, rewriting one row and one column
 per swap instead of gathering the block again; the block costs a
-quarter of the cut stack per running descent.  Exact ties go to the
-smallest (plus index, minus index) pair, so results depend only on the
-seed.
+quarter of the cut stack.  Exact ties go to the smallest (plus index,
+minus index) pair, so results depend only on the seed.
 
 Exact mode runs best-first branch-and-bound with two bounds per node: a
 cheap interval bound that relaxes every pairwise product touching a free
@@ -28,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .limits import SolveLimits
 from .objective import Allocation, allocation_vector, random_balanced_signs
 
@@ -225,7 +223,6 @@ def _heuristic_core(
     n: int,
     limits: SolveLimits,
     warm_start,
-    threads: int,
     deadline: float,
 ) -> tuple[np.ndarray, float, int]:
     rng = np.random.default_rng(limits.seed)
@@ -239,10 +236,10 @@ def _heuristic_core(
             raise ValueError("warm start must be balanced")
         starts.append(wv)
     starts.extend(random_balanced_signs(n, rng).astype(float) for _ in range(restarts))
-    outcomes = ordered_map(lambda x0: _descent(c, A, diag, x0, deadline), starts, threads)
     best_x: np.ndarray | None = None
     best_val = np.inf
-    for xv, val in outcomes:
+    for x0 in starts:
+        xv, val = _descent(c, A, diag, x0, deadline)
         xc = _canonical(xv)
         if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
             best_x, best_val = xc.copy(), val
@@ -442,14 +439,12 @@ def _completions(fixed: np.ndarray, ytilde: np.ndarray, m_options: list[int]) ->
     return out
 
 
-def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start, threads: int) -> BqpResult:
+def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     c, A = cuts.constants, cuts.matrices
     n = cuts.n
     diag = np.einsum("kii->ki", A).copy()
     deadline = time.monotonic() + limits.time_limit
-    best_x, best_val, restarts = _heuristic_core(
-        c, A, diag, n, limits, warm_start, threads, deadline
-    )
+    best_x, best_val, restarts = _heuristic_core(c, A, diag, n, limits, warm_start, deadline)
     # root convex relaxation: a certificate when the descent hits bottom
     lo, hi = _sum_interval(n)
     l, u = np.full(n, -1.0), np.full(n, 1.0)
@@ -470,7 +465,7 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start, threads: int) -> B
     )
 
 
-def _exact(cuts: CutSet, limits: SolveLimits, warm_start, threads: int) -> BqpResult:
+def _exact(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     start_time = time.monotonic()
     deadline = start_time + limits.time_limit
     c, A = cuts.constants, cuts.matrices
@@ -481,7 +476,7 @@ def _exact(cuts: CutSet, limits: SolveLimits, warm_start, threads: int) -> BqpRe
 
     seed_budget = max(min(limits.time_limit * 0.25, 30.0), 0.05)
     best_x, best_val, restarts = _heuristic_core(
-        c, A, diag, n, limits, warm_start, threads, time.monotonic() + seed_budget
+        c, A, diag, n, limits, warm_start, time.monotonic() + seed_budget
     )
 
     step = 1.0 / (2.0 * max(max(_lambda_max(A[k]) for k in range(K)), 1e-12))
@@ -606,7 +601,6 @@ def minimize_max_quadratic(
     cuts: CutSet,
     limits: SolveLimits | None = None,
     warm_start=None,
-    threads: int = 1,
 ) -> BqpResult:
     """Entry point; limits.mode picks the heuristic or the exact search."""
     if limits is None:
@@ -614,5 +608,5 @@ def minimize_max_quadratic(
     if cuts.n < 2:
         raise ValueError("need at least two subjects")
     if limits.mode == "heuristic":
-        return _heuristic(cuts, limits, warm_start, threads)
-    return _exact(cuts, limits, warm_start, threads)
+        return _heuristic(cuts, limits, warm_start)
+    return _exact(cuts, limits, warm_start)

@@ -16,10 +16,10 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from ._parallel import ENV_THREADS, default_threads
 from .baselines import rand_benchmark, random_balanced_allocations
 from .covariates import (
     CovariateSchema,
@@ -54,6 +54,19 @@ def _file_hash(path) -> str:
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _emit_error(kind: str, message: str) -> None:
+    doc = {"error": {"type": kind, "message": message}}
+    print(json.dumps(doc, indent=2, sort_keys=True), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as one JSON error object; subparsers inherit this."""
+
+    def error(self, message: str) -> NoReturn:
+        _emit_error("UsageError", f"{self.prog}: {message}")
+        sys.exit(2)
 
 
 def _space(name: str) -> CovariateSpace:
@@ -114,15 +127,12 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _rand_design_report(A, args, space, threads) -> DesignReport:
+def _rand_design_report(A, args, space) -> DesignReport:
     t0 = time.monotonic()
     cache = spectral_cache(A)
     allocations = random_balanced_allocations(A.shape[0], args.replicates, args.seed)
     benches = {
-        name: rand_benchmark(
-            A, objective=name, space=space, allocations=allocations,
-            cache=cache, threads=threads,
-        )
+        name: rand_benchmark(A, objective=name, space=space, allocations=allocations, cache=cache)
         for name in ("surrogate", "original")
     }
     first = allocations[0]
@@ -154,19 +164,17 @@ def _rand_design_report(A, args, space, threads) -> DesignReport:
 
 
 def cmd_design(args) -> int:
-    threads = args.threads if args.threads is not None else default_threads()
     A = _load_matrix(args.matrix)
     space = _space(args.space)
     limits = _limits(args)
     if args.method == "exact":
         report = solve_exact(
-            A, limits, master_mode=args.mode, report_space=space,
-            threads=threads, verbose=args.verbose,
+            A, limits, master_mode=args.mode, report_space=space, verbose=args.verbose
         )
     elif args.method == "lb":
-        report = solve_lb(A, limits, mode=args.mode, report_space=space, threads=threads)
+        report = solve_lb(A, limits, mode=args.mode, report_space=space)
     else:
-        report = _rand_design_report(A, args, space, threads)
+        report = _rand_design_report(A, args, space)
     report.parameters.update(
         {
             "matrix": str(args.matrix),
@@ -179,7 +187,6 @@ def cmd_design(args) -> int:
             "mode": args.mode,
             "space": args.space,
             "replicates": args.replicates,
-            "threads": threads,
         }
     )
     if args.out:
@@ -191,7 +198,6 @@ def cmd_design(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    threads = args.threads if args.threads is not None else default_threads()
     A = _load_matrix(args.matrix)
     allocation = read_allocation_csv(args.allocation)
     if allocation.n != A.shape[0]:
@@ -225,7 +231,7 @@ def cmd_evaluate(args) -> int:
     benches = {
         name: rand_benchmark(
             A, objective=name, space=space, replicates=args.replicates,
-            seed=args.seed, cache=cache, threads=threads,
+            seed=args.seed, cache=cache,
         )
         for name in ("surrogate", "original")
     }
@@ -257,11 +263,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    threads = args.threads if args.threads is not None else default_threads()
     A = _load_matrix(args.matrix)
     space = _space(args.space)
     allocations = random_balanced_allocations(A.shape[0], args.samples, args.seed)
-    pairs = surrogate_gap_scan(A, allocations, space=space, threads=threads)
+    pairs = surrogate_gap_scan(A, allocations, space=space)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("original,surrogate\n")
         for pair in pairs:
@@ -294,14 +299,10 @@ def _add_common_solver_args(sub) -> None:
     sub.add_argument("--time-limit", type=float, default=300.0)
     sub.add_argument("--node-limit", type=int, default=2_000_000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--threads", type=int, default=None,
-        help=f"worker threads (default: ${ENV_THREADS} or 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trialdesign",
         description="Covariate-aware treatment allocation for two-arm trials.",
     )
@@ -342,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--skip-variance", action="store_true")
     evaluate.add_argument("--variance-out", default=None)
     evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument("--threads", type=int, default=None)
     evaluate.add_argument("--out", default=None)
     evaluate.set_defaults(fn=cmd_evaluate)
 
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--samples", type=int, default=50)
     scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--space", choices=SPACE_CHOICES, default="hypercube")
-    scan.add_argument("--threads", type=int, default=None)
     scan.add_argument("--out", required=True)
     scan.set_defaults(fn=cmd_scan)
 
@@ -363,8 +362,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (TrialDesignError, ValueError, OSError) as err:
-        doc = {"error": {"type": type(err).__name__, "message": str(err)}}
-        print(json.dumps(doc, indent=2, sort_keys=True), file=sys.stderr)
+        _emit_error(type(err).__name__, str(err))
         return 1
 
 

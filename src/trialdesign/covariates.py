@@ -252,8 +252,10 @@ class CovariateSchema:
         if str(path).endswith(".json"):
             doc = json.loads(text)
         else:
+            # BaseLoader keeps every scalar a string as written: no YAML 1.1
+            # coercion of levels such as no/yes to booleans or 01 to 1
             try:
-                doc = yaml.safe_load(text)
+                doc = yaml.load(text, Loader=yaml.BaseLoader)
             except yaml.YAMLError as err:
                 raise ValueError(f"{path}: malformed YAML: {err}") from None
         return cls.from_dict(doc)

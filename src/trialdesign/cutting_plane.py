@@ -50,7 +50,6 @@ def solve_exact(
     limits: SolveLimits | None = None,
     master_mode: str = "auto",
     report_space: CovariateSpace | None = None,
-    threads: int = 1,
     verbose: bool = False,
 ) -> DesignReport:
     """Run the cutting-plane loop and report the best allocation seen.
@@ -105,7 +104,7 @@ def solve_exact(
             )
         master_limits = replace(limits, time_limit=max(remaining, 0.05), mode=mode_now)
         master: BqpResult = minimize_max_quadratic(
-            CutSet.from_pairs(cut_pairs), master_limits, warm_start=prev_x, threads=threads
+            CutSet.from_pairs(cut_pairs), master_limits, warm_start=prev_x
         )
         theta = master.value
         x_m = master.x_star

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .covariates import as_matrix
 from .errors import AllConfounded, ConfoundedDesign
 from .limits import SolveLimits
@@ -230,7 +229,6 @@ def surrogate_gap_scan(
     space: CovariateSpace | None = None,
     cache: SpectralCache | None = None,
     limits: SolveLimits | None = None,
-    threads: int = 1,
 ) -> list[GapPair]:
     """Paired objective values for each allocation, for scatter plots."""
     A = as_matrix(H)
@@ -247,4 +245,4 @@ def surrogate_gap_scan(
             return GapPair(original=None, surrogate=surr)
         return GapPair(original=orig, surrogate=surr)
 
-    return ordered_map(one, list(allocations), threads)
+    return [one(alloc) for alloc in allocations]

@@ -35,7 +35,6 @@ def solve_lb(
     limits: SolveLimits | None = None,
     mode: str = "auto",
     report_space: CovariateSpace | None = None,
-    threads: int = 1,
 ) -> DesignReport:
     """Minimize the averaged surrogate; exact for n <= 40 under "auto"."""
     if mode not in LB_MODES:
@@ -51,7 +50,7 @@ def solve_lb(
     resolved = mode if mode != "auto" else ("exact" if n <= LB_EXACT_MAX_N else "heuristic")
 
     cuts = CutSet(constants=np.zeros(1), matrices=lb_matrix(A, cache)[None, :, :])
-    result = minimize_max_quadratic(cuts, replace(limits, mode=resolved), threads=threads)
+    result = minimize_max_quadratic(cuts, replace(limits, mode=resolved))
     x_star = result.x_star
 
     lb_objective = float(p / n + result.value / n)

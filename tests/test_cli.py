@@ -125,6 +125,24 @@ class TestEncode:
         assert doc is None
         assert "malformed YAML" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("levels", [["no", "yes"], ["off", "on"], ["01", "02"]])
+    def test_yaml_levels_are_read_as_written(self, tmp_path, capsys, levels):
+        csv_path = tmp_path / "raw.csv"
+        cells = [levels[0], levels[1], levels[1], levels[0]]
+        csv_path.write_text("id,flag\n" + "".join(f"{i},{v}\n" for i, v in enumerate(cells)))
+        schema_path = tmp_path / "schema.yaml"
+        schema_path.write_text(
+            f"columns:\n  - name: flag\n    kind: binary\n    levels: [{levels[0]}, {levels[1]}]\n"
+        )
+        out = tmp_path / "encoded.csv"
+        code, doc, err = run_cli(
+            capsys, "encode", "--csv", str(csv_path),
+            "--schema", str(schema_path), "--out", str(out),
+        )
+        assert code == 0, err
+        assert doc["columns"] == ["intercept", f"flag={levels[1]}"]
+        assert read_matrix_csv(out)[:, 1].tolist() == [-1.0, 1.0, 1.0, -1.0]
+
 
 class TestDesign:
     def test_lb_on_toy(self, toy_csv, tmp_path, capsys):
@@ -139,7 +157,7 @@ class TestDesign:
         assert doc["surrogate_value"] == pytest.approx(0.5, abs=1e-9)
         assert doc["status"] == "optimal"
         assert doc["parameters"]["method"] == "lb"
-        assert doc["parameters"]["threads"] >= 1
+        assert "threads" not in doc["parameters"]
         stored = DesignReport.load(report_path)
         assert stored.to_dict() == doc
         alloc = read_allocation_csv(alloc_path)
@@ -303,6 +321,32 @@ class TestScan:
         ) == 10
         if doc["mean_relative_gap"] is not None:
             assert doc["mean_relative_gap"] >= 0.0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "extra, fragment",
+        [
+            (["--threads", "2"], "unrecognized arguments: --threads 2"),
+            (["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["--time-limit", "abc"], "invalid float value: 'abc'"),
+        ],
+    )
+    def test_usage_error_is_one_json_object(self, toy_csv, capsys, extra, fragment):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["design", "--matrix", str(toy_csv), "--method", "lb", *extra])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "UsageError"
+        assert fragment in error["message"]
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["design", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: trialdesign design")
 
 
 def test_console_entry_point(tmp_path):

@@ -291,13 +291,3 @@ class TestSurrogateGapScan:
         for pair in pairs:
             if pair.original is not None:
                 assert pair.surrogate <= pair.original + 1e-9
-
-    def test_thread_count_does_not_change_values(self, toy_design):
-        allocations = [
-            Allocation(np.array([1, 1, -1, -1])),
-            Allocation(np.array([1, -1, -1, 1])),
-            Allocation(np.array([1, -1, 1, -1])),
-        ]
-        single = surrogate_gap_scan(toy_design, allocations, threads=1)
-        multi = surrogate_gap_scan(toy_design, allocations, threads=3)
-        assert single == multi
