@@ -161,7 +161,9 @@ def _descent(
             P = np.flatnonzero(x > 0)
             M = np.flatnonzero(x < 0)
             total = P.size - M.size  # swaps keep the sum
-            S8 = 8.0 * A[:, P[:, None], M[None, :]]
+            # rows then columns gathers faster than one 2-d fancy index, and
+            # the C-ordered output keeps each S8[k] contiguous for the moves
+            S8 = np.multiply(A[:, P][:, :, M], 8.0, out=np.empty((K, P.size, M.size)))
             blk = np.empty(S8.shape[1:])
             buf = np.empty_like(blk) if K > 1 else blk
             # blk[a, b] = lhs[a] . rhs[:, b] = (f_k + u_a) * 1 + 1 * v_b:

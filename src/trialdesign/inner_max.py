@@ -4,8 +4,12 @@ Small problems (p-1 <= 22) are enumerated: a Gray-code walk over prefix
 coordinates updates the running objective in O(p) per flip, and every
 suffix completion of the current prefix is evaluated in one vectorized
 block.  Larger problems run best-first branch-and-bound with an interval
-bound that relaxes each pairwise product to [-1, 1].  Ties are broken
-toward the lexicographically smallest z in both paths.
+bound that relaxes each pairwise product touching a free coordinate to
+[-1, 1].  Branching follows one static order, so the relaxed part of a
+bound depends only on the depth and is tabulated once; a child's bound
+then follows from its parent's fixed-part value and one product N y in
+O(p), as does its greedy completion.  Ties are broken toward the
+lexicographically smallest z in both paths.
 """
 
 from __future__ import annotations
@@ -118,9 +122,10 @@ def _polish(y: np.ndarray, w: np.ndarray, N: np.ndarray) -> np.ndarray:
     # single-flip ascent until no strict improvement
     y = y.copy()
     val = float(w @ y + y @ N @ y)
+    four_diag = 4.0 * np.diag(N)
     while True:
         grad = w + 2.0 * N @ y
-        deltas = -2.0 * y * grad + 4.0 * np.diag(N)
+        deltas = -2.0 * y * grad + four_diag
         i = int(np.argmax(deltas))
         if deltas[i] <= 1e-12 * (1.0 + abs(val)):
             return y
@@ -134,7 +139,15 @@ def _branch_and_bound(
     limits: SolveLimits,
     deadline: float,
 ) -> tuple[np.ndarray, int, bool, float]:
-    """Best-first search over partial sign fixings (constant term omitted)."""
+    """Best-first search over partial sign fixings (constant term omitted).
+
+    Branching follows a static order, so a node at depth d has fixed
+    exactly the coordinates order[:d].  Its interval bound is the value of
+    the fixed part plus tail[d], the relaxed mass of every term touching a
+    free coordinate, which depends on d alone.  A heap entry carries its
+    depth and fixed-part value; popping it costs one matrix-vector product,
+    and each child's value, bound and greedy completion follow in O(q).
+    """
     q = w.size
     absN = np.abs(N).copy()
     np.fill_diagonal(absN, 0.0)
@@ -142,28 +155,29 @@ def _branch_and_bound(
     absw = np.abs(w)
     # static branch order: heaviest total pairwise mass first
     order = np.argsort(-(absw / 2.0 + absN.sum(axis=1)), kind="stable")
+    absN_o = absN[np.ix_(order, order)]
+    free_o = diagN[order] + absw[order]
+    # relaxed value of the free part at each depth, every pair touching a
+    # free coordinate taken at |.|
+    tail = [
+        float(free_o[d:].sum() + 2.0 * absN_o[:d, d:].sum() + absN_o[d:, d:].sum())
+        for d in range(q + 1)
+    ]
+    # free_at[d, i]: coordinate i is still free at depth d
+    free_at = np.argsort(order)[None, :] >= np.arange(q + 1)[:, None]
+    branch_at = order.tolist()
+    w_at = w[order].tolist()
+    diag_at = diagN[order].tolist()
+    # A child's greedy completion is worth at most the child's bound.  Every
+    # bound and value here sums at most ~q^2 terms of total magnitude
+    # below S = sum|w| + sum|N|, so their rounding errors stay far below
+    # margin, and a child bounded under best_val - margin has a completion
+    # that offer() would reject: skipping it changes no incumbent.
+    margin = 1e-9 * float(absw.sum() + np.abs(N).sum())
+    N2 = 2.0 * N  # N is exactly symmetric, so row b of N2 is 2 N[:, b]
 
     def exact_value(y: np.ndarray) -> float:
         return float(w @ y + y @ N @ y)
-
-    def interval_bound(fixed: np.ndarray) -> float:
-        # every pair touching a free coordinate relaxed to |.|
-        free = fixed == 0
-        yf = fixed.astype(float)
-        val_fixed = float(w @ yf + yf @ N @ yf)
-        return (
-            val_fixed
-            + float(diagN[free].sum())
-            + float(absw[free].sum())
-            + 2.0 * float(absN[np.ix_(~free, free)].sum())
-            + float(absN[np.ix_(free, free)].sum())
-        )
-
-    def greedy_completion(fixed: np.ndarray) -> np.ndarray:
-        free = fixed == 0
-        yf = fixed.astype(float)
-        lin = w + 2.0 * N @ yf
-        return np.where(free, np.where(lin >= 0.0, 1.0, -1.0), yf)
 
     best_y = _polish(np.where(w >= 0.0, 1.0, -1.0), w, N)
     best_val = exact_value(best_y)
@@ -174,8 +188,9 @@ def _branch_and_bound(
         if val > best_val or (val == best_val and tuple(y) < tuple(best_y)):
             best_y, best_val = y.copy(), val
 
-    root = np.zeros(q, dtype=np.int8)
-    heap: list[tuple[float, int, np.ndarray]] = [(-interval_bound(root), 0, root)]
+    # heap entry: (-bound, tie counter, depth, value of the fixed part,
+    # int8 signs as bytes, which take less memory than an array object)
+    heap: list[tuple[float, int, int, float, bytes]] = [(-tail[0], 0, 0, 0.0, bytes(q))]
     counter = 1
     nodes = 0
     optimal = True
@@ -185,24 +200,32 @@ def _branch_and_bound(
             optimal = False
             gap = max(0.0, -heap[0][0] - best_val)
             break
-        neg_bound, _, fixed = heapq.heappop(heap)
+        neg_bound, _, depth, val_fixed, signs = heapq.heappop(heap)
         nodes += 1
         if -neg_bound < best_val:
             break  # every open node is dominated by the incumbent
-        branch = next((int(i) for i in order if fixed[i] == 0), None)
-        if branch is None:
-            offer(fixed.astype(float))
-            continue
-        for sign in (-1, 1):
+        fixed = np.frombuffer(signs, dtype=np.int8)
+        b = branch_at[depth]
+        w_b, n_bb = w_at[depth], diag_at[depth]
+        depth += 1
+        # 2 N yf at the parent; setting y_b = s moves it by 2s N[:, b] and
+        # the value of the fixed part by s w_b + 2s (N yf)_b + N_bb
+        g2 = 2.0 * (N @ fixed)
+        g2_b = float(g2[b])
+        for sign, g2_child in ((-1, g2 - N2[b]), (1, g2 + N2[b])):
             child = fixed.copy()
-            child[branch] = sign
-            if not np.any(child == 0):
+            child[b] = sign
+            if depth == q:
                 offer(child.astype(float))
                 continue
-            offer(greedy_completion(child))
-            child_bound = interval_bound(child)
+            child_val = val_fixed + sign * w_b + sign * g2_b + n_bb
+            child_bound = child_val + tail[depth]
+            if child_bound < best_val - margin:
+                continue  # its greedy completion could not win the offer
+            lin = w + g2_child
+            offer(np.where(free_at[depth], np.where(lin >= 0.0, 1.0, -1.0), child))
             if child_bound >= best_val:
-                heapq.heappush(heap, (-child_bound, counter, child))
+                heapq.heappush(heap, (-child_bound, counter, depth, child_val, child.tobytes()))
                 counter += 1
     return best_y, nodes, optimal, gap
 

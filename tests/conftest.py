@@ -5,6 +5,7 @@ algebra, written without reusing solver internals, so the tests check
 the implementation against something that cannot share its bugs.
 """
 
+import heapq
 import itertools
 import time
 
@@ -144,6 +145,98 @@ def naive_descent(
             x[idx] = -x[idx]
         f = c + g @ x
     return x, float((c + np.einsum("kij,i,j->k", A, x, x)).max())
+
+
+def naive_branch_and_bound(
+    w: np.ndarray, N: np.ndarray, node_limit: int, deadline: float
+) -> tuple[np.ndarray, int, bool, float]:
+    """Interval branch and bound that rebuilds every node bound from scratch.
+
+    Reference for the solver's incremental search: the same static
+    branch order, best-first pop order (bound, then push order), greedy
+    completions, polish start and lexicographic tie rule, with each
+    bound summed over the fixed/free index sets of its node.  Maximizes
+    w'y + y'Ny over {-1,+1}^q and returns (y, nodes, optimal, gap).
+    """
+    q = w.size
+    absN = np.abs(N).copy()
+    np.fill_diagonal(absN, 0.0)
+    diagN = np.diag(N).copy()
+    absw = np.abs(w)
+    # static branch order: heaviest total pairwise mass first
+    order = np.argsort(-(absw / 2.0 + absN.sum(axis=1)), kind="stable")
+
+    def exact_value(y: np.ndarray) -> float:
+        return float(w @ y + y @ N @ y)
+
+    def interval_bound(fixed: np.ndarray) -> float:
+        # every pair touching a free coordinate relaxed to |.|
+        free = fixed == 0
+        yf = fixed.astype(float)
+        val_fixed = float(w @ yf + yf @ N @ yf)
+        return (
+            val_fixed
+            + float(diagN[free].sum())
+            + float(absw[free].sum())
+            + 2.0 * float(absN[np.ix_(~free, free)].sum())
+            + float(absN[np.ix_(free, free)].sum())
+        )
+
+    def greedy_completion(fixed: np.ndarray) -> np.ndarray:
+        free = fixed == 0
+        yf = fixed.astype(float)
+        lin = w + 2.0 * N @ yf
+        return np.where(free, np.where(lin >= 0.0, 1.0, -1.0), yf)
+
+    # single-flip ascent from the sign of w, until no strict improvement
+    best_y = np.where(w >= 0.0, 1.0, -1.0)
+    start_val = exact_value(best_y)
+    while True:
+        deltas = -2.0 * best_y * (w + 2.0 * N @ best_y) + 4.0 * np.diag(N)
+        i = int(np.argmax(deltas))
+        if deltas[i] <= 1e-12 * (1.0 + abs(start_val)):
+            break
+        best_y[i] = -best_y[i]
+        start_val += float(deltas[i])
+    best_val = exact_value(best_y)
+
+    def offer(y: np.ndarray) -> None:
+        nonlocal best_y, best_val
+        val = exact_value(y)
+        if val > best_val or (val == best_val and tuple(y) < tuple(best_y)):
+            best_y, best_val = y.copy(), val
+
+    root = np.zeros(q, dtype=np.int8)
+    heap: list[tuple[float, int, np.ndarray]] = [(-interval_bound(root), 0, root)]
+    counter = 1
+    nodes = 0
+    optimal = True
+    gap = 0.0
+    while heap:
+        if nodes >= node_limit or time.monotonic() > deadline:
+            optimal = False
+            gap = max(0.0, -heap[0][0] - best_val)
+            break
+        neg_bound, _, fixed = heapq.heappop(heap)
+        nodes += 1
+        if -neg_bound < best_val:
+            break  # every open node is dominated by the incumbent
+        branch = next((int(i) for i in order if fixed[i] == 0), None)
+        if branch is None:
+            offer(fixed.astype(float))
+            continue
+        for sign in (-1, 1):
+            child = fixed.copy()
+            child[branch] = sign
+            if not np.any(child == 0):
+                offer(child.astype(float))
+                continue
+            offer(greedy_completion(child))
+            child_bound = interval_bound(child)
+            if child_bound >= best_val:
+                heapq.heappush(heap, (-child_bound, counter, child))
+                counter += 1
+    return best_y, nodes, optimal, gap
 
 
 @pytest.fixture

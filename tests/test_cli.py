@@ -362,3 +362,13 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == 1
     assert out.exists()
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "trialdesign", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: trialdesign")

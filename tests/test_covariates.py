@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialdesign.covariates import (
     CovariateMatrix,
@@ -137,6 +139,28 @@ def anticoagulant_cohort_schema() -> CovariateSchema:
     return CovariateSchema(columns=tuple(cols))
 
 
+# JSON-like documents: anything json.loads could return
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+# documents shaped like a schema, so the fuzz reaches the column checks
+schema_entries = st.dictionaries(
+    st.sampled_from(["name", "kind", "levels", "reference", "other"]),
+    json_scalars
+    | st.sampled_from(["binary", "categorical"])
+    | st.lists(json_scalars | st.sampled_from(["a", "b", "c"]), max_size=4),
+    max_size=5,
+)
+schema_like_documents = st.dictionaries(
+    st.sampled_from(["columns", "other"]),
+    st.lists(schema_entries | json_scalars, max_size=4) | json_documents,
+    max_size=2,
+)
+
+
 class TestSchema:
     def test_binary_coding(self):
         col = SchemaColumn(name="inducer", kind="binary", levels=("No", "Yes"))
@@ -219,6 +243,15 @@ class TestSchema:
     def test_from_dict_rejects_malformed_columns(self, doc, message):
         with pytest.raises(ValueError, match=message):
             CovariateSchema.from_dict(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=json_documents | schema_like_documents)
+    def test_from_dict_returns_schema_or_value_error(self, doc):
+        try:
+            schema = CovariateSchema.from_dict(doc)
+        except ValueError:
+            return
+        assert isinstance(schema, CovariateSchema)
 
     def test_from_file_json_and_yaml(self, tmp_path: Path):
         doc = {"columns": [{"name": "sex", "kind": "binary", "levels": ["F", "M"]}]}

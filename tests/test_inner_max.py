@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_max_quadratic
+from conftest import brute_max_quadratic, naive_branch_and_bound
 from trialdesign.inner_max import (
     ENUM_MAX_FREE,
     InnerMaxProblem,
@@ -96,6 +96,21 @@ class TestEnumeration:
         small = solve_inner_max(InnerMaxProblem(M=np.eye(ENUM_MAX_FREE + 1)))
         assert small.method == "enumeration"
 
+    def test_auto_uses_branch_and_bound_past_cutover(self):
+        # A pure diagonal would search the whole tree: every vertex ties and
+        # the tie rule keeps each equal-bound node open.  Coupling to the
+        # pinned coordinate makes z = 1 the unique optimum, and the tight
+        # interval bound prunes every child off its path.
+        p = ENUM_MAX_FREE + 2
+        M = np.eye(p)
+        M[0, 1:] = M[1:, 0] = 0.5
+        res = solve_inner_max(InnerMaxProblem(M=M))
+        assert res.method == "branch_and_bound"
+        assert res.optimal
+        assert res.value == 2 * p - 1
+        assert res.z_star.tolist() == [1.0] * p
+        assert res.nodes_explored == p - 1
+
 
 class TestBranchAndBound:
     def test_matches_enumeration(self):
@@ -136,3 +151,61 @@ class TestBranchAndBound:
         assert res.value == pytest.approx(
             float(res.z_star @ M @ res.z_star), abs=1e-10
         )
+
+
+FULL_SEARCH = SolveLimits().node_limit
+
+
+def integer_tied(p: int, rng: np.random.Generator) -> np.ndarray:
+    """Sparse couplings in {-1, 0, 1}: exact sums, tied optima and bounds."""
+    A = rng.integers(-1, 2, size=(p, p)) * (rng.random((p, p)) < 0.3)
+    A = np.triu(A, 1)
+    return (A + A.T).astype(float)
+
+
+class TestBranchAndBoundOracle:
+    """The incremental search against the from-scratch oracle: the same
+    tree in the same order, so the same y, node count and status.  Integer
+    matrices are summed exactly by both, so their gaps agree bit for bit;
+    otherwise the bounds are summed in a different order."""
+
+    @staticmethod
+    def assert_same_search(M: np.ndarray, node_limit: int, exact: bool) -> None:
+        prob = InnerMaxProblem(M=M)
+        res = solve_inner_max(
+            prob, limits=SolveLimits(node_limit=node_limit), method="branch_and_bound"
+        )
+        y, nodes, optimal, gap = naive_branch_and_bound(
+            2.0 * prob.M[0, 1:], prob.M[1:, 1:], node_limit, float("inf")
+        )
+        assert res.z_star[1:].tolist() == y.tolist()
+        assert res.nodes_explored == nodes
+        assert res.optimal == optimal
+        if exact:
+            assert res.gap == gap
+        else:
+            assert res.gap == pytest.approx(gap, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_symmetric(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        M = random_symmetric(int(rng.integers(14, 21)), rng)
+        self.assert_same_search(M, FULL_SEARCH, exact=False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_ties(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        M = integer_tied(int(rng.integers(14, 21)), rng)
+        self.assert_same_search(M, FULL_SEARCH, exact=True)
+
+    @pytest.mark.parametrize("node_limit", [1, 2, 50])
+    def test_truncated(self, node_limit):
+        rng = np.random.default_rng(300)
+        self.assert_same_search(random_symmetric(18, rng), node_limit, exact=False)
+        self.assert_same_search(integer_tied(18, rng), node_limit, exact=True)
+
+    def test_diagonal_shift(self):
+        rng = np.random.default_rng(400)
+        M = random_symmetric(16, rng)
+        self.assert_same_search(M + 3.0 * np.eye(16), FULL_SEARCH, exact=False)
+        self.assert_same_search(M - 3.0 * np.eye(16), FULL_SEARCH, exact=False)
