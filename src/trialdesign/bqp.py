@@ -11,11 +11,13 @@ minus index) pair, so results depend only on the seed.
 
 Exact mode runs best-first branch-and-bound with two bounds per node: a
 cheap interval bound that relaxes every pairwise product touching a free
-coordinate, and a certified convex bound from projected gradient on each
-cut's quadratic over the box-and-balance polytope (the gradient
-linearization at the final iterate is minimized exactly over that
-polytope, so the bound is valid even before the gradient iteration
-converges).
+coordinate, and a certified convex bound from accelerated projected
+gradient with restart (FISTA) on each cut's quadratic over the
+box-and-balance polytope.  The gradient linearization at the final
+iterate is minimized exactly over that polytope, so the bound is valid
+even before the gradient iteration converges.  An iteration costs one
+batched matrix-vector product and one projection for every node and cut
+in the batch.
 """
 
 from __future__ import annotations
@@ -265,46 +267,67 @@ def _lambda_max(Ak: np.ndarray) -> float:
     return float(v @ Ak @ v)
 
 
-def _project_rows(
-    V: np.ndarray, l: np.ndarray, u: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Project each row onto {w : l <= w <= u, lo <= sum w <= hi}.
+class _BoxSumProjector:
+    """Row-wise projection onto {w : l <= w <= u, lo <= sum w <= hi}.
 
     The projection is clip(V + lambda, l, u) for a per-row shift lambda;
     the row sum is piecewise linear in lambda with knots at l - V and
-    u - V, so the right shift falls out of one sorted sweep.
+    u - V, so the right shift falls out of one sorted sweep.  The bounds
+    stay fixed for a whole projected-gradient run, so they are laid out
+    contiguously once, with their row sums and the sweep's buffers.
+    Gathers index the flattened rows, which costs less than a 2-d fancy
+    index or take_along_axis on rows this short.
     """
-    l = np.broadcast_to(l, V.shape)
-    u = np.broadcast_to(u, V.shape)
-    W = np.clip(V, l, u)
-    sums = W.sum(axis=1)
-    need_up = sums < lo
-    need_dn = sums > hi
-    active = need_up | need_dn
-    if not active.any():
+
+    def __init__(self, l: np.ndarray, u: np.ndarray, lo: float, hi: float, nrows: int):
+        n = np.shape(l)[-1]
+        self.L = np.ascontiguousarray(np.broadcast_to(l, (nrows, n)), dtype=float)
+        self.U = np.ascontiguousarray(np.broadcast_to(u, (nrows, n)), dtype=float)
+        self.L_sum = np.add.reduce(self.L, axis=1)
+        self.lo, self.hi = float(lo), float(hi)
+        # sum(clip(V + lam)) = sum(l) + psi(lam); psi gains slope 1 at each
+        # lower knot (index < n in the event table) and loses it at the
+        # matching upper knot
+        self.knot_slope = np.concatenate([np.ones(n), -np.ones(n)])
+        self.offsets = np.arange(nrows)[:, None] * (2 * n)
+        self.events = np.empty((nrows, 2 * n))
+        self.psi = np.empty((nrows, 2 * n))
+        self.psi[:, 0] = 0.0
+
+    def __call__(self, V: np.ndarray) -> np.ndarray:
+        W = np.minimum(np.maximum(V, self.L), self.U)
+        sums = np.add.reduce(W, axis=1)
+        need_up = sums < self.lo
+        active = need_up | (sums > self.hi)
+        m = np.count_nonzero(active)
+        if m == 0:
+            return W
+        # balanced rows (lo = hi = 0) are almost always all active
+        rows = slice(None) if m == active.size else np.flatnonzero(active)
+        Va, la, ua = V[rows], self.L[rows], self.U[rows]
+        n = V.shape[1]
+        events, psi, offsets = self.events[:m], self.psi[:m], self.offsets[:m]
+        np.subtract(la, Va, out=events[:, :n])
+        np.subtract(ua, Va, out=events[:, n:])
+        order = np.argsort(events, axis=1)
+        slope = np.add.accumulate(self.knot_slope[order], axis=1)
+        order += offsets
+        ev = events.ravel()[order]
+        np.add.accumulate(
+            slope[:, :-1] * (ev[:, 1:] - ev[:, :-1]), axis=1, out=psi[:, 1:]
+        )
+        T = np.where(need_up[rows], self.lo, self.hi) - self.L_sum[rows]
+        # last knot with psi <= T, or the first when T < 0 (an infeasible
+        # row): psi starts at 0 and never decreases
+        j = (psi[:, 1:] <= T[:, None]).sum(axis=1)
+        j += offsets[:, 0]
+        slope_j = np.maximum(slope.ravel()[j], 1e-300)
+        lam = ev.ravel()[j] + (T - psi.ravel()[j]) / slope_j
+        Wa = np.minimum(np.maximum(Va + lam[:, None], la), ua)
+        if m == active.size:
+            return Wa
+        W[rows] = Wa
         return W
-    rows = np.flatnonzero(active)
-    Va, la, ua = V[rows], l[rows], u[rows]
-    target = np.where(need_up[rows], float(lo), float(hi))
-    # sum(clip(V + lam)) = sum(l) + psi(lam); psi gains slope 1 at each
-    # lower knot (index < n in the event table) and loses it at the
-    # matching upper knot
-    ncol = V.shape[1]
-    events = np.concatenate([la - Va, ua - Va], axis=1)
-    order = np.argsort(events, axis=1)
-    ridx = np.arange(rows.shape[0])[:, None]
-    ev = events[ridx, order]
-    slope = np.cumsum(np.where(order < ncol, 1.0, -1.0), axis=1)
-    psi = np.empty_like(ev)
-    psi[:, 0] = 0.0
-    np.cumsum(slope[:, :-1] * (ev[:, 1:] - ev[:, :-1]), axis=1, out=psi[:, 1:])
-    T = target - la.sum(axis=1)
-    j = np.clip(np.sum(psi <= T[:, None], axis=1) - 1, 0, ev.shape[1] - 1)
-    rsel = ridx[:, 0]
-    slope_j = np.maximum(slope[rsel, j], 1e-300)
-    lam = ev[rsel, j] + (T - psi[rsel, j]) / slope_j
-    W[rows] = np.clip(Va + lam[:, None], la, ua)
-    return W
 
 
 def _linear_min_rows(
@@ -342,9 +365,8 @@ def _linear_min_rows(
 
 
 def _certified_bounds(
-    c: np.ndarray,
-    A: np.ndarray,
     Y: np.ndarray,
+    G: np.ndarray,
     f: np.ndarray,
     l: np.ndarray,
     u: np.ndarray,
@@ -353,7 +375,6 @@ def _certified_bounds(
 ) -> np.ndarray:
     # f(y) + min gradient step over the feasible box-and-sum set; valid
     # for any iterate by convexity, regardless of how converged Y is
-    G = 2.0 * np.einsum("kij,kj->ki", A, Y)
     linmin = _linear_min_rows(G, l, u, lo, hi)
     return f + linmin - np.einsum("ki,ki->k", G, Y)
 
@@ -371,28 +392,47 @@ def _batched_pg(
     stop_above: float | None = None,
     group_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run projected gradient per cut; return iterates and certified bounds.
+    """Run accelerated projected gradient per cut; return iterates and certified bounds.
+
+    FISTA with gradient restart: a row steps from its extrapolated point
+    Z to the new iterate X = proj(Z - step * 2 A Z), then extrapolates
+    Z = X + beta (X - Y) from its previous iterate Y.  A row whose step
+    ran against its momentum, (Z - X).(X - Y) > 0, restarts with t = 1
+    and beta = 0.  Each iteration costs one batched product A X and one
+    projection: the value c + X.AX, the next gradient and the product at
+    the next Z (AX + beta (AX - AY)) all follow from it.
 
     When ``stop_above`` is given, bounds are certified periodically and the
     loop exits as soon as every group of ``group_size`` consecutive rows
     (one branch node per group) holds a cut proving that node prunable.
     """
-    Y = _project_rows(Y0, l, u, lo, hi)
-    f = c + np.einsum("kij,ki,kj->k", A, Y, Y)
+    project = _BoxSumProjector(l, u, lo, hi, Y0.shape[0])
+    Y = project(Y0)
+    AY = np.matmul(A, Y[:, :, None])[:, :, 0]
+    f = c + np.einsum("ki,ki->k", Y, AY)
+    Z, AZ = Y, AY
+    t = np.ones(Y.shape[0])
     for it in range(1, PG_MAX_ITER + 1):
-        G = 2.0 * np.einsum("kij,kj->ki", A, Y)
-        Y = _project_rows(Y - step * G, l, u, lo, hi)
-        f_new = c + np.einsum("kij,ki,kj->k", A, Y, Y)
-        improvement = float(np.max((f - f_new) / np.maximum(1.0, np.abs(f))))
-        f = f_new
-        if improvement < PG_RTOL or time.monotonic() > deadline:
+        X = project(Z - (2.0 * step) * AZ)
+        AX = np.matmul(A, X[:, :, None])[:, :, 0]
+        f_new = c + np.einsum("ki,ki->k", X, AX)
+        change = float(np.max(np.abs(f - f_new) / np.maximum(1.0, np.abs(f))))
+        D = X - Y
+        t[np.einsum("ki,ki->k", Z - X, D) > 0.0] = 1.0
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = ((t - 1.0) / t_next)[:, None]
+        t = t_next
+        Z = X + beta * D
+        AZ = AX + beta * (AX - AY)
+        Y, AY, f = X, AX, f_new
+        if change < PG_RTOL or time.monotonic() > deadline:
             break
         if stop_above is not None and it % PG_CHECK_EVERY == 0:
-            bounds = _certified_bounds(c, A, Y, f, l, u, lo, hi)
+            bounds = _certified_bounds(Y, 2.0 * AY, f, l, u, lo, hi)
             gs = group_size if group_size is not None else bounds.shape[0]
             if float(bounds.reshape(-1, gs).max(axis=1).min()) >= stop_above:
                 return Y, bounds
-    return Y, _certified_bounds(c, A, Y, f, l, u, lo, hi)
+    return Y, _certified_bounds(Y, 2.0 * AY, f, l, u, lo, hi)
 
 
 def _corner_bounds(

@@ -206,6 +206,16 @@ class CovariateSchema:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
+        # "name=level" can repeat across columns when names or levels hold "="
+        owner: dict[str, str] = {}
+        for col in self.columns:
+            for encoded in col.encoded_names():
+                if encoded in owner:
+                    raise ValueError(
+                        f"encoded column {encoded!r} comes from both column "
+                        f"{owner[encoded]!r} and column {col.name!r}"
+                    )
+                owner[encoded] = col.name
 
     @property
     def encoded_width(self) -> int:

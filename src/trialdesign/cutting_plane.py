@@ -110,8 +110,12 @@ def solve_exact(
         x_m = master.x_star
         prev_x = x_m
         master_nodes += master.nodes
+        # every cut is a hypercube vertex, so any master bound is a bound
+        # on the design problem
         if mode_now == "exact" and master.status == "optimal":
             theta_lb = max(theta_lb, theta)
+        else:
+            theta_lb = max(theta_lb, master.lower_bound)
 
         remaining = max(deadline - time.monotonic(), 0.05)
         sub_limits = replace(limits, time_limit=remaining)

@@ -6,14 +6,18 @@ import pytest
 from conftest import (
     balanced_corners,
     brute_min_max_cuts,
+    naive_batched_pg,
     naive_descent,
+    naive_project_rows,
     oracle_lb_matrix,
     random_design,
 )
+from trialdesign import bqp
 from trialdesign.bqp import (
     BqpResult,
     CutSet,
     _batched_pg,
+    _BoxSumProjector,
     _corner_bounds,
     _descent,
     minimize_max_quadratic,
@@ -308,3 +312,148 @@ class TestNodeBounds:
 
             corner = _corner_bounds(c, A, diag, fixed)
             assert float(corner.max()) <= true_min + 1e-8
+
+
+def pinned_box(n: int, k: int, nfix: int, rng: np.random.Generator):
+    """Per-row bounds of a branch node: nfix coordinates pinned to balanced signs."""
+    source = rng.permutation(np.resize([1.0, -1.0], n))
+    pinned = rng.permutation(n)[:nfix]
+    l, u = np.full(n, -1.0), np.full(n, 1.0)
+    l[pinned] = u[pinned] = source[pinned]
+    return np.tile(l, (k, 1)), np.tile(u, (k, 1)), source, pinned
+
+
+class TestProjectionOracle:
+    """The set-up-once projector must match the plain sorted sweep bit for bit."""
+
+    @pytest.mark.parametrize(
+        "rows, n, lo, hi",
+        [(4, 12, 0, 0), (6, 13, -1, 1), (1, 2, 0, 0), (3, 600, 0, 0), (2, 601, -1, 1)],
+    )
+    def test_random_rows(self, rows, n, lo, hi):
+        rng = np.random.default_rng(1000 * rows + n)
+        for trial in range(40):
+            L, U, _, _ = pinned_box(n, rows, int(rng.integers(0, n // 2 + 1)), rng)
+            proj = _BoxSumProjector(L, U, lo, hi, rows)
+            # one projector serves many calls, as in a gradient run
+            for scale in (0.3, 1.0, 4.0):
+                V = rng.normal(scale=scale, size=(rows, n))
+                if trial % 4 == 1:
+                    # some rows already feasible, so only the rest are swept
+                    V[::2] = naive_project_rows(V[::2], L[::2], U[::2], lo, hi)
+                assert np.array_equal(proj(V), naive_project_rows(V, L, U, lo, hi))
+
+    def test_feasible_rows_pass_through(self):
+        rng = np.random.default_rng(7)
+        L, U = np.full((3, 10), -1.0), np.full((3, 10), 1.0)
+        V = naive_project_rows(rng.normal(size=(3, 10)), L, U, 0, 0)
+        out = _BoxSumProjector(L, U, 0, 0, 3)(V)
+        assert np.array_equal(out, V)
+
+    def test_infeasible_rows_match(self):
+        # pins summing past hi leave no feasible point; the sweep then
+        # shifts from its first knot, and both versions must agree on it
+        rng = np.random.default_rng(13)
+        L, U = np.full((2, 8), -1.0), np.full((2, 8), 1.0)
+        L[:, :5] = U[:, :5] = 1.0
+        V = rng.normal(size=(2, 8))
+        out = _BoxSumProjector(L, U, 0, 0, 2)(V)
+        assert np.array_equal(out, naive_project_rows(V, L, U, 0, 0))
+
+    def test_shared_bounds_broadcast(self):
+        # the heuristic's root relaxation passes one (n,) box for every row
+        rng = np.random.default_rng(11)
+        l, u = np.full(9, -1.0), np.full(9, 1.0)
+        V = rng.normal(scale=2.0, size=(4, 9))
+        out = _BoxSumProjector(l, u, -1, 1, 4)(V)
+        assert np.array_equal(out, naive_project_rows(V, l, u, -1, 1))
+
+
+class TestRelaxationOracle:
+    """Accelerated node bounds against plain projected gradient and enumeration."""
+
+    @staticmethod
+    def cases(count: int = 50):
+        rng = np.random.default_rng(2024)
+        for case in range(count):
+            n, k = int(rng.integers(6, 13)), int(rng.integers(1, 5))
+            cuts = random_cuts(n, k, rng)
+            L, U, source, pinned = pinned_box(n, k, int(rng.integers(0, n // 2)), rng)
+            lo, hi = (0, 0) if n % 2 == 0 else (-1, 1)
+            step = 1.0 / (2.0 * max(np.linalg.eigvalsh(A)[-1] for A in cuts.matrices))
+            Y0 = np.tile(source, (k, 1)) if case % 2 else rng.uniform(-1, 1, size=(k, n))
+            yield cuts, L, U, lo, hi, step, Y0, source, pinned
+
+    def test_bounds_valid_and_no_looser_than_plain_gradient(self, monkeypatch):
+        short_new, short_old = [], []
+        for cuts, L, U, lo, hi, step, Y0, source, pinned in self.cases():
+            c, A = cuts.constants, cuts.matrices
+            corners = balanced_corners(cuts.n)
+            sub = corners[np.all(corners[:, pinned] == source[pinned], axis=1)]
+            # per-cut minimum over the node's balanced completions
+            true_min = (c[None, :] + np.einsum("mi,kij,mj->mk", sub, A, sub)).min(axis=0)
+            _, new = _batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
+            Y_old, old = naive_batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
+            old_value = c + np.einsum("kij,ki,kj->k", A, Y_old, Y_old)
+            assert np.all(new <= true_min + 1e-9)
+            assert np.all(new <= old_value + 1e-9)
+            with monkeypatch.context() as m:
+                m.setattr(bqp, "PG_MAX_ITER", 1000)
+                m.setattr(bqp, "PG_RTOL", 0.0)
+                _, ref = _batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
+            ref = np.maximum.reduce([ref, new, old])
+            short_new.extend(ref - new)
+            short_old.extend(ref - old)
+        assert np.median(short_new) <= np.median(short_old)
+
+    def test_prune_exit_bounds_are_valid(self):
+        for cuts, L, U, lo, hi, step, Y0, source, pinned in self.cases(12):
+            c, A = cuts.constants, cuts.matrices
+            corners = balanced_corners(cuts.n)
+            sub = corners[np.all(corners[:, pinned] == source[pinned], axis=1)]
+            true_min = (c[None, :] + np.einsum("mi,kij,mj->mk", sub, A, sub)).min(axis=0)
+            # two nodes stacked K rows apiece, as the branch and bound does
+            k = cuts.k
+            _, bounds = _batched_pg(
+                np.tile(c, 2), np.concatenate([A, A]), np.tile(Y0, (2, 1)),
+                np.tile(L, (2, 1)), np.tile(U, (2, 1)), lo, hi, step, np.inf,
+                stop_above=float(true_min.max()) - 1e-3, group_size=k,
+            )
+            assert np.all(bounds.reshape(2, k) <= true_min + 1e-9)
+
+    def test_iterates_follow_fista_with_gradient_restart(self, monkeypatch):
+        # rebuild each extrapolated point from the recorded iterates with
+        # the restart rule, and check the next projection input against it
+        restarts = 0
+        for cuts, L, U, lo, hi, step, Y0, _, _ in self.cases():
+            c, A = cuts.constants, cuts.matrices
+            seen: list[tuple[np.ndarray, np.ndarray]] = []
+            call = _BoxSumProjector.__call__
+
+            def spy(self, V, call=call, seen=seen):
+                W = call(self, V)
+                seen.append((V.copy(), W.copy()))
+                return W
+
+            with monkeypatch.context() as m:
+                m.setattr(_BoxSumProjector, "__call__", spy)
+                _batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
+            X = [w for _, w in seen]
+            Z, t = X[0], np.ones(cuts.k)
+            for it in range(1, len(seen)):
+                expected = Z - 2.0 * step * np.einsum("kij,kj->ki", A, Z)
+                np.testing.assert_allclose(seen[it][0], expected, rtol=1e-9, atol=1e-12)
+                D = X[it] - X[it - 1]
+                restart = np.einsum("ki,ki->k", Z - X[it], D) > 0.0
+                restarts += int(restart.sum())
+                t = np.where(restart, 1.0, t)
+                t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+                Z = X[it] + ((t - 1.0) / t_next)[:, None] * D
+                t = t_next
+            # accelerated values are not monotone: a rise must not stop the
+            # run, only a change below the tolerance or the iteration cap
+            if len(X) <= bqp.PG_MAX_ITER:
+                f = [c + np.einsum("kij,ki,kj->k", A, x, x) for x in X[-2:]]
+                change = np.abs(f[0] - f[1]) / np.maximum(1.0, np.abs(f[0]))
+                assert float(change.max()) < bqp.PG_RTOL
+        assert restarts > 0

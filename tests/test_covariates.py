@@ -214,6 +214,19 @@ class TestSchema:
         with pytest.raises(ValueError):
             CovariateSchema(columns=(col, col))
 
+    def test_rejects_colliding_encoded_names(self):
+        # both columns would encode a column named "a=b=c"
+        doc = {
+            "columns": [
+                {"name": "a", "kind": "categorical", "levels": ["r", "b=c", "x"]},
+                {"name": "a=b", "kind": "binary", "levels": ["r", "c"]},
+            ]
+        }
+        with pytest.raises(ValueError, match="'a=b=c'") as err:
+            CovariateSchema.from_dict(doc)
+        assert "column 'a'" in str(err.value)
+        assert "column 'a=b'" in str(err.value)
+
     def test_from_dict_round_trip(self):
         doc = {
             "columns": [

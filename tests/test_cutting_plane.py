@@ -97,6 +97,28 @@ class TestMasterModes:
         )
 
 
+class TestLowerBound:
+    def test_heuristic_masters_bound_the_optimum(self):
+        rng = np.random.default_rng(13)
+        H = random_design(12, 3, rng)
+        report = solve_exact(H, master_mode="heuristic")
+        bound = report.diagnostics["lower_bound"]
+        assert bound is not None and np.isfinite(bound)
+        assert bound <= brute_bilevel_surrogate(H) + 1e-9
+        assert report.diagnostics["gap"] == pytest.approx(report.surrogate_value - bound)
+
+    def test_verification_under_node_limit_reports_bound_and_gap(self):
+        rng = np.random.default_rng(17)
+        H = random_design(60, 5, rng)
+        report = solve_exact(H, SolveLimits(node_limit=10, time_limit=60.0))
+        # the exact master runs out of nodes, so only its bound is known
+        assert report.status == "incumbent"
+        assert report.diagnostics["master_mode_final"] == "exact"
+        bound = report.diagnostics["lower_bound"]
+        assert bound is not None and bound <= report.surrogate_value + 1e-12
+        assert report.diagnostics["gap"] >= -1e-12
+
+
 class TestBudgets:
     def test_tight_budget_returns_incumbent(self):
         rng = np.random.default_rng(7)
