@@ -9,7 +9,10 @@ per swap instead of gathering the block again; the block costs a
 quarter of the cut stack.  Exact ties go to the smallest (plus index,
 minus index) pair, so results depend only on the seed.
 
-Exact mode runs best-first branch-and-bound with two bounds per node: a
+Exact mode enumerates every canonical balanced allocation when n is at
+most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
+trailing signs in one matrix product per block and cut.  Past that,
+exact mode runs best-first branch-and-bound with two bounds per node: a
 cheap interval bound that relaxes every pairwise product touching a free
 coordinate, and a certified convex bound from accelerated projected
 gradient with restart (FISTA) on each cut's quadratic over the
@@ -29,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .inner_max import sign_rows
 from .limits import SolveLimits
 from .objective import Allocation, allocation_vector, random_balanced_signs
 
@@ -44,6 +48,15 @@ POWER_ITERS = 50
 # strict-decrease guard for the descent heuristic
 MOVE_RTOL = 1e-12
 MIN_RESTARTS = 32
+
+# exact masters with at most this many subjects are enumerated
+ENUM_MAX_N = 28
+
+# trailing coordinates tabulated once for the enumeration
+SUFFIX_BITS = 12
+
+# entries in one enumeration block, so each temporary holds about 1 MB
+BLOCK_ENTRIES = 1 << 17
 
 STATUSES = ("optimal", "incumbent")
 
@@ -233,12 +246,7 @@ def _heuristic_core(
     restarts = max(MIN_RESTARTS, n // 4)
     starts: list[np.ndarray] = []
     if warm_start is not None:
-        wv = allocation_vector(warm_start)
-        if wv.size != n:
-            raise ValueError(f"warm start length {wv.size} != n = {n}")
-        if abs(wv.sum()) > 1:
-            raise ValueError("warm start must be balanced")
-        starts.append(wv)
+        starts.append(allocation_vector(warm_start))
     starts.extend(random_balanced_signs(n, rng).astype(float) for _ in range(restarts))
     best_x: np.ndarray | None = None
     best_val = np.inf
@@ -455,6 +463,104 @@ def _corner_bounds(
 
 
 # ---------------------------------------------------------------------------
+# exact enumeration for small n
+
+
+def _enumerate(cuts: CutSet, deadline: float) -> BqpResult:
+    """Evaluate every canonical balanced allocation, one block at a time.
+
+    x = (+1, prefix, suffix): the leading sign is pinned by the x -> -x
+    symmetry and the last m <= SUFFIX_BITS signs form the suffix.  With
+    h = (+1, prefix) each cut splits as c + h'A_hh h + 2 h'A_hs s + s'A_ss s,
+    so a block of heads meets its suffixes in one product
+    [2 A_sh h, c + h'A_hh h, 1] . [s; 1; s'A_ss s] per cut, the suffix
+    values being tabulated once; a running max over the cuts follows.
+    Heads are grouped by plus count, and each group meets only the
+    suffixes that balance it.  Heads and suffixes are both in
+    lexicographic order, so the first minimum of a block is its
+    lexicographically smallest, and equal minima of two blocks go the same
+    way.  Ties are judged on these block values, so two allocations whose
+    values differ only by rounding are ordered by it.  Heads are built per
+    block, so no temporary exceeds about BLOCK_ENTRIES entries whatever n
+    is.
+
+    The deadline is checked between blocks.  A search cut short returns
+    its best allocation with the bound max(c): every cut is PSD, so every
+    allocation meets it.
+    """
+    c, A = cuts.constants, cuts.matrices
+    n, K = cuts.n, cuts.k
+    m = min(n - 1, SUFFIX_BITS)
+    h = n - m
+    lo, hi = _sum_interval(n)
+    # plus counts t among the n - 1 free signs with a balanced sum 2t + 2 - n
+    totals = [t for t in range(n) if lo <= 2 * t + 2 - n <= hi]
+    suffixes = sign_rows(np.arange(1 << m), m)
+    suffix_plus = np.count_nonzero(suffixes > 0, axis=1)
+    suffix_vals = np.stack(
+        [np.einsum("ij,ij->i", suffixes @ A[k, h:, h:], suffixes) for k in range(K)]
+    )
+    head_ids = np.arange(1 << (h - 1))
+    head_plus = np.zeros_like(head_ids)
+    for bit in range(h - 1):
+        head_plus += (head_ids >> bit) & 1
+
+    def blocks():
+        # (heads, their balancing suffixes, right factor per cut)
+        for j in range(h):
+            cols = np.flatnonzero(np.isin(suffix_plus, [t - j for t in totals]))
+            if cols.size == 0:
+                continue
+            rhs = np.empty((K, m + 2, cols.size))
+            rhs[:, :m] = suffixes[cols].T
+            rhs[:, m] = 1.0
+            rhs[:, m + 1] = suffix_vals[:, cols]
+            ids = head_ids[head_plus == j]
+            step = max(1, BLOCK_ENTRIES // max(cols.size, n))
+            for start in range(0, ids.size, step):
+                chunk = ids[start : start + step]
+                heads = np.hstack([np.ones((chunk.size, 1)), sign_rows(chunk, h - 1)])
+                yield heads, suffixes[cols], rhs
+
+    best_x: np.ndarray | None = None
+    best_val = np.inf
+    finished = True
+    for H, S, rhs in blocks():
+        if best_x is not None and time.monotonic() > deadline:
+            finished = False
+            break
+        lhs = np.empty((H.shape[0], m + 2))
+        lhs[:, m + 1] = 1.0
+        worst = np.empty((H.shape[0], S.shape[0]))
+        out = np.empty_like(worst) if K > 1 else worst
+        for k in range(K):
+            G = H @ A[k, :h]
+            np.multiply(G[:, h:], 2.0, out=lhs[:, :m])
+            lhs[:, m] = c[k] + np.einsum("ij,ij->i", G[:, :h], H)
+            np.matmul(lhs, rhs[k], out=out if k else worst)
+            if k:
+                np.maximum(worst, out, out=worst)
+        flat = int(np.argmin(worst))
+        val = float(worst.flat[flat])
+        a, b = divmod(flat, S.shape[0])
+        x = np.concatenate([H[a], S[b]])
+        if val < best_val or (val == best_val and tuple(x) < tuple(best_x)):
+            best_x, best_val = x, val
+    assert best_x is not None
+    value = float(_exact_cut_values(c, A, best_x).max())
+    lower = value if finished else min(float(c.max()), value)
+    return BqpResult(
+        x_star=Allocation(best_x.astype(np.int64)),
+        value=value,
+        lower_bound=lower,
+        status="optimal" if finished else "incumbent",
+        nodes=0,
+        restarts=0,
+        gap=value - lower,
+    )
+
+
+# ---------------------------------------------------------------------------
 # exact branch-and-bound
 
 
@@ -487,13 +593,10 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     diag = np.einsum("kii->ki", A).copy()
     deadline = time.monotonic() + limits.time_limit
     best_x, best_val, restarts = _heuristic_core(c, A, diag, n, limits, warm_start, deadline)
-    # root convex relaxation: a certificate when the descent hits bottom
-    lo, hi = _sum_interval(n)
-    l, u = np.full(n, -1.0), np.full(n, 1.0)
-    step = 1.0 / (2.0 * max(max(_lambda_max(A[k]) for k in range(cuts.k)), 1e-12))
-    _, pg = _batched_pg(c, A, np.tile(best_x, (cuts.k, 1)), l, u, lo, hi, step, deadline)
+    # y = 0 meets the box and the balance and every cut is PSD, so the
+    # root relaxation is max(c) exactly; the interval bound may beat it
     corner = _corner_bounds(c, A, diag, np.zeros(n, dtype=np.int8))
-    root_bound = float(np.maximum(pg, corner).max())
+    root_bound = max(float(c.max()), float(corner.max()))
     status = "optimal" if best_val <= root_bound + limits.epsilon else "incumbent"
     lower = min(best_val, root_bound)
     return BqpResult(
@@ -639,16 +742,33 @@ def _exact(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     )
 
 
+def solver_method(n: int, mode: str) -> str:
+    """The method that solves an n-subject problem in this mode."""
+    if mode == "heuristic":
+        return "descent"
+    return "enumeration" if n <= ENUM_MAX_N else "branch_and_bound"
+
+
 def minimize_max_quadratic(
     cuts: CutSet,
     limits: SolveLimits | None = None,
     warm_start=None,
 ) -> BqpResult:
-    """Entry point; limits.mode picks the heuristic or the exact search."""
+    """Entry point; the method follows limits.mode and n (see ``solver_method``)."""
     if limits is None:
         limits = SolveLimits()
-    if cuts.n < 2:
+    n = cuts.n
+    if n < 2:
         raise ValueError("need at least two subjects")
-    if limits.mode == "heuristic":
+    if warm_start is not None:
+        wv = allocation_vector(warm_start)
+        if wv.size != n:
+            raise ValueError(f"warm start length {wv.size} != n = {n}")
+        if abs(wv.sum()) > 1:
+            raise ValueError("warm start must be balanced")
+    method = solver_method(n, limits.mode)
+    if method == "descent":
         return _heuristic(cuts, limits, warm_start)
+    if method == "enumeration":
+        return _enumerate(cuts, time.monotonic() + limits.time_limit)
     return _exact(cuts, limits, warm_start)

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bqp import BqpResult, CutSet, minimize_max_quadratic
+from .bqp import BqpResult, CutSet, minimize_max_quadratic, solver_method
 from .errors import ConfoundedDesign, DuplicateCut
 from .inner_max import InnerMaxProblem, solve_inner_max
 from .limits import SolveLimits
@@ -172,6 +172,7 @@ def solve_exact(
         "cuts": len(Z),
         "master_nodes": master_nodes,
         "master_mode_final": mode_now,
+        "master_method": solver_method(n, mode_now),
         "subproblem_method": sub_method,
         "history": [[t, d, s] for t, d, s in history],
         "lower_bound": float(theta_lb) if np.isfinite(theta_lb) else None,

@@ -66,11 +66,12 @@ class InnerMaxResult:
     gap: float
 
 
-def _suffix_table(m: int) -> np.ndarray:
-    # rows are lexicographically ordered +/-1 vectors (bit 0 -> -1)
-    idx = np.arange(1 << m, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    return (bits * 2 - 1).astype(float)
+def sign_rows(ids: np.ndarray, bits: int) -> np.ndarray:
+    """+/-1 rows of the integers ids, leading bit first (bit 0 -> -1).
+
+    Increasing ids give lexicographically increasing rows.
+    """
+    return (((ids[:, None] >> np.arange(bits - 1, -1, -1)) & 1) * 2 - 1).astype(float)
 
 
 def _reduce(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -83,7 +84,7 @@ def _enumerate(w: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, int]:
     q = w.size
     m = min(q, SUFFIX_BITS)
     k = q - m
-    B = _suffix_table(m)
+    B = sign_rows(np.arange(1 << m, dtype=np.int64), m)
     w_pre, w_suf = w[:k], w[k:]
     N_pp, N_ps, N_ss = N[:k, :k], N[:k, k:], N[k:, k:]
     v = B @ w_suf + np.einsum("ij,ij->i", B @ N_ss, B)

@@ -180,6 +180,7 @@ class SpectralCache:
     gram: np.ndarray
     gram_inverse: np.ndarray
     hat: np.ndarray
+    gram_max_eigenvalue: float
     condition_number: float
     n: int
     p: int
@@ -202,10 +203,12 @@ def spectral_cache(H) -> SpectralCache:
         raise IllConditioned("hat matrix failed the idempotence check")
     if abs(float(np.trace(hat)) - p) > HAT_TRACE_ATOL:
         raise IllConditioned("hat matrix trace does not equal p")
+    gram = _frozen(gram)
     return SpectralCache(
-        gram=_frozen(gram),
+        gram=gram,
         gram_inverse=_frozen(gram_inverse),
         hat=_frozen(hat),
+        gram_max_eigenvalue=float(np.linalg.eigvalsh(gram)[-1]),
         condition_number=cond,
         n=n,
         p=p,
@@ -236,7 +239,7 @@ def sigma_beta(H, x, cache: SpectralCache | None = None) -> np.ndarray:
     # C <= H'H in the PSD order, so the Gram scale bounds how small an
     # eigenvalue of C can be before the inverse is meaningless; C's own
     # largest eigenvalue is useless as a yardstick when all of C collapses
-    scale = max(float(w[-1]), float(np.linalg.eigvalsh(cache.gram)[-1]))
+    scale = max(float(w[-1]), cache.gram_max_eigenvalue)
     if w[-1] <= 0 or w[0] <= CONFOUND_RTOL * scale:
         raise ConfoundedDesign(
             f"allocation confounds treatment with covariates "

@@ -122,11 +122,22 @@ class TestKnownInstances:
             minimize_max_quadratic(cuts)
 
 
+def exact_branch_and_bound(cuts: CutSet, limits: SolveLimits, warm_start=None) -> BqpResult:
+    return bqp._exact(cuts, limits, warm_start)
+
+
 class TestExact:
+    """Exact mode through the public entry, which enumerates these small n.
+
+    TestExactBranchAndBound reruns every test on the branch and bound.
+    """
+
+    solve = staticmethod(minimize_max_quadratic)
+
     def test_three_cut_instance_matches_enumeration(self):
         rng = np.random.default_rng(5)
         cuts = random_cuts(12, 3, rng)
-        res = minimize_max_quadratic(cuts, SolveLimits(mode="exact"))
+        res = self.solve(cuts, SolveLimits(mode="exact"))
         assert res.status == "optimal"
         assert res.value == pytest.approx(brute_value(cuts), abs=1e-8)
 
@@ -134,7 +145,7 @@ class TestExact:
         rng = np.random.default_rng(17)
         for n, k in [(6, 1), (7, 2), (9, 3), (10, 1), (11, 4), (12, 2)]:
             cuts = random_cuts(n, k, rng)
-            res = minimize_max_quadratic(cuts, SolveLimits(mode="exact", seed=3))
+            res = self.solve(cuts, SolveLimits(mode="exact", seed=3))
             x = res.x_star.x
             assert res.status == "optimal"
             assert res.value == pytest.approx(brute_value(cuts), abs=1e-8)
@@ -151,16 +162,17 @@ class TestExact:
         rng = np.random.default_rng(29)
         cuts = random_cuts(8, 2, rng)
         shifted = CutSet(constants=cuts.constants + 5.0, matrices=cuts.matrices)
-        a = minimize_max_quadratic(cuts, SolveLimits(mode="exact"))
-        b = minimize_max_quadratic(shifted, SolveLimits(mode="exact"))
+        a = self.solve(cuts, SolveLimits(mode="exact"))
+        b = self.solve(shifted, SolveLimits(mode="exact"))
         assert b.value == pytest.approx(a.value + 5.0, abs=1e-9)
         assert b.x_star.x.tolist() == a.x_star.x.tolist()
 
     def test_node_limit_returns_feasible_incumbent(self):
+        # only the branch and bound counts nodes, so it runs directly here
         rng = np.random.default_rng(37)
         v = rng.normal(size=12)
         cuts = CutSet(constants=np.zeros(1), matrices=np.outer(v, v)[None])
-        res = minimize_max_quadratic(cuts, SolveLimits(mode="exact", node_limit=1))
+        res = exact_branch_and_bound(cuts, SolveLimits(mode="exact", node_limit=1))
         ref = brute_value(cuts)
         assert res.status == "incumbent"
         assert res.gap > 0.0
@@ -171,11 +183,117 @@ class TestExact:
     def test_time_limit_returns_feasible_incumbent(self):
         rng = np.random.default_rng(41)
         cuts = random_cuts(40, 3, rng)
-        res = minimize_max_quadratic(cuts, SolveLimits(mode="exact", time_limit=0.3))
+        res = self.solve(cuts, SolveLimits(mode="exact", time_limit=0.3))
         assert res.status == "incumbent"
         assert res.gap >= 0.0
         assert res.value >= res.lower_bound - 1e-8
         assert abs(int(res.x_star.x.sum())) <= 1
+
+
+class TestExactBranchAndBound(TestExact):
+    solve = staticmethod(exact_branch_and_bound)
+
+
+def lex_first_min(cuts: CutSet) -> tuple[np.ndarray, float]:
+    """Lexicographically smallest canonical minimizer, by full enumeration."""
+    X = balanced_corners(cuts.n)
+    X = X[X[:, 0] > 0]  # rows come in lexicographic order
+    vals = (
+        cuts.constants[None, :] + np.einsum("mi,kij,mj->mk", X, cuts.matrices, X)
+    ).max(axis=1)
+    best = int(np.argmin(vals))
+    return X[best], float(vals[best])
+
+
+def integer_cuts(n: int, k: int, rng: np.random.Generator) -> CutSet:
+    # low-rank {-1, 0, 1} factors: exact integer values with many ties
+    mats = []
+    for _ in range(k):
+        B = rng.integers(-1, 2, size=(n, 2)).astype(float)
+        mats.append(B @ B.T)
+    return CutSet(constants=rng.integers(0, 3, size=k).astype(float), matrices=np.stack(mats))
+
+
+class TestMasterEnumeration:
+    """Exact masters up to ENUM_MAX_N against full enumeration."""
+
+    # the second layout splits every block down to one head row, so ties
+    # are settled between blocks, and gives the heads most of the signs
+    LAYOUTS = [(bqp.SUFFIX_BITS, bqp.BLOCK_ENTRIES), (3, 16)]
+
+    @pytest.mark.parametrize("suffix_bits, block_entries", LAYOUTS)
+    def test_random_cuts_match_brute_force(self, suffix_bits, block_entries, monkeypatch):
+        monkeypatch.setattr(bqp, "SUFFIX_BITS", suffix_bits)
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(211)
+        for n in range(2, 17):
+            for k in range(1, 7):
+                cuts = random_cuts(n, k, rng)
+                res = minimize_max_quadratic(cuts, SolveLimits(mode="exact"))
+                x = res.x_star.x
+                assert res.status == "optimal"
+                assert res.value == pytest.approx(lex_first_min(cuts)[1], abs=1e-10)
+                assert res.value == float(bqp._exact_cut_values(
+                    cuts.constants, cuts.matrices, x.astype(float)).max())
+                assert res.lower_bound == res.value and res.gap == 0.0
+                assert x[0] == 1 and abs(int(x.sum())) <= 1
+                assert res.nodes == 0 and res.restarts == 0
+
+    @pytest.mark.parametrize("suffix_bits, block_entries", LAYOUTS)
+    def test_ties_go_to_lexicographically_smallest(self, suffix_bits, block_entries, monkeypatch):
+        monkeypatch.setattr(bqp, "SUFFIX_BITS", suffix_bits)
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(223)
+        for n in range(2, 17):
+            for k in range(1, 7):
+                cuts = integer_cuts(n, k, rng)
+                x_ref, v_ref = lex_first_min(cuts)
+                res = minimize_max_quadratic(cuts, SolveLimits(mode="exact"))
+                assert res.value == v_ref
+                assert res.x_star.x.tolist() == x_ref.astype(int).tolist()
+
+    def test_node_limit_does_not_stop_enumeration(self):
+        rng = np.random.default_rng(37)
+        v = rng.normal(size=12)
+        cuts = CutSet(constants=np.zeros(1), matrices=np.outer(v, v)[None])
+        res = minimize_max_quadratic(cuts, SolveLimits(mode="exact", node_limit=1))
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(brute_value(cuts), abs=1e-10)
+        assert res.nodes == 0
+
+    def test_expired_deadline_returns_incumbent_with_valid_bound(self, monkeypatch):
+        # tiny blocks, so the search has many chances to stop early
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", 64)
+        rng = np.random.default_rng(229)
+        cuts = random_cuts(16, 3, rng)
+        _, ref = lex_first_min(cuts)
+        res = minimize_max_quadratic(cuts, SolveLimits(mode="exact", time_limit=1e-9))
+        x = res.x_star.x
+        assert res.status == "incumbent"
+        assert res.lower_bound == float(cuts.constants.max()) <= ref
+        assert res.value >= ref - 1e-12
+        assert res.gap == res.value - res.lower_bound
+        assert x[0] == 1 and int(x.sum()) == 0
+
+    def test_cutover_follows_enum_max_n(self, monkeypatch):
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
+        rng = np.random.default_rng(233)
+        assert bqp.solver_method(8, "exact") == "enumeration"
+        assert bqp.solver_method(9, "exact") == "branch_and_bound"
+        assert bqp.solver_method(8, "heuristic") == "descent"
+        small = minimize_max_quadratic(random_cuts(8, 2, rng), SolveLimits(mode="exact"))
+        assert small.restarts == 0
+        # past the cutover the branch and bound seeds itself with descents
+        large = minimize_max_quadratic(random_cuts(10, 2, rng), SolveLimits(mode="exact"))
+        assert large.restarts >= bqp.MIN_RESTARTS
+
+    def test_warm_start_checked_in_every_mode(self):
+        rng = np.random.default_rng(239)
+        cuts = random_cuts(6, 1, rng)
+        with pytest.raises(ValueError, match="balanced"):
+            minimize_max_quadratic(
+                cuts, SolveLimits(mode="exact"), warm_start=[1.0] * 5 + [-1.0]
+            )
 
 
 class TestHeuristic:
@@ -361,7 +479,7 @@ class TestProjectionOracle:
         assert np.array_equal(out, naive_project_rows(V, L, U, 0, 0))
 
     def test_shared_bounds_broadcast(self):
-        # the heuristic's root relaxation passes one (n,) box for every row
+        # one (n,) box serves every row
         rng = np.random.default_rng(11)
         l, u = np.full(9, -1.0), np.full(9, 1.0)
         V = rng.normal(scale=2.0, size=(4, 9))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_bilevel_surrogate, random_design
-from trialdesign import cutting_plane
+from trialdesign import bqp, cutting_plane
 from trialdesign.covariates import SyntheticSpec, generate_synthetic, matrix_hash
 from trialdesign.cutting_plane import solve_exact
 from trialdesign.limits import SolveLimits
@@ -95,6 +95,18 @@ class TestMasterModes:
         assert report.surrogate_value == pytest.approx(
             brute_bilevel_surrogate(H), abs=1e-6
         )
+
+
+    def test_final_master_method_is_reported(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        H = random_design(10, 3, rng)
+        assert solve_exact(H).diagnostics["master_method"] == "enumeration"
+        heur = solve_exact(H, master_mode="heuristic")
+        assert heur.diagnostics["master_method"] == "descent"
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 6)
+        report = solve_exact(H)
+        assert report.diagnostics["master_method"] == "branch_and_bound"
+        assert report.diagnostics["master_nodes"] > 0
 
 
 class TestLowerBound:

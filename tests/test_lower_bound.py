@@ -67,6 +67,14 @@ class TestProperties:
         H = random_design(10, 3, rng)
         assert np.allclose(lb_matrix(3.0 * H), lb_matrix(H), atol=1e-12)
 
+    def test_heuristic_root_bound_is_exact(self):
+        # y = 0 solves the root relaxation of the single PSD cut with c = 0
+        rng = np.random.default_rng(29)
+        for n, p in [(42, 3), (60, 4), (100, 5)]:
+            report = solve_lb(random_design(n, p, rng))
+            assert report.diagnostics["mode_resolved"] == "heuristic"
+            assert report.diagnostics["lb_lower_bound"] == p / n
+
     def test_lower_bound_tracks_engine(self, toy_design):
         report = solve_lb(toy_design)
         assert (

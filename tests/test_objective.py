@@ -122,6 +122,26 @@ class TestSigmaBeta:
         with pytest.raises(ValueError, match="length"):
             sigma_beta(toy_design, np.array([1, -1]))
 
+    def test_cached_gram_is_not_refactored(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        H = random_design(40, 4, rng)
+        cache = spectral_cache(H)
+        assert cache.gram_max_eigenvalue == float(np.linalg.eigvalsh(cache.gram)[-1])
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.array_equal(a, cache.gram))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for _ in range(5):
+            try:
+                sigma_beta(H, random_balanced_signs(40, rng), cache)
+            except ConfoundedDesign:
+                pass
+        assert not any(seen)
+
 
 class TestPsi:
     def test_zero_when_cross_gram_vanishes(self, toy_design):
