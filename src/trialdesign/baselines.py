@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariates import as_matrix
 from .errors import AllConfounded, ConfoundedDesign
 from .limits import SolveLimits
 from .objective import (
@@ -79,7 +78,6 @@ def rand_benchmark(
     replicates: int = 100,
     seed: int = 0,
     allocations: list[Allocation] | None = None,
-    cache: SpectralCache | None = None,
     limits: SolveLimits | None = None,
 ) -> RandBenchmark:
     """Evaluate the objective on random balanced allocations.
@@ -89,14 +87,12 @@ def rand_benchmark(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    A = as_matrix(H)
-    if cache is None:
-        cache = spectral_cache(A)
+    F = H if isinstance(H, SpectralCache) else spectral_cache(H)
     if space is None:
         space = CovariateSpace.hypercube()
     used_seed: int | None = seed
     if allocations is None:
-        allocations = random_balanced_allocations(A.shape[0], replicates, seed)
+        allocations = random_balanced_allocations(F.n, replicates, seed)
     else:
         used_seed = None
         replicates = len(allocations)
@@ -105,7 +101,7 @@ def rand_benchmark(
 
     def one(alloc: Allocation) -> float:
         try:
-            return float(evaluate(A, alloc, space, cache, limits)[0])
+            return float(evaluate(F, alloc, space, limits)[0])
         except ConfoundedDesign:
             return float("nan")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -129,18 +130,15 @@ def cmd_encode(args) -> int:
 
 def _rand_design_report(A, args, space) -> DesignReport:
     t0 = time.monotonic()
-    cache = spectral_cache(A)
+    F = spectral_cache(A)
     allocations = random_balanced_allocations(A.shape[0], args.replicates, args.seed)
     benches = {
-        name: rand_benchmark(A, objective=name, space=space, allocations=allocations, cache=cache)
+        name: rand_benchmark(F, objective=name, space=space, allocations=allocations)
         for name in ("surrogate", "original")
     }
-    first = allocations[0]
-    surr = float(surrogate_value(A, first, space, cache)[0])
-    try:
-        orig = float(original_value(A, first, space, cache)[0])
-    except ConfoundedDesign:
-        orig = None
+    # the report shows replicate 0, whose values the benchmarks hold
+    surr = float(benches["surrogate"].values[0])
+    orig = float(benches["original"].values[0])  # NaN where it confounds
     diagnostics = {
         "replicates": args.replicates,
         "quantiles": {name: b.to_dict()["quantiles"] for name, b in benches.items()},
@@ -149,9 +147,9 @@ def _rand_design_report(A, args, space) -> DesignReport:
     }
     return DesignReport(
         method="RAND",
-        allocation=first,
+        allocation=allocations[0],
         surrogate_value=surr,
-        original_value=orig,
+        original_value=None if math.isnan(orig) else orig,
         status="sampled",
         wall_time=time.monotonic() - t0,
         seed=args.seed,
@@ -205,10 +203,10 @@ def cmd_evaluate(args) -> int:
             f"allocation length {allocation.n} != matrix rows {A.shape[0]}"
         )
     space = _space(args.space)
-    cache = spectral_cache(A)
-    surr, surr_z = surrogate_value(A, allocation, space, cache)
+    F = spectral_cache(A)
+    surr, surr_z = surrogate_value(F, allocation, space)
     try:
-        orig, orig_z = original_value(A, allocation, space, cache)
+        orig, orig_z = original_value(F, allocation, space)
     except ConfoundedDesign:
         orig, orig_z = None, None
     doc = {
@@ -226,12 +224,11 @@ def cmd_evaluate(args) -> int:
         "surrogate_worst_z": [float(v) for v in surr_z],
         "original_value": None if orig is None else float(orig),
         "original_worst_z": None if orig_z is None else [float(v) for v in orig_z],
-        "lb_value": float(lb_value(A, allocation, cache)),
+        "lb_value": float(lb_value(F, allocation)),
     }
     benches = {
         name: rand_benchmark(
-            A, objective=name, space=space, replicates=args.replicates,
-            seed=args.seed, cache=cache,
+            F, objective=name, space=space, replicates=args.replicates, seed=args.seed
         )
         for name in ("surrogate", "original")
     }
@@ -241,8 +238,8 @@ def cmd_evaluate(args) -> int:
     }
     if not args.skip_variance:
         vr = variance_reduction(
-            A, allocation, z0_count=args.z0_count,
-            rand_designs=args.rand_designs, seed=args.seed, cache=cache,
+            F, allocation, z0_count=args.z0_count,
+            rand_designs=args.rand_designs, seed=args.seed,
         )
         doc["variance_reduction"] = vr.summary()
         if args.variance_out:

@@ -22,16 +22,14 @@ from .inner_max import InnerMaxProblem, solve_inner_max
 from .limits import SolveLimits
 from .objective import (
     CovariateSpace,
+    SpectralCache,
     original_value,
     spectral_cache,
     surrogate_matrix,
     upsilon,
 )
-from .covariates import as_matrix, matrix_hash
+from .covariates import matrix_hash
 from .report import DesignReport
-
-# widest master still solved exactly when the mode is "auto"
-MASTER_EXACT_MAX_N = 40
 
 MASTER_MODES = ("auto", "exact", "heuristic")
 
@@ -66,20 +64,21 @@ def solve_exact(
         limits = SolveLimits()
     t0 = time.monotonic()
     deadline = t0 + limits.time_limit
-    A = as_matrix(H)
-    cache = spectral_cache(A)
-    n, p = cache.n, cache.p
+    F = H if isinstance(H, SpectralCache) else spectral_cache(H)
+    n, p = F.n, F.p
     if report_space is None:
         report_space = CovariateSpace.hypercube()
 
     if master_mode == "auto":
-        mode_now = "exact" if n <= MASTER_EXACT_MAX_N else "heuristic"
+        # exact only where the master certifies by enumeration; past that,
+        # heuristic masters find the design and exact ones then verify it
+        mode_now = "exact" if solver_method(n, "exact") == "enumeration" else "heuristic"
     else:
         mode_now = master_mode
     verification_allowed = master_mode == "auto" and mode_now == "heuristic"
 
     Z = [np.asarray(z, dtype=float) for z in _seed_vectors(p)]
-    cut_pairs = [(float(z @ cache.gram_inverse @ z), upsilon(A, z, cache)) for z in Z]
+    cut_pairs = [(float(z @ F.gram_inverse @ z), upsilon(F, z)) for z in Z]
 
     history: list[tuple[float, float, float]] = []
     best_delta = np.inf
@@ -120,7 +119,7 @@ def solve_exact(
         remaining = max(deadline - time.monotonic(), 0.05)
         sub_limits = replace(limits, time_limit=remaining)
         sub = solve_inner_max(
-            InnerMaxProblem(surrogate_matrix(A, x_m, cache)), limits=sub_limits
+            InnerMaxProblem(surrogate_matrix(F, x_m)), limits=sub_limits
         )
         delta = sub.value
         sub_method = sub.method
@@ -153,19 +152,22 @@ def solve_exact(
                 "separation returned an existing cut before the stopping test fired"
             )
         Z.append(z_new)
-        cut_pairs.append((float(z_new @ cache.gram_inverse @ z_new), upsilon(A, z_new, cache)))
+        cut_pairs.append((float(z_new @ F.gram_inverse @ z_new), upsilon(F, z_new)))
 
     if converged:
         status = "optimal"
     wall = time.monotonic() - t0
 
     try:
-        orig, _ = original_value(A, best_x, report_space, cache)
+        orig, _ = original_value(F, best_x, report_space)
         confounded = False
     except ConfoundedDesign:
         orig = None
         confounded = True
 
+    # theta and delta round differently, so a certified bound can pass the
+    # value it certifies by an ulp; the value is itself a valid bound
+    theta_lb = min(theta_lb, best_delta)
     gap = float(best_delta - theta_lb) if np.isfinite(theta_lb) else None
     diagnostics = {
         "iterations": iteration,
@@ -196,7 +198,7 @@ def solve_exact(
         seed=limits.seed,
         n=n,
         p=p,
-        matrix_sha256=matrix_hash(A),
+        matrix_sha256=matrix_hash(F.matrix),
         diagnostics=diagnostics,
         parameters=parameters,
     )

@@ -163,7 +163,6 @@ def variance_reduction(
     z0_count: int = 1000,
     rand_designs: int = 1000,
     seed: int = 0,
-    cache: SpectralCache | None = None,
 ) -> VarianceReductionReport:
     """Percent variance reduction of x_star against random designs.
 
@@ -173,11 +172,9 @@ def variance_reduction(
     """
     if z0_count < 1 or rand_designs < 1:
         raise ValueError("z0_count and rand_designs must be positive")
-    A = as_matrix(H)
-    n, p = A.shape
-    if cache is None:
-        cache = spectral_cache(A)
-    optimal_sigma = sigma_beta(A, x_star, cache)
+    F = H if isinstance(H, SpectralCache) else spectral_cache(H)
+    n, p = F.n, F.p
+    optimal_sigma = sigma_beta(F, x_star)
 
     rng = np.random.default_rng(seed)
     Z0 = sample_z0(p, z0_count, rng)
@@ -193,7 +190,7 @@ def variance_reduction(
             )
         signs = random_balanced_signs(n, rng)
         try:
-            mean_sigma += sigma_beta(A, signs.astype(float), cache)
+            mean_sigma += sigma_beta(F, signs.astype(float))
         except ConfoundedDesign:
             redraws += 1
             continue
@@ -227,20 +224,17 @@ def surrogate_gap_scan(
     H,
     allocations,
     space: CovariateSpace | None = None,
-    cache: SpectralCache | None = None,
     limits: SolveLimits | None = None,
 ) -> list[GapPair]:
     """Paired objective values for each allocation, for scatter plots."""
-    A = as_matrix(H)
-    if cache is None:
-        cache = spectral_cache(A)
+    F = H if isinstance(H, SpectralCache) else spectral_cache(H)
     if space is None:
         space = CovariateSpace.hypercube()
 
     def one(alloc) -> GapPair:
-        surr = float(surrogate_value(A, alloc, space, cache, limits)[0])
+        surr = float(surrogate_value(F, alloc, space, limits)[0])
         try:
-            orig = float(original_value(A, alloc, space, cache, limits)[0])
+            orig = float(original_value(F, alloc, space, limits)[0])
         except ConfoundedDesign:
             return GapPair(original=None, surrogate=surr)
         return GapPair(original=orig, surrogate=surr)

@@ -17,15 +17,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bqp import CutSet, minimize_max_quadratic
-from .covariates import as_matrix, matrix_hash
+from .bqp import CutSet, minimize_max_quadratic, solver_method
+from .covariates import matrix_hash
 from .errors import ConfoundedDesign
 from .limits import SolveLimits
-from .objective import CovariateSpace, lb_matrix, original_value, spectral_cache, surrogate_value
+from .objective import (
+    CovariateSpace,
+    SpectralCache,
+    lb_matrix,
+    original_value,
+    spectral_cache,
+    surrogate_value,
+)
 from .report import DesignReport
-
-# widest problem still solved exactly when the mode is "auto"
-LB_EXACT_MAX_N = 40
 
 LB_MODES = ("auto", "exact", "heuristic")
 
@@ -36,28 +40,33 @@ def solve_lb(
     mode: str = "auto",
     report_space: CovariateSpace | None = None,
 ) -> DesignReport:
-    """Minimize the averaged surrogate; exact for n <= 40 under "auto"."""
+    """Minimize the averaged surrogate.
+
+    "auto" solves exactly where the quadratic engine enumerates (n up to
+    bqp.ENUM_MAX_N) and by multi-start descent past that.
+    """
     if mode not in LB_MODES:
         raise ValueError(f"mode must be one of {LB_MODES}")
     if limits is None:
         limits = SolveLimits()
     t0 = time.monotonic()
-    A = as_matrix(H)
-    cache = spectral_cache(A)
-    n, p = cache.n, cache.p
+    F = H if isinstance(H, SpectralCache) else spectral_cache(H)
+    n, p = F.n, F.p
     if report_space is None:
         report_space = CovariateSpace.hypercube()
-    resolved = mode if mode != "auto" else ("exact" if n <= LB_EXACT_MAX_N else "heuristic")
+    resolved = mode
+    if mode == "auto":
+        resolved = "exact" if solver_method(n, "exact") == "enumeration" else "heuristic"
 
-    cuts = CutSet(constants=np.zeros(1), matrices=lb_matrix(A, cache)[None, :, :])
+    cuts = CutSet(constants=np.zeros(1), matrices=lb_matrix(F)[None, :, :])
     result = minimize_max_quadratic(cuts, replace(limits, mode=resolved))
     x_star = result.x_star
 
     lb_objective = float(p / n + result.value / n)
     lb_lower = float(p / n + result.lower_bound / n)
-    surr, _ = surrogate_value(A, x_star, report_space, cache)
+    surr, _ = surrogate_value(F, x_star, report_space)
     try:
-        orig, _ = original_value(A, x_star, report_space, cache)
+        orig, _ = original_value(F, x_star, report_space)
         confounded = False
     except ConfoundedDesign:
         orig = None
@@ -91,7 +100,7 @@ def solve_lb(
         seed=limits.seed,
         n=n,
         p=p,
-        matrix_sha256=matrix_hash(A),
+        matrix_sha256=matrix_hash(F.matrix),
         diagnostics=diagnostics,
         parameters=parameters,
     )

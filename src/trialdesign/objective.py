@@ -22,6 +22,11 @@ surrogate's inner maximization moves to allocation space through
 
 a PSD Hadamard product, and averaging z over the rows of H gives the
 single-level lower-bound objective p/n + x'(M ∘ M)x / n.
+
+All of these depend on H through one factorization.  spectral_cache(H)
+computes it once: H, its thin-SVD factor U (so M = UU'), H'H and its
+inverse.  Every function here that takes H also accepts that object in
+H's place, and then factors nothing again.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariates import CovariateMatrix, as_matrix
+from .covariates import as_matrix
 from .errors import ConfoundedDesign, IllConditioned
 from .limits import SolveLimits
 
@@ -39,10 +44,6 @@ CONFOUND_RTOL = 1e-10
 
 # Gram condition number beyond which factorizations are refused
 CONDITION_LIMIT = 1e12
-
-# tolerances for the hat-matrix construction checks
-HAT_IDEMPOTENT_ATOL = 1e-8
-HAT_TRACE_ATOL = 1e-8
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -175,47 +176,55 @@ class CovariateSpace:
 
 @dataclass(frozen=True, eq=False)
 class SpectralCache:
-    """Shared factorizations of H: Gram matrix, its inverse, hat matrix."""
+    """One factorization of H, accepted wherever H is.
 
+    matrix is a read-only copy of H and U its n x p orthonormal factor
+    from the thin SVD H = U S V', so the hat matrix M is U U'.
+    """
+
+    matrix: np.ndarray
+    U: np.ndarray
     gram: np.ndarray
     gram_inverse: np.ndarray
-    hat: np.ndarray
     gram_max_eigenvalue: float
-    condition_number: float
-    n: int
-    p: int
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.matrix.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        # as_matrix, and numpy generally, see the matrix this factors
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 def spectral_cache(H) -> SpectralCache:
     """Factor H once; raises IllConditioned when cond(H'H) > 1e12."""
-    A = as_matrix(H)
-    n, p = A.shape
+    A = _frozen(as_matrix(H).copy())
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[-1] <= 0:
         raise IllConditioned("Gram matrix is singular")
     cond = float((s[0] / s[-1]) ** 2)
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"cond(H'H) = {cond:.3e} exceeds {CONDITION_LIMIT:g}")
-    gram = _sym((Vt.T * s**2) @ Vt)
-    gram_inverse = _sym((Vt.T * s**-2) @ Vt)
-    hat = _sym(U @ U.T)
-    if np.max(np.abs(hat @ hat - hat)) > HAT_IDEMPOTENT_ATOL:
-        raise IllConditioned("hat matrix failed the idempotence check")
-    if abs(float(np.trace(hat)) - p) > HAT_TRACE_ATOL:
-        raise IllConditioned("hat matrix trace does not equal p")
-    gram = _frozen(gram)
+    gram = _frozen(_sym((Vt.T * s**2) @ Vt))
     return SpectralCache(
+        matrix=A,
+        U=_frozen(U),
         gram=gram,
-        gram_inverse=_frozen(gram_inverse),
-        hat=_frozen(hat),
+        gram_inverse=_frozen(_sym((Vt.T * s**-2) @ Vt)),
         gram_max_eigenvalue=float(np.linalg.eigvalsh(gram)[-1]),
-        condition_number=cond,
-        n=n,
-        p=p,
     )
 
 
-def cross_gram(H, x, cache: SpectralCache | None = None) -> np.ndarray:
+def _factored(H) -> SpectralCache:
+    return H if isinstance(H, SpectralCache) else spectral_cache(H)
+
+
+def cross_gram(H, x) -> np.ndarray:
     """H'DxH, the covariate imbalance between the two arms."""
     A = as_matrix(H)
     xv = allocation_vector(x)
@@ -224,22 +233,20 @@ def cross_gram(H, x, cache: SpectralCache | None = None) -> np.ndarray:
     return _sym(A.T @ (xv[:, None] * A))
 
 
-def sigma_beta(H, x, cache: SpectralCache | None = None) -> np.ndarray:
+def sigma_beta(H, x) -> np.ndarray:
     """Interaction-effect covariance at unit noise variance.
 
     Raises ConfoundedDesign when the matrix being inverted has an
     eigenvalue at or below 1e-10 times its largest.
     """
-    A = as_matrix(H)
-    if cache is None:
-        cache = spectral_cache(A)
-    S = cross_gram(A, x)
-    C = _sym(cache.gram - S @ cache.gram_inverse @ S)
+    F = _factored(H)
+    S = cross_gram(F.matrix, x)
+    C = _sym(F.gram - S @ F.gram_inverse @ S)
     w, V = np.linalg.eigh(C)
     # C <= H'H in the PSD order, so the Gram scale bounds how small an
     # eigenvalue of C can be before the inverse is meaningless; C's own
     # largest eigenvalue is useless as a yardstick when all of C collapses
-    scale = max(float(w[-1]), cache.gram_max_eigenvalue)
+    scale = max(float(w[-1]), F.gram_max_eigenvalue)
     if w[-1] <= 0 or w[0] <= CONFOUND_RTOL * scale:
         raise ConfoundedDesign(
             f"allocation confounds treatment with covariates "
@@ -248,56 +255,45 @@ def sigma_beta(H, x, cache: SpectralCache | None = None) -> np.ndarray:
     return _sym((V / w) @ V.T)
 
 
-def psi(H, x, cache: SpectralCache | None = None) -> np.ndarray:
+def psi(H, x) -> np.ndarray:
     """Second-order surrogate term; PSD and zero iff H'DxH = 0."""
-    A = as_matrix(H)
-    if cache is None:
-        cache = spectral_cache(A)
-    W = cache.gram_inverse @ cross_gram(A, x)
-    return _sym(W @ cache.gram_inverse @ W.T)
+    F = _factored(H)
+    W = F.gram_inverse @ cross_gram(F.matrix, x)
+    return _sym(W @ F.gram_inverse @ W.T)
 
 
-def surrogate_matrix(H, x, cache: SpectralCache | None = None) -> np.ndarray:
+def surrogate_matrix(H, x) -> np.ndarray:
     """(H'H)^-1 + Psi(x, H); always defined, unlike Sigma_beta."""
-    A = as_matrix(H)
-    if cache is None:
-        cache = spectral_cache(A)
-    return cache.gram_inverse + psi(A, x, cache)
+    F = _factored(H)
+    return F.gram_inverse + psi(F, x)
 
 
-def upsilon(H, z, cache: SpectralCache | None = None) -> np.ndarray:
+def upsilon(H, z) -> np.ndarray:
     """Allocation-space quadratic form with z'Psi(x,H)z = x'Upsilon(z,H)x."""
-    A = as_matrix(H)
-    if cache is None:
-        cache = spectral_cache(A)
+    F = _factored(H)
     zv = np.asarray(z, dtype=float)
-    if zv.ndim != 1 or zv.size != A.shape[1]:
-        raise ValueError(f"z must be a vector of length p = {A.shape[1]}")
+    if zv.ndim != 1 or zv.size != F.p:
+        raise ValueError(f"z must be a vector of length p = {F.p}")
     if zv[0] != 1.0:
         raise ValueError("z must have first entry +1")
-    u = A @ (cache.gram_inverse @ zv)
-    return _sym(cache.hat * np.outer(u, u))
+    u = F.matrix @ (F.gram_inverse @ zv)
+    return _sym(_sym(F.U @ F.U.T) * np.outer(u, u))
 
 
-def lb_matrix(H, cache: SpectralCache | None = None) -> np.ndarray:
+def lb_matrix(H) -> np.ndarray:
     """Elementwise square of the hat matrix; PSD by the Schur product."""
-    A = as_matrix(H)
-    if cache is None:
-        cache = spectral_cache(A)
-    return cache.hat * cache.hat
+    F = _factored(H)
+    hat = _sym(F.U @ F.U.T)
+    return hat * hat
 
 
-def lb_value(H, x, cache: SpectralCache | None = None) -> float:
+def lb_value(H, x) -> float:
     """Row-averaged surrogate objective p/n + x'(M ∘ M)x / n."""
-    A = as_matrix(H)
-    n, p = A.shape
-    if cache is None:
-        cache = spectral_cache(A)
+    F = _factored(H)
     xv = allocation_vector(x)
-    if xv.size != n:
-        raise ValueError(f"allocation length {xv.size} != n = {n}")
-    Q = lb_matrix(A, cache)
-    return float(p / n + xv @ Q @ xv / n)
+    if xv.size != F.n:
+        raise ValueError(f"allocation length {xv.size} != n = {F.n}")
+    return float(F.p / F.n + xv @ lb_matrix(F) @ xv / F.n)
 
 
 def _max_over_candidates(M: np.ndarray, Z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -316,8 +312,7 @@ def worst_case_quadratic(
     limits: SolveLimits | None = None,
 ) -> tuple[float, np.ndarray]:
     """max_z z'Mz over the space, with its argmax."""
-    A = as_matrix(H)
-    Z = space.resolve(A)
+    Z = space.resolve(H)
     if Z is None:
         from .inner_max import InnerMaxProblem, solve_inner_max
 
@@ -330,31 +325,29 @@ def original_value(
     H,
     x,
     space: CovariateSpace | None = None,
-    cache: SpectralCache | None = None,
     limits: SolveLimits | None = None,
 ) -> tuple[float, np.ndarray]:
     """Worst-case z'Sigma_beta(x,H)z over the space (hypercube default).
 
     Returns the value and the worst covariate profile achieving it.
     """
-    A = as_matrix(H)
+    F = _factored(H)
     if space is None:
         space = CovariateSpace.hypercube()
-    return worst_case_quadratic(sigma_beta(A, x, cache), space, A, limits)
+    return worst_case_quadratic(sigma_beta(F, x), space, F, limits)
 
 
 def surrogate_value(
     H,
     x,
     space: CovariateSpace | None = None,
-    cache: SpectralCache | None = None,
     limits: SolveLimits | None = None,
 ) -> tuple[float, np.ndarray]:
     """Worst-case z'((H'H)^-1 + Psi)z over the space (hypercube default).
 
     Returns the value and the worst covariate profile achieving it.
     """
-    A = as_matrix(H)
+    F = _factored(H)
     if space is None:
         space = CovariateSpace.hypercube()
-    return worst_case_quadratic(surrogate_matrix(A, x, cache), space, A, limits)
+    return worst_case_quadratic(surrogate_matrix(F, x), space, F, limits)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_bilevel_surrogate, random_design
-from trialdesign import bqp, cutting_plane
+from trialdesign import bqp
 from trialdesign.covariates import SyntheticSpec, generate_synthetic, matrix_hash
 from trialdesign.cutting_plane import solve_exact
 from trialdesign.limits import SolveLimits
@@ -86,7 +86,7 @@ class TestMasterModes:
     def test_auto_verifies_heuristic_run_with_exact_masters(self, monkeypatch):
         # force the auto threshold low so a small instance takes the
         # heuristic-then-verify route end to end
-        monkeypatch.setattr(cutting_plane, "MASTER_EXACT_MAX_N", 6)
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 6)
         rng = np.random.default_rng(5)
         H = random_design(10, 3, rng)
         report = solve_exact(H, master_mode="auto")
@@ -129,6 +129,15 @@ class TestLowerBound:
         bound = report.diagnostics["lower_bound"]
         assert bound is not None and bound <= report.surrogate_value + 1e-12
         assert report.diagnostics["gap"] >= -1e-12
+
+    def test_bound_never_passes_the_value(self):
+        # the certified master theta rounded one ulp above the separation's
+        # value here, which gave a gap of -1.3e-15 before the clamp
+        H = generate_synthetic(SyntheticSpec(n=20, p=10, seed=0))
+        report = solve_exact(H)
+        assert report.status == "optimal"
+        assert report.diagnostics["lower_bound"] == report.surrogate_value
+        assert report.diagnostics["gap"] == 0.0
 
 
 class TestBudgets:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import balanced_corners, brute_min_max_cuts, oracle_lb_matrix, random_design
-from trialdesign import lower_bound
+from trialdesign import bqp
 from trialdesign.covariates import SyntheticSpec, generate_synthetic
 from trialdesign.limits import SolveLimits
 from trialdesign.lower_bound import solve_lb
@@ -93,8 +93,18 @@ class TestModes:
         assert report.diagnostics["mode_resolved"] == "exact"
 
     def test_auto_resolves_heuristic_past_threshold(self, toy_design, monkeypatch):
-        monkeypatch.setattr(lower_bound, "LB_EXACT_MAX_N", 2)
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 2)
         report = solve_lb(toy_design, mode="auto")
+        assert report.diagnostics["mode_resolved"] == "heuristic"
+        assert report.diagnostics["nodes"] == 0
+
+    def test_auto_is_exact_only_where_the_engine_enumerates(self):
+        # past ENUM_MAX_N an exact solve is branch and bound, which runs out
+        # its budget at n in the low thirties; auto takes the descent there
+        rng = np.random.default_rng(8)
+        n = bqp.ENUM_MAX_N
+        assert solve_lb(random_design(n, 4, rng)).diagnostics["mode_resolved"] == "exact"
+        report = solve_lb(random_design(n + 2, 4, rng), SolveLimits(time_limit=5.0))
         assert report.diagnostics["mode_resolved"] == "heuristic"
         assert report.diagnostics["nodes"] == 0
 

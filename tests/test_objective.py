@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,14 @@ from conftest import (
     oracle_upsilon,
     random_design,
 )
+from trialdesign.baselines import rand_benchmark, random_balanced_allocations
 from trialdesign.errors import ConfoundedDesign, IllConditioned
+from trialdesign.evaluation import surrogate_gap_scan, variance_reduction
 from trialdesign.objective import (
     Allocation,
     CovariateSpace,
     allocation_vector,
+    cross_gram,
     lb_matrix,
     lb_value,
     original_value,
@@ -74,18 +79,44 @@ class TestSpectralCache:
         cache = spectral_cache(INTERCEPT_ONLY)
         assert cache.gram == pytest.approx(np.array([[2.0]]))
         assert cache.gram_inverse == pytest.approx(np.array([[0.5]]))
-        assert cache.hat == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert cache.U @ cache.U.T == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_orthogonal_toy(self, toy_design):
         cache = spectral_cache(toy_design)
         assert cache.gram == pytest.approx(np.diag([4.0, 4.0]))
-        assert np.trace(cache.hat) == pytest.approx(2.0)
+        oracle_hat = toy_design @ np.linalg.inv(toy_design.T @ toy_design) @ toy_design.T
+        assert cache.U @ cache.U.T == pytest.approx(oracle_hat, abs=1e-12)
 
     def test_hat_idempotent_on_random_instance(self):
         rng = np.random.default_rng(2)
         H = random_design(50, 5, rng)
         cache = spectral_cache(H)
-        assert np.max(np.abs(cache.hat @ cache.hat - cache.hat)) <= 1e-8
+        assert cache.U.shape == (50, 5)
+        assert np.max(np.abs(cache.U.T @ cache.U - np.eye(5))) <= 1e-12
+        oracle_hat = H @ np.linalg.inv(H.T @ H) @ H.T
+        assert np.max(np.abs(cache.U @ cache.U.T - oracle_hat)) <= 1e-10
+
+    def test_holds_a_read_only_copy_of_h(self):
+        H = random_design(12, 3, np.random.default_rng(4))
+        cache = spectral_cache(H)
+        assert np.array_equal(cache.matrix, H) and (cache.n, cache.p) == (12, 3)
+        assert not cache.matrix.flags.writeable and not cache.U.flags.writeable
+        assert H.flags.writeable
+        H[0, 1] += 1.0
+        assert not np.array_equal(cache.matrix, H)
+
+    def test_factoring_stays_small(self):
+        # n x p and p x p arrays only: no n x n hat matrix and no check of it
+        H = random_design(2000, 10, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            cache = spectral_cache(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) == 2000 * 10
 
     def test_ill_conditioned_raises(self):
         H = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [1.0, 1.0]])
@@ -137,7 +168,7 @@ class TestSigmaBeta:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for _ in range(5):
             try:
-                sigma_beta(H, random_balanced_signs(40, rng), cache)
+                sigma_beta(cache, random_balanced_signs(40, rng))
             except ConfoundedDesign:
                 pass
         assert not any(seen)
@@ -315,3 +346,80 @@ class TestWorstCase:
         value, z = worst_case_quadratic(M, space, np.ones((6, 3)))
         assert value == pytest.approx(3.0)
         assert np.array_equal(z, [1.0, -1.0, -1.0])
+
+
+def _outputs_on(X, x, z, allocations, space) -> dict:
+    """Each function that takes H, called on X; a raised error stands for its output."""
+    calls = {
+        "cross_gram": lambda: cross_gram(X, x),
+        "sigma_beta": lambda: sigma_beta(X, x),
+        "psi": lambda: psi(X, x),
+        "surrogate_matrix": lambda: surrogate_matrix(X, x),
+        "upsilon": lambda: upsilon(X, z),
+        "lb_matrix": lambda: lb_matrix(X),
+        "lb_value": lambda: lb_value(X, x),
+        "original_value": lambda: original_value(X, x, space),
+        "surrogate_value": lambda: surrogate_value(X, x, space),
+        "rand_benchmark": lambda: rand_benchmark(X, "original", space, replicates=4, seed=3).values,
+        "variance_reduction": lambda: variance_reduction(
+            X, x, z0_count=4, rand_designs=4, seed=3
+        ).reduction_percent,
+        "surrogate_gap_scan": lambda: surrogate_gap_scan(X, allocations, space),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except ConfoundedDesign as err:
+            out[name] = type(err).__name__
+    return out
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple) and not hasattr(a, "_fields"):
+        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    if isinstance(a, list):
+        return a == b
+    return np.array_equal(a, b, equal_nan=not isinstance(a, str))
+
+
+class TestFactorizationInPlaceOfH:
+    """spectral_cache(H) stands for H wherever H is taken, and is never refactored."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(77)
+        for _ in range(6):
+            p = int(rng.integers(1, 5))
+            n = int(rng.integers(2 * p + 2, 30))
+            H = random_design(n, p, rng)
+            x = random_balanced_signs(n, rng)
+            z = np.concatenate([[1.0], rng.choice([-1.0, 1.0], p - 1)])
+            allocations = random_balanced_allocations(n, 3, seed=int(rng.integers(100)))
+            space = CovariateSpace.rows() if rng.integers(2) else CovariateSpace.hypercube()
+            yield H, x, z, allocations, space
+
+    def test_every_function_agrees_on_h_and_its_factorization(self):
+        for H, x, z, allocations, space in self._instances():
+            on_matrix = _outputs_on(H, x, z, allocations, space)
+            on_cache = _outputs_on(spectral_cache(H), x, z, allocations, space)
+            assert len(on_matrix) == 12
+            for name, got in on_cache.items():
+                assert _same(on_matrix[name], got), name
+
+    def test_passing_the_factorization_factors_nothing(self, monkeypatch):
+        instances = [(spectral_cache(inst[0]),) + inst for inst in self._instances()]
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for cache, H, x, z, allocations, space in instances:
+            _outputs_on(cache, x, z, allocations, space)
+            assert calls == []
+            surrogate_value(H, x, space)
+            assert len(calls) == 1  # a plain matrix is factored once per call
+            calls.clear()
