@@ -11,7 +11,9 @@ minus index) pair, so results depend only on the seed.
 
 Exact mode enumerates every canonical balanced allocation when n is at
 most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
-trailing signs in one matrix product per block and cut.  Past that,
+trailing signs in one matrix product per block and cut.  The same
+engine, run without the balance constraint, enumerates the separation
+max z'Mz for inner_max as min z'(-M)z.  Past that,
 exact mode runs best-first branch-and-bound with two bounds per node: a
 cheap interval bound that relaxes every pairwise product touching a free
 coordinate, and a certified convex bound from accelerated projected
@@ -32,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .inner_max import sign_rows
 from .limits import SolveLimits
 from .objective import Allocation, allocation_vector, random_balanced_signs
 
@@ -59,6 +60,9 @@ SUFFIX_BITS = 12
 BLOCK_ENTRIES = 1 << 17
 
 STATUSES = ("optimal", "incumbent")
+
+# modes a design method accepts; "auto" is resolved per n by resolve_mode
+MODE_CHOICES = ("auto", "exact", "heuristic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,94 +467,116 @@ def _corner_bounds(
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration for small n
+# exact enumeration for small problems
 
 
-def _enumerate(cuts: CutSet, deadline: float) -> BqpResult:
-    """Evaluate every canonical balanced allocation, one block at a time.
+def sign_rows(ids: np.ndarray, bits: int) -> np.ndarray:
+    """+/-1 rows of the integers ids, leading bit first (bit 0 -> -1).
 
-    x = (+1, prefix, suffix): the leading sign is pinned by the x -> -x
-    symmetry and the last m <= SUFFIX_BITS signs form the suffix.  With
+    Increasing ids give lexicographically increasing rows.
+    """
+    return (((ids[:, None] >> np.arange(bits - 1, -1, -1)) & 1) * 2 - 1).astype(float)
+
+
+def _enumerate(
+    c: np.ndarray, A: np.ndarray, balanced: bool, deadline: float = np.inf
+) -> tuple[np.ndarray, bool]:
+    """Minimize max_k c_k + x'A_k x over x_0 = +1, one block at a time.
+
+    x ranges over all signs, or over the balanced ones (|sum x| <= 1)
+    when ``balanced``.  x = (+1, prefix, suffix): the leading sign is
+    pinned and the last m <= SUFFIX_BITS signs form the suffix.  With
     h = (+1, prefix) each cut splits as c + h'A_hh h + 2 h'A_hs s + s'A_ss s,
     so a block of heads meets its suffixes in one product
     [2 A_sh h, c + h'A_hh h, 1] . [s; 1; s'A_ss s] per cut, the suffix
     values being tabulated once; a running max over the cuts follows.
-    Heads are grouped by plus count, and each group meets only the
-    suffixes that balance it.  Heads and suffixes are both in
+    A balanced search groups heads by plus count, and each group meets
+    only the suffixes that balance it; an unconstrained one is a single
+    group of every head and suffix.  Heads and suffixes are both in
     lexicographic order, so the first minimum of a block is its
     lexicographically smallest, and equal minima of two blocks go the same
-    way.  Ties are judged on these block values, so two allocations whose
+    way.  Ties are judged on these block values, so two vectors whose
     values differ only by rounding are ordered by it.  Heads are built per
     block, so no temporary exceeds about BLOCK_ENTRIES entries whatever n
     is.
 
-    The deadline is checked between blocks.  A search cut short returns
-    its best allocation with the bound max(c): every cut is PSD, so every
-    allocation meets it.
+    Returns the minimizer and whether the search finished; the deadline
+    is checked between blocks, after the first.
     """
-    c, A = cuts.constants, cuts.matrices
-    n, K = cuts.n, cuts.k
+    K, n = A.shape[0], A.shape[1]
     m = min(n - 1, SUFFIX_BITS)
     h = n - m
-    lo, hi = _sum_interval(n)
-    # plus counts t among the n - 1 free signs with a balanced sum 2t + 2 - n
-    totals = [t for t in range(n) if lo <= 2 * t + 2 - n <= hi]
     suffixes = sign_rows(np.arange(1 << m), m)
-    suffix_plus = np.count_nonzero(suffixes > 0, axis=1)
     suffix_vals = np.stack(
         [np.einsum("ij,ij->i", suffixes @ A[k, h:, h:], suffixes) for k in range(K)]
     )
     head_ids = np.arange(1 << (h - 1))
-    head_plus = np.zeros_like(head_ids)
-    for bit in range(h - 1):
-        head_plus += (head_ids >> bit) & 1
-
-    def blocks():
-        # (heads, their balancing suffixes, right factor per cut)
-        for j in range(h):
-            cols = np.flatnonzero(np.isin(suffix_plus, [t - j for t in totals]))
-            if cols.size == 0:
-                continue
-            rhs = np.empty((K, m + 2, cols.size))
-            rhs[:, :m] = suffixes[cols].T
-            rhs[:, m] = 1.0
-            rhs[:, m + 1] = suffix_vals[:, cols]
-            ids = head_ids[head_plus == j]
-            step = max(1, BLOCK_ENTRIES // max(cols.size, n))
-            for start in range(0, ids.size, step):
-                chunk = ids[start : start + step]
-                heads = np.hstack([np.ones((chunk.size, 1)), sign_rows(chunk, h - 1)])
-                yield heads, suffixes[cols], rhs
+    if balanced:
+        lo, hi = _sum_interval(n)
+        # plus counts t among the n - 1 free signs with a balanced sum 2t + 2 - n
+        totals = np.array([t for t in range(n) if lo <= 2 * t + 2 - n <= hi])
+        suffix_plus = np.count_nonzero(suffixes > 0, axis=1)
+        head_plus = np.zeros_like(head_ids)
+        for bit in range(h - 1):
+            head_plus += (head_ids >> bit) & 1
+        # (heads with j plus signs, the suffixes that balance them)
+        groups = [
+            (head_ids[head_plus == j], np.flatnonzero(np.isin(suffix_plus, totals - j)))
+            for j in range(h)
+        ]
+    else:
+        groups = [(head_ids, slice(None))]
 
     best_x: np.ndarray | None = None
     best_val = np.inf
-    finished = True
-    for H, S, rhs in blocks():
-        if best_x is not None and time.monotonic() > deadline:
-            finished = False
-            break
-        lhs = np.empty((H.shape[0], m + 2))
-        lhs[:, m + 1] = 1.0
-        worst = np.empty((H.shape[0], S.shape[0]))
-        out = np.empty_like(worst) if K > 1 else worst
-        for k in range(K):
-            G = H @ A[k, :h]
-            np.multiply(G[:, h:], 2.0, out=lhs[:, :m])
-            lhs[:, m] = c[k] + np.einsum("ij,ij->i", G[:, :h], H)
-            np.matmul(lhs, rhs[k], out=out if k else worst)
-            if k:
-                np.maximum(worst, out, out=worst)
-        flat = int(np.argmin(worst))
-        val = float(worst.flat[flat])
-        a, b = divmod(flat, S.shape[0])
-        x = np.concatenate([H[a], S[b]])
-        if val < best_val or (val == best_val and tuple(x) < tuple(best_x)):
-            best_x, best_val = x, val
+    for ids, cols in groups:
+        S = suffixes[cols]
+        if S.shape[0] == 0:
+            continue
+        rhs = np.empty((K, m + 2, S.shape[0]))
+        rhs[:, :m] = S.T
+        rhs[:, m] = 1.0
+        rhs[:, m + 1] = suffix_vals[:, cols]
+        step = max(1, BLOCK_ENTRIES // max(S.shape[0], n))
+        for start in range(0, ids.size, step):
+            if best_x is not None and time.monotonic() > deadline:
+                return best_x, False
+            chunk = ids[start : start + step]
+            # a set leading bit pins the first sign to +1
+            H = sign_rows(chunk + (1 << (h - 1)), h)
+            lhs = np.empty((chunk.size, m + 2))
+            lhs[:, m + 1] = 1.0
+            worst = np.empty((chunk.size, S.shape[0]))
+            out = np.empty_like(worst) if K > 1 else worst
+            for k in range(K):
+                G = H @ A[k, :h]
+                np.multiply(G[:, h:], 2.0, out=lhs[:, :m])
+                lhs[:, m] = c[k] + np.einsum("ij,ij->i", G[:, :h], H)
+                np.matmul(lhs, rhs[k], out=out if k else worst)
+                if k:
+                    np.maximum(worst, out, out=worst)
+            flat = int(np.argmin(worst))
+            val = float(worst.flat[flat])
+            a, b = divmod(flat, S.shape[0])
+            x = np.concatenate([H[a], S[b]])
+            if val < best_val or (val == best_val and tuple(x) < tuple(best_x)):
+                best_x, best_val = x, val
     assert best_x is not None
-    value = float(_exact_cut_values(c, A, best_x).max())
+    return best_x, True
+
+
+def _enumerate_master(cuts: CutSet, deadline: float) -> BqpResult:
+    """Every canonical balanced allocation, by ``_enumerate``.
+
+    A search cut short returns its best allocation with the bound max(c):
+    every cut is PSD, so every allocation meets it.
+    """
+    c, A = cuts.constants, cuts.matrices
+    x, finished = _enumerate(c, A, True, deadline)
+    value = float(_exact_cut_values(c, A, x).max())
     lower = value if finished else min(float(c.max()), value)
     return BqpResult(
-        x_star=Allocation(best_x.astype(np.int64)),
+        x_star=Allocation(x.astype(np.int64)),
         value=value,
         lower_bound=lower,
         status="optimal" if finished else "incumbent",
@@ -749,6 +775,17 @@ def solver_method(n: int, mode: str) -> str:
     return "enumeration" if n <= ENUM_MAX_N else "branch_and_bound"
 
 
+def resolve_mode(n: int, mode: str) -> str:
+    """The SolveLimits mode for a choice in MODE_CHOICES.
+
+    "auto" is exact where the n-subject master enumerates (n up to
+    ENUM_MAX_N) and heuristic past that.
+    """
+    if mode != "auto":
+        return mode
+    return "exact" if n <= ENUM_MAX_N else "heuristic"
+
+
 def minimize_max_quadratic(
     cuts: CutSet,
     limits: SolveLimits | None = None,
@@ -770,5 +807,5 @@ def minimize_max_quadratic(
     if method == "descent":
         return _heuristic(cuts, limits, warm_start)
     if method == "enumeration":
-        return _enumerate(cuts, time.monotonic() + limits.time_limit)
+        return _enumerate_master(cuts, time.monotonic() + limits.time_limit)
     return _exact(cuts, limits, warm_start)

@@ -22,6 +22,7 @@ from typing import NoReturn
 import numpy as np
 
 from .baselines import rand_benchmark, random_balanced_allocations
+from .bqp import MODE_CHOICES
 from .covariates import (
     CovariateSchema,
     SyntheticSpec,
@@ -46,7 +47,6 @@ from .report import (
 
 METHOD_CHOICES = ("exact", "lb", "rand")
 SPACE_CHOICES = ("hypercube", "rows")
-MODE_CHOICES = ("auto", "exact", "heuristic")
 
 
 def _file_hash(path) -> str:

@@ -33,8 +33,9 @@ RANK_RTOL = 1e-10
 MISSING_CELLS = ("", "NA")
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype=dtype)
+def frozen_copy(values) -> np.ndarray:
+    """A read-only float copy, so the caller's own array stays writeable."""
+    out = np.array(values, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -98,7 +99,7 @@ def validate(raw) -> CovariateMatrix:
             f"{RANK_RTOL:g} x largest {singular[0]:.3e}"
         )
     cond_gram = float((singular[0] / singular[-1]) ** 2)
-    return CovariateMatrix(data=_frozen_array(arr), condition_number=cond_gram)
+    return CovariateMatrix(data=frozen_copy(arr), condition_number=cond_gram)
 
 
 def as_matrix(H) -> np.ndarray:

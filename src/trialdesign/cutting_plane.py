@@ -16,7 +16,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bqp import BqpResult, CutSet, minimize_max_quadratic, solver_method
+from .bqp import (
+    MODE_CHOICES,
+    BqpResult,
+    CutSet,
+    minimize_max_quadratic,
+    resolve_mode,
+    solver_method,
+)
 from .errors import ConfoundedDesign, DuplicateCut
 from .inner_max import InnerMaxProblem, solve_inner_max
 from .limits import SolveLimits
@@ -30,8 +37,6 @@ from .objective import (
 )
 from .covariates import matrix_hash
 from .report import DesignReport
-
-MASTER_MODES = ("auto", "exact", "heuristic")
 
 
 def _seed_vectors(p: int) -> list[np.ndarray]:
@@ -58,8 +63,8 @@ def solve_exact(
     subproblem value found so far.  One master/separation round always
     runs, however small the time limit.
     """
-    if master_mode not in MASTER_MODES:
-        raise ValueError(f"master_mode must be one of {MASTER_MODES}")
+    if master_mode not in MODE_CHOICES:
+        raise ValueError(f"master_mode must be one of {MODE_CHOICES}")
     if limits is None:
         limits = SolveLimits()
     t0 = time.monotonic()
@@ -69,12 +74,9 @@ def solve_exact(
     if report_space is None:
         report_space = CovariateSpace.hypercube()
 
-    if master_mode == "auto":
-        # exact only where the master certifies by enumeration; past that,
-        # heuristic masters find the design and exact ones then verify it
-        mode_now = "exact" if solver_method(n, "exact") == "enumeration" else "heuristic"
-    else:
-        mode_now = master_mode
+    # under "auto", past the enumeration cutover heuristic masters find the
+    # design and exact ones then verify it
+    mode_now = resolve_mode(n, master_mode)
     verification_allowed = master_mode == "auto" and mode_now == "heuristic"
 
     Z = [np.asarray(z, dtype=float) for z in _seed_vectors(p)]

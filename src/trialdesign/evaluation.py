@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covariates import as_matrix
+from .covariates import as_matrix, frozen_copy
 from .errors import AllConfounded, ConfoundedDesign
 from .limits import SolveLimits
 from .objective import (
@@ -50,14 +50,12 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
+        alpha = frozen_copy(self.alpha)
+        beta = frozen_copy(self.beta)
         if alpha.ndim != 1 or beta.ndim != 1 or alpha.size != beta.size:
             raise ValueError("alpha and beta must be vectors of equal length")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        alpha.flags.writeable = False
-        beta.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 

@@ -1,15 +1,16 @@
 """Exact maximization of z'Mz over {1} x {-1,+1}^(p-1).
 
-Small problems (p-1 <= 22) are enumerated: a Gray-code walk over prefix
-coordinates updates the running objective in O(p) per flip, and every
-suffix completion of the current prefix is evaluated in one vectorized
-block.  Larger problems run best-first branch-and-bound with an interval
-bound that relaxes each pairwise product touching a free coordinate to
-[-1, 1].  Branching follows one static order, so the relaxed part of a
-bound depends only on the depth and is tabulated once; a child's bound
-then follows from its parent's fixed-part value and one product N y in
-O(p), as does its greedy completion.  Ties are broken toward the
-lexicographically smallest z in both paths.
+Small problems (p-1 <= 22) are enumerated by the engine that solves
+small exact masters, ``bqp._enumerate``: it minimizes z'(-M)z over every
+sign vector with z_0 = +1, evaluating blocks of leading signs against a
+tabulated table of trailing signs.  Larger problems run best-first
+branch-and-bound with an interval bound that relaxes each pairwise
+product touching a free coordinate to [-1, 1].  Branching follows one
+static order, so the relaxed part of a bound depends only on the depth
+and is tabulated once; a child's bound then follows from its parent's
+fixed-part value and one product N y in O(p), as does its greedy
+completion.  Ties are broken toward the lexicographically smallest z in
+both paths.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bqp import _enumerate
 from .limits import SolveLimits
 
 # free-coordinate count at or below which enumeration is used
 ENUM_MAX_FREE = 22
-
-# suffix bits evaluated as one vectorized block during enumeration
-SUFFIX_BITS = 12
 
 METHODS = ("auto", "enumeration", "branch_and_bound")
 
@@ -64,59 +63,6 @@ class InnerMaxResult:
     method: str
     optimal: bool
     gap: float
-
-
-def sign_rows(ids: np.ndarray, bits: int) -> np.ndarray:
-    """+/-1 rows of the integers ids, leading bit first (bit 0 -> -1).
-
-    Increasing ids give lexicographically increasing rows.
-    """
-    return (((ids[:, None] >> np.arange(bits - 1, -1, -1)) & 1) * 2 - 1).astype(float)
-
-
-def _reduce(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    # fold the pinned leading coordinate into a constant and linear term
-    return float(M[0, 0]), 2.0 * M[0, 1:].copy(), M[1:, 1:].copy()
-
-
-def _enumerate(w: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, int]:
-    """Return the maximizing y over {-1,+1}^q (constant term omitted)."""
-    q = w.size
-    m = min(q, SUFFIX_BITS)
-    k = q - m
-    B = sign_rows(np.arange(1 << m, dtype=np.int64), m)
-    w_pre, w_suf = w[:k], w[k:]
-    N_pp, N_ps, N_ss = N[:k, :k], N[:k, k:], N[k:, k:]
-    v = B @ w_suf + np.einsum("ij,ij->i", B @ N_ss, B)
-
-    a = np.full(k, -1.0)
-    u = float(w_pre @ a + a @ N_pp @ a) if k else 0.0
-    r = N_pp @ a if k else None
-    c = a @ N_ps if k else np.zeros(m)
-
-    best_val = -np.inf
-    best_prefix = a.copy()
-    best_suffix = 0
-    steps = 1 << k
-    for step in range(steps):
-        vals = u + v + 2.0 * (B @ c)
-        j = int(np.argmax(vals))
-        val = float(vals[j])
-        if val > best_val or (
-            val == best_val
-            and tuple(a) + tuple(B[j]) < tuple(best_prefix) + tuple(B[best_suffix])
-        ):
-            best_val = val
-            best_prefix = a.copy()
-            best_suffix = j
-        if step + 1 < steps:
-            nxt = step + 1
-            flip = (nxt & -nxt).bit_length() - 1
-            u += -2.0 * w_pre[flip] * a[flip] - 4.0 * a[flip] * r[flip] + 4.0 * N_pp[flip, flip]
-            r -= 2.0 * a[flip] * N_pp[:, flip]
-            c -= 2.0 * a[flip] * N_ps[flip, :]
-            a[flip] = -a[flip]
-    return np.concatenate([best_prefix, B[best_suffix]]), 1 << q
 
 
 def _polish(y: np.ndarray, w: np.ndarray, N: np.ndarray) -> np.ndarray:
@@ -242,24 +188,18 @@ def solve_inner_max(
     if limits is None:
         limits = SolveLimits()
     M = problem.M
-    p = problem.p
-    q = p - 1
-    if q == 0:
-        z = np.array([1.0])
-        return InnerMaxResult(
-            z_star=z, value=float(M[0, 0]), nodes_explored=1,
-            method="enumeration", optimal=True, gap=0.0,
-        )
-    const, w, N = _reduce(M)
-    if method == "auto":
+    q = problem.p - 1
+    if method == "auto" or q == 0:
         method = "enumeration" if q <= ENUM_MAX_FREE else "branch_and_bound"
     if method == "enumeration":
-        y, nodes = _enumerate(w, N)
-        optimal, gap = True, 0.0
+        z = _enumerate(np.zeros(1), -M[None], balanced=False)[0]
+        nodes, optimal, gap = 1 << q, True, 0.0
     else:
+        # fold the pinned leading coordinate into a linear term
+        w, N = 2.0 * M[0, 1:], M[1:, 1:].copy()
         deadline = time.monotonic() + limits.time_limit
         y, nodes, optimal, gap = _branch_and_bound(w, N, limits, deadline)
-    z = np.concatenate([[1.0], y])
+        z = np.concatenate([[1.0], y])
     z.flags.writeable = False
     value = float(z @ M @ z)
     return InnerMaxResult(

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bqp import CutSet, minimize_max_quadratic, solver_method
+from .bqp import MODE_CHOICES, CutSet, minimize_max_quadratic, resolve_mode
 from .covariates import matrix_hash
 from .errors import ConfoundedDesign
 from .limits import SolveLimits
@@ -31,8 +31,6 @@ from .objective import (
 )
 from .report import DesignReport
 
-LB_MODES = ("auto", "exact", "heuristic")
-
 
 def solve_lb(
     H,
@@ -45,8 +43,8 @@ def solve_lb(
     "auto" solves exactly where the quadratic engine enumerates (n up to
     bqp.ENUM_MAX_N) and by multi-start descent past that.
     """
-    if mode not in LB_MODES:
-        raise ValueError(f"mode must be one of {LB_MODES}")
+    if mode not in MODE_CHOICES:
+        raise ValueError(f"mode must be one of {MODE_CHOICES}")
     if limits is None:
         limits = SolveLimits()
     t0 = time.monotonic()
@@ -54,9 +52,7 @@ def solve_lb(
     n, p = F.n, F.p
     if report_space is None:
         report_space = CovariateSpace.hypercube()
-    resolved = mode
-    if mode == "auto":
-        resolved = "exact" if solver_method(n, "exact") == "enumeration" else "heuristic"
+    resolved = resolve_mode(n, mode)
 
     cuts = CutSet(constants=np.zeros(1), matrices=lb_matrix(F)[None, :, :])
     result = minimize_max_quadratic(cuts, replace(limits, mode=resolved))

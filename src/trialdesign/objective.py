@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariates import as_matrix
+from .covariates import as_matrix, frozen_copy
 from .errors import ConfoundedDesign, IllConditioned
 from .limits import SolveLimits
 
@@ -48,12 +48,6 @@ CONDITION_LIMIT = 1e12
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +146,7 @@ class CovariateSpace:
             raise ValueError("explicit space needs a non-empty 2-d array of z vectors")
         if not np.all(arr[:, 0] == 1.0):
             raise ValueError("every z must have first entry +1")
-        return cls(kind="explicit", vectors=_frozen(arr))
+        return cls(kind="explicit", vectors=frozen_copy(arr))
 
     def resolve(self, H) -> np.ndarray | None:
         """Candidate rows for finite spaces; None means the full hypercube."""
@@ -203,19 +197,19 @@ class SpectralCache:
 
 def spectral_cache(H) -> SpectralCache:
     """Factor H once; raises IllConditioned when cond(H'H) > 1e12."""
-    A = _frozen(as_matrix(H).copy())
+    A = frozen_copy(as_matrix(H))
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[-1] <= 0:
         raise IllConditioned("Gram matrix is singular")
     cond = float((s[0] / s[-1]) ** 2)
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"cond(H'H) = {cond:.3e} exceeds {CONDITION_LIMIT:g}")
-    gram = _frozen(_sym((Vt.T * s**2) @ Vt))
+    gram = frozen_copy(_sym((Vt.T * s**2) @ Vt))
     return SpectralCache(
         matrix=A,
-        U=_frozen(U),
+        U=frozen_copy(U),
         gram=gram,
-        gram_inverse=_frozen(_sym((Vt.T * s**-2) @ Vt)),
+        gram_inverse=frozen_copy(_sym((Vt.T * s**-2) @ Vt)),
         gram_max_eigenvalue=float(np.linalg.eigvalsh(gram)[-1]),
     )
 
@@ -277,7 +271,7 @@ def upsilon(H, z) -> np.ndarray:
     if zv[0] != 1.0:
         raise ValueError("z must have first entry +1")
     u = F.matrix @ (F.gram_inverse @ zv)
-    return _sym(_sym(F.U @ F.U.T) * np.outer(u, u))
+    return _sym(F.U @ F.U.T) * np.outer(u, u)
 
 
 def lb_matrix(H) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     balanced_corners,
+    brute_max_quadratic,
     brute_min_max_cuts,
     naive_batched_pg,
     naive_descent,
@@ -22,6 +23,7 @@ from trialdesign.bqp import (
     _descent,
     minimize_max_quadratic,
 )
+from trialdesign.inner_max import InnerMaxProblem, solve_inner_max
 from trialdesign.limits import SolveLimits
 from trialdesign.objective import Allocation, random_balanced_signs
 
@@ -215,7 +217,8 @@ def integer_cuts(n: int, k: int, rng: np.random.Generator) -> CutSet:
 
 
 class TestMasterEnumeration:
-    """Exact masters up to ENUM_MAX_N against full enumeration."""
+    """The enumeration engine against full enumeration: exact masters up to
+    ENUM_MAX_N, and the unconstrained search of the separation."""
 
     # the second layout splits every block down to one head row, so ties
     # are settled between blocks, and gives the heads most of the signs
@@ -251,6 +254,23 @@ class TestMasterEnumeration:
                 res = minimize_max_quadratic(cuts, SolveLimits(mode="exact"))
                 assert res.value == v_ref
                 assert res.x_star.x.tolist() == x_ref.astype(int).tolist()
+
+    @pytest.mark.parametrize("suffix_bits, block_entries", LAYOUTS)
+    def test_separation_matches_brute_force(self, suffix_bits, block_entries, monkeypatch):
+        monkeypatch.setattr(bqp, "SUFFIX_BITS", suffix_bits)
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(227)
+        for q in range(17):
+            R = rng.normal(size=(q + 1, q + 1))
+            # sparse couplings in {-1, 0, 1}: exact sums and tied optima
+            T = np.triu(rng.integers(-1, 2, size=R.shape) * (rng.random(R.shape) < 0.3), 1)
+            for M in ((R + R.T) / 2.0, (T + T.T).astype(float)):
+                res = solve_inner_max(InnerMaxProblem(M=M), method="enumeration")
+                z_ref, val_ref = brute_max_quadratic(M)
+                assert res.z_star.tolist() == z_ref.tolist()
+                assert res.value == pytest.approx(val_ref, abs=1e-10)
+                assert res.nodes_explored == 2**q
+                assert res.method == "enumeration" and res.optimal and res.gap == 0.0
 
     def test_node_limit_does_not_stop_enumeration(self):
         rng = np.random.default_rng(37)

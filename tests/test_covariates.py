@@ -25,6 +25,8 @@ from trialdesign.errors import (
     TooFewRows,
     UnknownLevel,
 )
+from trialdesign.evaluation import SimulationSpec
+from trialdesign.objective import CovariateSpace
 
 
 class TestValidate:
@@ -67,6 +69,24 @@ class TestValidate:
         m = validate(toy_design)
         assert np.array_equal(as_matrix(m), toy_design)
         assert np.array_equal(as_matrix(toy_design), toy_design)
+
+
+@pytest.mark.parametrize("constructor", ["validate", "explicit", "simulation_spec"])
+def test_constructors_freeze_a_copy_not_the_callers_array(constructor):
+    H = np.array([[1.0, 1.0], [1.0, -1.0]])
+    alpha, beta = np.array([1.0, 2.0]), np.array([0.5, -0.5])
+    if constructor == "validate":
+        callers, stored = [H], [validate(H).data]
+    elif constructor == "explicit":
+        callers, stored = [H], [CovariateSpace.explicit(H).vectors]
+    else:
+        spec = SimulationSpec(alpha=alpha, beta=beta, sigma=1.0, seed=0)
+        callers, stored = [alpha, beta], [spec.alpha, spec.beta]
+    for mine, kept in zip(callers, stored):
+        assert mine.flags.writeable
+        assert not kept.flags.writeable
+        assert not np.shares_memory(mine, kept)
+        assert np.array_equal(mine, kept)
 
 
 class TestMatrixHash:

@@ -79,8 +79,8 @@ class TestEnumeration:
             )
 
     def test_prefix_walk_beyond_suffix_block(self):
-        # p - 1 = 14 exceeds the vectorized suffix width, so the Gray-code
-        # prefix walk carries part of the search
+        # p - 1 = 14 exceeds the tabulated suffix width, so blocks of
+        # leading signs carry part of the search
         rng = np.random.default_rng(11)
         M = random_symmetric(15, rng)
         res = solve_inner_max(InnerMaxProblem(M=M))
