@@ -27,6 +27,7 @@ in the batch.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import time
@@ -478,6 +479,17 @@ def sign_rows(ids: np.ndarray, bits: int) -> np.ndarray:
     return (((ids[:, None] >> np.arange(bits - 1, -1, -1)) & 1) * 2 - 1).astype(float)
 
 
+@functools.cache
+def suffix_rows(m: int) -> np.ndarray:
+    """Every +/-1 row of width m in lexicographic order, read-only.
+
+    Built once per width and shared by every enumeration that uses it.
+    """
+    rows = sign_rows(np.arange(1 << m), m)
+    rows.flags.writeable = False
+    return rows
+
+
 def _enumerate(
     c: np.ndarray, A: np.ndarray, balanced: bool, deadline: float = np.inf
 ) -> tuple[np.ndarray, bool]:
@@ -506,7 +518,7 @@ def _enumerate(
     K, n = A.shape[0], A.shape[1]
     m = min(n - 1, SUFFIX_BITS)
     h = n - m
-    suffixes = sign_rows(np.arange(1 << m), m)
+    suffixes = suffix_rows(m)
     suffix_vals = np.stack(
         [np.einsum("ij,ij->i", suffixes @ A[k, h:, h:], suffixes) for k in range(K)]
     )

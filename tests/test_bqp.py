@@ -216,6 +216,27 @@ def integer_cuts(n: int, k: int, rng: np.random.Generator) -> CutSet:
     return CutSet(constants=rng.integers(0, 3, size=k).astype(float), matrices=np.stack(mats))
 
 
+class TestSuffixRows:
+    """The suffix sign table of the enumeration, built once per width."""
+
+    @pytest.mark.parametrize("m", range(14))
+    def test_rows_are_every_sign_vector_in_lexicographic_order(self, m):
+        ids = np.arange(1 << m)
+        expected = (((ids[:, None] >> np.arange(m - 1, -1, -1)) & 1) * 2 - 1).astype(float)
+        rows = bqp.suffix_rows(m)
+        assert rows.shape == (1 << m, m) and rows.dtype == float
+        assert np.array_equal(rows, expected)
+        as_tuples = [tuple(row) for row in rows.tolist()]
+        assert as_tuples == sorted(as_tuples)
+
+    def test_one_read_only_table_per_width(self):
+        rows = bqp.suffix_rows(6)
+        assert bqp.suffix_rows(6) is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+
 class TestMasterEnumeration:
     """The enumeration engine against full enumeration: exact masters up to
     ENUM_MAX_N, and the unconstrained search of the separation."""

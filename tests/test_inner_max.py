@@ -1,7 +1,12 @@
+import heapq
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import brute_max_quadratic, naive_branch_and_bound
+from trialdesign import inner_max
 from trialdesign.inner_max import (
     ENUM_MAX_FREE,
     InnerMaxProblem,
@@ -163,6 +168,56 @@ def integer_tied(p: int, rng: np.random.Generator) -> np.ndarray:
     return (A + A.T).astype(float)
 
 
+def coupled(p: int, rng: np.random.Generator) -> np.ndarray:
+    """Random symmetric plus a rank-one pull: thousands of nodes at p > 20."""
+    u = rng.normal(size=p)
+    return random_symmetric(p, rng) + np.outer(u, u)
+
+
+def cancelling(q: int, rng: np.random.Generator) -> np.ndarray:
+    """z'Mz = 2 a'y - C s^2 + 2 B s t with s = u'y, t = v'y and u, v in {-1, 1}^q.
+
+    Optima have s = 0 and small integer values, summed exactly; but there
+    (N y)_j = B u_j t reaches 2^57 and more, so a completion's value summed
+    as (N y + w)'y loses low bits of w to rounding.
+    """
+    u, v = rng.choice([-1.0, 1.0], size=(2, q))
+    B, C = 2.0**56, 2.0**60
+    M = np.zeros((q + 1, q + 1))
+    M[1:, 1:] = -C * np.outer(u, u) + B * (np.outer(u, v) + np.outer(v, u))
+    M[0, 1:] = M[1:, 0] = rng.integers(-50, 51, size=q) * 2 + 1
+    return M
+
+
+class HeapCalls:
+    """Stands in for heapq inside inner_max and records how the search
+    used it: the longest run of pops between two pushes, which a batch
+    fills, and how many pushes put back an entry that was popped before."""
+
+    def __init__(self) -> None:
+        self.pops = 0
+        self.run = 0
+        self.longest_run = 0
+        self.pushed_back = 0
+        self.seen: set[int] = set()
+
+    def heappop(self, heap: list) -> tuple:
+        self.pops += 1
+        self.run += 1
+        self.longest_run = max(self.longest_run, self.run)
+        return heapq.heappop(heap)
+
+    def heappush(self, heap: list, entry: tuple) -> None:
+        self.run = 0
+        self.pushed_back += entry[1] in self.seen  # entry[1] is the tie counter
+        self.seen.add(entry[1])
+        heapq.heappush(heap, entry)
+
+    def pending(self, nodes: int) -> int:
+        # entries popped but not yet processed when the search stopped
+        return self.pops - self.pushed_back - nodes
+
+
 class TestBranchAndBoundOracle:
     """The incremental search against the from-scratch oracle: the same
     tree in the same order, so the same y, node count and status.  Integer
@@ -185,6 +240,7 @@ class TestBranchAndBoundOracle:
             assert res.gap == gap
         else:
             assert res.gap == pytest.approx(gap, rel=1e-12, abs=1e-12)
+        return res
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_symmetric(self, seed):
@@ -209,3 +265,72 @@ class TestBranchAndBoundOracle:
         M = random_symmetric(16, rng)
         self.assert_same_search(M + 3.0 * np.eye(16), FULL_SEARCH, exact=False)
         self.assert_same_search(M - 3.0 * np.eye(16), FULL_SEARCH, exact=False)
+
+    @staticmethod
+    def deep(seed: int, kind=None) -> np.ndarray:
+        # seeds whose instances search 1,000-6,000 nodes at p = 21-24
+        rng = np.random.default_rng(seed)
+        return (kind or coupled)(int(rng.integers(21, 25)), rng)
+
+    @pytest.mark.parametrize("seed", [703, 705])
+    def test_deep_search_fills_batches(self, seed, monkeypatch):
+        calls = HeapCalls()
+        monkeypatch.setattr(inner_max, "heapq", calls)
+        M = self.deep(seed)
+        res = self.assert_same_search(M, FULL_SEARCH, exact=False)
+        assert M.shape[0] - 1 >= 20
+        assert res.optimal and res.nodes_explored >= 1000
+        assert calls.longest_run >= inner_max.EXPAND_MAX
+
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    def test_batch_cap_does_not_change_the_search(self, cap, monkeypatch):
+        # a cap of 1 expands one node at a time
+        monkeypatch.setattr(inner_max, "EXPAND_MAX", cap)
+        self.assert_same_search(self.deep(705), FULL_SEARCH, exact=False)
+        self.assert_same_search(self.deep(601, integer_tied), FULL_SEARCH, exact=True)
+
+    @pytest.mark.parametrize("node_limit", [3, 40, 63, 64, 65, 100, 1001])
+    def test_node_limit_inside_a_batch(self, node_limit, monkeypatch):
+        # limits below and above the cap of 64; each stops with popped
+        # entries of its batch still unexpanded
+        for M, exact in ((self.deep(705), False), (self.deep(601, integer_tied), True)):
+            calls = HeapCalls()
+            monkeypatch.setattr(inner_max, "heapq", calls)
+            res = self.assert_same_search(M, node_limit, exact=exact)
+            assert not res.optimal and res.nodes_explored == node_limit
+            assert calls.pending(res.nodes_explored) > 1
+
+    def test_integer_ties_push_back_outranked_entries(self, monkeypatch):
+        calls = HeapCalls()
+        monkeypatch.setattr(inner_max, "heapq", calls)
+        res = self.assert_same_search(self.deep(601, integer_tied), FULL_SEARCH, exact=True)
+        assert res.nodes_explored >= 1000
+        assert calls.pushed_back > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_offers_decided_on_exact_values(self, seed):
+        # approximate completion values err far inside the margin but
+        # beyond the gaps between exact values
+        M = cancelling(12, np.random.default_rng(seed))
+        self.assert_same_search(M, FULL_SEARCH, exact=True)
+
+    def test_deadline_inside_a_batch(self, monkeypatch):
+        # a clock that ticks once per reading: the deadline is read once,
+        # then once before each node, so a budget of 100 stops after 100
+        calls = HeapCalls()
+        clock = itertools.count()
+        monkeypatch.setattr(inner_max, "heapq", calls)
+        monkeypatch.setattr(inner_max, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        M = self.deep(705)
+        res = solve_inner_max(
+            InnerMaxProblem(M=M), limits=SolveLimits(time_limit=100.0), method="branch_and_bound"
+        )
+        assert not res.optimal and res.gap >= 0.0
+        assert res.nodes_explored == 100
+        assert calls.pending(res.nodes_explored) > 1
+        assert res.z_star[0] == 1.0 and set(res.z_star.tolist()) <= {-1.0, 1.0}
+        assert res.value == pytest.approx(float(res.z_star @ M @ res.z_star), abs=1e-10)
+        # the state in which a node limit of 100 stops the same search
+        y, _, optimal, gap = naive_branch_and_bound(2.0 * M[0, 1:], M[1:, 1:], 100, float("inf"))
+        assert res.z_star[1:].tolist() == y.tolist() and not optimal
+        assert res.gap == pytest.approx(gap, rel=1e-12, abs=1e-12)
