@@ -31,7 +31,7 @@ import functools
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ CUT_PSD_ATOL = 1e-8
 PG_MAX_ITER = 500
 PG_RTOL = 1e-7
 PG_CHECK_EVERY = 25
-POWER_ITERS = 50
 
 # strict-decrease guard for the descent heuristic
 MOVE_RTOL = 1e-12
@@ -62,16 +61,20 @@ BLOCK_ENTRIES = 1 << 17
 
 STATUSES = ("optimal", "incumbent")
 
-# modes a design method accepts; "auto" is resolved per n by resolve_mode
-MODE_CHOICES = ("auto", "exact", "heuristic")
-
 
 @dataclass(frozen=True, eq=False)
 class CutSet:
-    """K cuts (c_k, A_k) sharing one allocation dimension n."""
+    """K cuts (c_k, A_k) sharing one allocation dimension n.
+
+    The PSD check computes every cut's spectrum, so the largest
+    eigenvalues are kept (``lambda_max``, (K,)), as are the diagonals
+    (``diagonals``, (K, n)); both are read-only.
+    """
 
     constants: np.ndarray
     matrices: np.ndarray
+    lambda_max: np.ndarray = field(init=False, repr=False)
+    diagonals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cons = np.asarray(self.constants, dtype=float).copy()
@@ -86,14 +89,17 @@ class CutSet:
         if asym > CUT_PSD_ATOL:
             raise ValueError(f"cut matrices must be symmetric, max asymmetry {asym:.3e}")
         mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+        high = np.empty(cons.size)
         for k in range(cons.size):
-            low = float(np.linalg.eigvalsh(mats[k])[0])
-            if low < -CUT_PSD_ATOL:
-                raise ValueError(f"cut {k} is not PSD: smallest eigenvalue {low:.3e}")
-        cons.flags.writeable = False
-        mats.flags.writeable = False
-        object.__setattr__(self, "constants", cons)
-        object.__setattr__(self, "matrices", mats)
+            eig = np.linalg.eigvalsh(mats[k])
+            if eig[0] < -CUT_PSD_ATOL:
+                raise ValueError(f"cut {k} is not PSD: smallest eigenvalue {eig[0]:.3e}")
+            high[k] = eig[-1]
+        diag = np.einsum("kii->ki", mats).copy()
+        for name, arr in (("constants", cons), ("matrices", mats),
+                          ("lambda_max", high), ("diagonals", diag)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -266,18 +272,6 @@ def _heuristic_core(
 
 # ---------------------------------------------------------------------------
 # convex relaxation machinery shared by both modes
-
-
-def _lambda_max(Ak: np.ndarray) -> float:
-    n = Ak.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(POWER_ITERS):
-        w = Ak @ v
-        norm = float(np.linalg.norm(w))
-        if norm <= 0.0:
-            return 0.0
-        v = w / norm
-    return float(v @ Ak @ v)
 
 
 class _BoxSumProjector:
@@ -626,9 +620,8 @@ def _completions(fixed: np.ndarray, ytilde: np.ndarray, m_options: list[int]) ->
 
 
 def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
-    c, A = cuts.constants, cuts.matrices
+    c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
     n = cuts.n
-    diag = np.einsum("kii->ki", A).copy()
     deadline = time.monotonic() + limits.time_limit
     best_x, best_val, restarts = _heuristic_core(c, A, diag, n, limits, warm_start, deadline)
     # y = 0 meets the box and the balance and every cut is PSD, so the
@@ -651,9 +644,8 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
 def _exact(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     start_time = time.monotonic()
     deadline = start_time + limits.time_limit
-    c, A = cuts.constants, cuts.matrices
+    c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
     n, K = cuts.n, cuts.k
-    diag = np.einsum("kii->ki", A).copy()
     lo, hi = _sum_interval(n)
     eps = limits.epsilon
 
@@ -662,7 +654,7 @@ def _exact(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
         c, A, diag, n, limits, warm_start, time.monotonic() + seed_budget
     )
 
-    step = 1.0 / (2.0 * max(max(_lambda_max(A[k]) for k in range(K)), 1e-12))
+    step = 1.0 / (2.0 * max(float(cuts.lambda_max.max()), 1e-12))
 
     def offer(xv: np.ndarray) -> None:
         nonlocal best_x, best_val
@@ -788,7 +780,7 @@ def solver_method(n: int, mode: str) -> str:
 
 
 def resolve_mode(n: int, mode: str) -> str:
-    """The SolveLimits mode for a choice in MODE_CHOICES.
+    """"exact" or "heuristic" for a SolveLimits mode and n subjects.
 
     "auto" is exact where the n-subject master enumerates (n up to
     ENUM_MAX_N) and heuristic past that.
@@ -803,7 +795,7 @@ def minimize_max_quadratic(
     limits: SolveLimits | None = None,
     warm_start=None,
 ) -> BqpResult:
-    """Entry point; the method follows limits.mode and n (see ``solver_method``)."""
+    """Entry point; the method follows limits.mode and n (see ``resolve_mode``)."""
     if limits is None:
         limits = SolveLimits()
     n = cuts.n
@@ -815,7 +807,7 @@ def minimize_max_quadratic(
             raise ValueError(f"warm start length {wv.size} != n = {n}")
         if abs(wv.sum()) > 1:
             raise ValueError("warm start must be balanced")
-    method = solver_method(n, limits.mode)
+    method = solver_method(n, resolve_mode(n, limits.mode))
     if method == "descent":
         return _heuristic(cuts, limits, warm_start)
     if method == "enumeration":

@@ -22,7 +22,6 @@ from typing import NoReturn
 import numpy as np
 
 from .baselines import rand_benchmark, random_balanced_allocations
-from .bqp import MODE_CHOICES
 from .covariates import (
     CovariateSchema,
     SyntheticSpec,
@@ -34,7 +33,7 @@ from .covariates import (
 from .cutting_plane import solve_exact
 from .errors import ConfoundedDesign, TrialDesignError
 from .evaluation import surrogate_gap_scan, variance_reduction
-from .limits import SolveLimits
+from .limits import MODES, SolveLimits
 from .lower_bound import solve_lb
 from .objective import CovariateSpace, lb_value, original_value, spectral_cache, surrogate_value
 from .report import (
@@ -84,6 +83,7 @@ def _limits(args) -> SolveLimits:
         time_limit=args.time_limit,
         node_limit=args.node_limit,
         seed=args.seed,
+        mode=args.mode,
     )
 
 
@@ -157,7 +157,7 @@ def _rand_design_report(A, args, space) -> DesignReport:
         p=A.shape[1],
         matrix_sha256=matrix_hash(A),
         diagnostics=diagnostics,
-        parameters={},
+        parameters={"replicates": args.replicates, "space": space.kind},
     )
 
 
@@ -166,11 +166,9 @@ def cmd_design(args) -> int:
     space = _space(args.space)
     limits = _limits(args)
     if args.method == "exact":
-        report = solve_exact(
-            A, limits, master_mode=args.mode, report_space=space, verbose=args.verbose
-        )
+        report = solve_exact(A, limits, report_space=space, verbose=args.verbose)
     elif args.method == "lb":
-        report = solve_lb(A, limits, mode=args.mode, report_space=space)
+        report = solve_lb(A, limits, report_space=space)
     else:
         report = _rand_design_report(A, args, space)
     report.parameters.update(
@@ -178,13 +176,6 @@ def cmd_design(args) -> int:
             "matrix": str(args.matrix),
             "matrix_file_sha256": _file_hash(args.matrix),
             "method": args.method,
-            "epsilon": args.epsilon,
-            "time_limit": args.time_limit,
-            "node_limit": args.node_limit,
-            "seed": args.seed,
-            "mode": args.mode,
-            "space": args.space,
-            "replicates": args.replicates,
         }
     )
     if args.out:
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     design = commands.add_parser("design", help="compute a treatment allocation")
     design.add_argument("--matrix", required=True)
     design.add_argument("--method", choices=METHOD_CHOICES, required=True)
-    design.add_argument("--mode", choices=MODE_CHOICES, default="auto")
+    design.add_argument("--mode", choices=MODES, default="auto")
     design.add_argument("--space", choices=SPACE_CHOICES, default="hypercube")
     design.add_argument("--replicates", type=int, default=100, help="rand method only")
     design.add_argument("--out", default=None, help="write the report JSON here too")

@@ -16,14 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bqp import (
-    MODE_CHOICES,
-    BqpResult,
-    CutSet,
-    minimize_max_quadratic,
-    resolve_mode,
-    solver_method,
-)
+from .bqp import BqpResult, CutSet, minimize_max_quadratic, resolve_mode, solver_method
 from .errors import ConfoundedDesign, DuplicateCut
 from .inner_max import InnerMaxProblem, solve_inner_max
 from .limits import SolveLimits
@@ -33,6 +26,7 @@ from .objective import (
     original_value,
     spectral_cache,
     surrogate_matrix,
+    surrogate_value,
     upsilon,
 )
 from .covariates import matrix_hash
@@ -51,11 +45,15 @@ def _seed_vectors(p: int) -> list[np.ndarray]:
 def solve_exact(
     H,
     limits: SolveLimits | None = None,
-    master_mode: str = "auto",
     report_space: CovariateSpace | None = None,
     verbose: bool = False,
 ) -> DesignReport:
     """Run the cutting-plane loop and report the best allocation seen.
+
+    Masters are solved in limits.mode.  The loop minimizes the surrogate
+    over the hypercube; the report gives the design's surrogate and
+    original values on report_space, and diagnostics keep the hypercube
+    value that lower_bound and gap refer to as hypercube_value.
 
     Status is "optimal" only when the final master solve carried an
     optimality certificate and the separation solve was exact; hitting a
@@ -63,8 +61,6 @@ def solve_exact(
     subproblem value found so far.  One master/separation round always
     runs, however small the time limit.
     """
-    if master_mode not in MODE_CHOICES:
-        raise ValueError(f"master_mode must be one of {MODE_CHOICES}")
     if limits is None:
         limits = SolveLimits()
     t0 = time.monotonic()
@@ -76,8 +72,8 @@ def solve_exact(
 
     # under "auto", past the enumeration cutover heuristic masters find the
     # design and exact ones then verify it
-    mode_now = resolve_mode(n, master_mode)
-    verification_allowed = master_mode == "auto" and mode_now == "heuristic"
+    mode_now = resolve_mode(n, limits.mode)
+    verification_allowed = limits.mode == "auto" and mode_now == "heuristic"
 
     Z = [np.asarray(z, dtype=float) for z in _seed_vectors(p)]
     cut_pairs = [(float(z @ F.gram_inverse @ z), upsilon(F, z)) for z in Z]
@@ -160,6 +156,10 @@ def solve_exact(
         status = "optimal"
     wall = time.monotonic() - t0
 
+    if report_space.kind == "hypercube":
+        surr = best_delta  # the separation already maximized over it
+    else:
+        surr, _ = surrogate_value(F, best_x, report_space)
     try:
         orig, _ = original_value(F, best_x, report_space)
         confounded = False
@@ -181,19 +181,20 @@ def solve_exact(
         "history": [[t, d, s] for t, d, s in history],
         "lower_bound": float(theta_lb) if np.isfinite(theta_lb) else None,
         "gap": gap,
+        "hypercube_value": float(best_delta),
         "confounded": confounded,
     }
     parameters = {
         "epsilon": limits.epsilon,
         "time_limit": limits.time_limit,
         "node_limit": limits.node_limit,
-        "master_mode": master_mode,
+        "mode": limits.mode,
         "space": report_space.kind,
     }
     return DesignReport(
         method="EXACT",
         allocation=best_x,
-        surrogate_value=float(best_delta),
+        surrogate_value=float(surr),
         original_value=orig,
         status=status,
         wall_time=wall,

@@ -12,8 +12,11 @@ fixed-part value and one product N y in O(p), as does its greedy
 completion.  That node arithmetic is batched: up to EXPAND_MAX heap-top
 nodes are expanded in one set of array operations, while the pop order
 and every decision (limits, pruning, incumbents, pushes) stay one node
-at a time, as in an unbatched search.  Ties are broken toward the
-lexicographically smallest z in both paths.
+at a time, as in an unbatched search.  Both paths break ties toward the
+lexicographically smallest z only where values are computed exactly
+(integer or dyadic entries).  Otherwise rounding can decide: branch and
+bound prunes and pushes on bounds summed in one order, and enumeration
+judges ties on its block values.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MODES = ("exact", "heuristic")
+MODES = ("auto", "exact", "heuristic")
 
 
 @dataclass(frozen=True)
@@ -15,14 +15,17 @@ class SolveLimits:
     time_limit   wall-clock budget in seconds for the whole call
     node_limit   branch-and-bound node budget
     seed         seeds every random draw made by the solver
-    mode         "exact" (certified) or "heuristic" (multi-start descent)
+    mode         how the master problem is solved: "exact" (certified),
+                 "heuristic" (multi-start descent), or "auto", which is
+                 exact where an n-subject master enumerates (n up to
+                 bqp.ENUM_MAX_N) and heuristic past that
     """
 
     epsilon: float = 1e-6
     time_limit: float = 300.0
     node_limit: int = 2_000_000
     seed: int = 0
-    mode: str = "exact"
+    mode: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bqp import MODE_CHOICES, CutSet, minimize_max_quadratic, resolve_mode
+from .bqp import CutSet, minimize_max_quadratic, resolve_mode
 from .covariates import matrix_hash
 from .errors import ConfoundedDesign
 from .limits import SolveLimits
@@ -35,16 +35,9 @@ from .report import DesignReport
 def solve_lb(
     H,
     limits: SolveLimits | None = None,
-    mode: str = "auto",
     report_space: CovariateSpace | None = None,
 ) -> DesignReport:
-    """Minimize the averaged surrogate.
-
-    "auto" solves exactly where the quadratic engine enumerates (n up to
-    bqp.ENUM_MAX_N) and by multi-start descent past that.
-    """
-    if mode not in MODE_CHOICES:
-        raise ValueError(f"mode must be one of {MODE_CHOICES}")
+    """Minimize the averaged surrogate, solving its master in limits.mode."""
     if limits is None:
         limits = SolveLimits()
     t0 = time.monotonic()
@@ -52,7 +45,7 @@ def solve_lb(
     n, p = F.n, F.p
     if report_space is None:
         report_space = CovariateSpace.hypercube()
-    resolved = resolve_mode(n, mode)
+    resolved = resolve_mode(n, limits.mode)
 
     cuts = CutSet(constants=np.zeros(1), matrices=lb_matrix(F)[None, :, :])
     result = minimize_max_quadratic(cuts, replace(limits, mode=resolved))
@@ -83,7 +76,7 @@ def solve_lb(
         "epsilon": limits.epsilon,
         "time_limit": limits.time_limit,
         "node_limit": limits.node_limit,
-        "mode": mode,
+        "mode": limits.mode,
         "space": report_space.kind,
     }
     return DesignReport(

@@ -282,12 +282,16 @@ def lb_matrix(H) -> np.ndarray:
 
 
 def lb_value(H, x) -> float:
-    """Row-averaged surrogate objective p/n + x'(M ∘ M)x / n."""
+    """Row-averaged surrogate objective p/n + x'(M ∘ M)x / n.
+
+    With M = UU', x'(M ∘ M)x = ||U'DxU||_F^2, a p x p product.
+    """
     F = _factored(H)
     xv = allocation_vector(x)
     if xv.size != F.n:
         raise ValueError(f"allocation length {xv.size} != n = {F.n}")
-    return float(F.p / F.n + xv @ lb_matrix(F) @ xv / F.n)
+    G = F.U.T @ (xv[:, None] * F.U)
+    return float(F.p / F.n + np.sum(G * G) / F.n)
 
 
 def _max_over_candidates(M: np.ndarray, Z: np.ndarray) -> tuple[float, np.ndarray]:

@@ -48,6 +48,16 @@ class TestCutSet:
         with pytest.raises(ValueError):
             cuts.matrices[0, 0, 0] = 2.0
 
+    def test_keeps_spectrum_top_and_diagonals(self):
+        rng = np.random.default_rng(3)
+        cuts = random_cuts(9, 3, rng)
+        for k, A in enumerate(cuts.matrices):
+            assert cuts.lambda_max[k] == np.linalg.eigvalsh(A)[-1]
+            assert cuts.diagonals[k].tolist() == np.diag(A).tolist()
+        for arr in (cuts.lambda_max, cuts.diagonals):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_from_pairs(self):
         cuts = CutSet.from_pairs([(0.5, np.eye(2)), (1.0, 2.0 * np.eye(2))])
         assert cuts.k == 2
@@ -327,6 +337,21 @@ class TestMasterEnumeration:
         # past the cutover the branch and bound seeds itself with descents
         large = minimize_max_quadratic(random_cuts(10, 2, rng), SolveLimits(mode="exact"))
         assert large.restarts >= bqp.MIN_RESTARTS
+
+    def test_default_mode_resolves_per_n(self, monkeypatch):
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
+        rng = np.random.default_rng(233)
+        called = []
+        for name in ("_enumerate_master", "_heuristic", "_exact"):
+
+            def spy(*args, _name=name, _real=getattr(bqp, name)):
+                called.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(bqp, name, spy)
+        minimize_max_quadratic(random_cuts(8, 2, rng))
+        minimize_max_quadratic(random_cuts(10, 2, rng))
+        assert called == ["_enumerate_master", "_heuristic"]
 
     def test_warm_start_checked_in_every_mode(self):
         rng = np.random.default_rng(239)

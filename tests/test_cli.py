@@ -145,6 +145,26 @@ class TestEncode:
 
 
 class TestDesign:
+    @pytest.mark.parametrize(
+        "method, keys",
+        [
+            ("exact", {"epsilon", "time_limit", "node_limit", "mode", "space"}),
+            ("lb", {"epsilon", "time_limit", "node_limit", "mode", "space"}),
+            ("rand", {"replicates", "space"}),
+        ],
+    )
+    def test_parameters_echo_what_the_method_reads(self, method, keys, toy_csv, capsys):
+        code, doc, _ = run_cli(
+            capsys, "design", "--matrix", str(toy_csv), "--method", method,
+            "--mode", "heuristic", "--space", "rows", "--replicates", "3",
+        )
+        assert code == 0
+        params = doc["parameters"]
+        assert set(params) == keys | {"matrix", "matrix_file_sha256", "method"}
+        assert params["space"] == "rows"
+        assert params.get("mode", "heuristic") == "heuristic"
+        assert params.get("replicates", 3) == 3
+
     def test_lb_on_toy(self, toy_csv, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         alloc_path = tmp_path / "alloc.csv"
@@ -231,6 +251,25 @@ class TestEvaluate:
         assert doc["lb_value"] <= doc["surrogate_value"] + 1e-8
         assert set(doc["rand"]) == {"surrogate", "original"}
         assert doc["variance_reduction"]["z0_count"] == 10
+
+    @pytest.mark.parametrize("space", ["hypercube", "rows"])
+    @pytest.mark.parametrize("method", ["exact", "lb", "rand"])
+    def test_design_values_reproduce_on_evaluate(self, method, space, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        alloc_path = tmp_path / "alloc.csv"
+        run_cli(capsys, "synth", "--n", "20", "--p", "8", "--seed", "1", "--out", str(matrix))
+        code, design_doc, _ = run_cli(
+            capsys, "design", "--matrix", str(matrix), "--method", method,
+            "--space", space, "--replicates", "5", "--allocation-out", str(alloc_path),
+        )
+        assert code == 0
+        code, doc, _ = run_cli(
+            capsys, "evaluate", "--matrix", str(matrix), "--allocation", str(alloc_path),
+            "--space", space, "--replicates", "2", "--skip-variance",
+        )
+        assert code == 0
+        assert doc["surrogate_value"] == design_doc["surrogate_value"]
+        assert doc["original_value"] == design_doc["original_value"]
 
     def test_variance_csv_written(self, toy_csv, tmp_path, capsys):
         alloc_path = tmp_path / "alloc.csv"

@@ -6,6 +6,7 @@ from trialdesign import bqp
 from trialdesign.covariates import SyntheticSpec, generate_synthetic, matrix_hash
 from trialdesign.cutting_plane import solve_exact
 from trialdesign.limits import SolveLimits
+from trialdesign.objective import CovariateSpace, surrogate_value
 
 
 class TestKnownInstances:
@@ -71,14 +72,15 @@ class TestAgainstBruteForce:
 
 class TestMasterModes:
     def test_rejects_unknown_mode(self, toy_design):
-        with pytest.raises(ValueError, match="master_mode"):
-            solve_exact(toy_design, master_mode="fast")
+        with pytest.raises(ValueError, match="mode"):
+            solve_exact(toy_design, SolveLimits(mode="fast"))
 
     def test_heuristic_master_reports_incumbent(self):
         rng = np.random.default_rng(3)
         H = random_design(10, 3, rng)
-        report = solve_exact(H, master_mode="heuristic")
+        report = solve_exact(H, SolveLimits(mode="heuristic"))
         assert report.status == "incumbent"
+        assert report.parameters["mode"] == "heuristic"
         assert report.surrogate_value == pytest.approx(
             brute_bilevel_surrogate(H), abs=1e-6
         )
@@ -89,7 +91,8 @@ class TestMasterModes:
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 6)
         rng = np.random.default_rng(5)
         H = random_design(10, 3, rng)
-        report = solve_exact(H, master_mode="auto")
+        report = solve_exact(H)
+        assert report.parameters["mode"] == "auto"
         assert report.status == "optimal"
         assert report.diagnostics["master_mode_final"] == "exact"
         assert report.surrogate_value == pytest.approx(
@@ -101,7 +104,11 @@ class TestMasterModes:
         rng = np.random.default_rng(11)
         H = random_design(10, 3, rng)
         assert solve_exact(H).diagnostics["master_method"] == "enumeration"
-        heur = solve_exact(H, master_mode="heuristic")
+        heur = solve_exact(H, SolveLimits(mode="heuristic"))
+        assert heur.diagnostics["master_method"] == "descent"
+        # n = 20 enumerates under auto, so only limits.mode can pick descent
+        H20 = generate_synthetic(SyntheticSpec(n=20, p=4, seed=0))
+        heur = solve_exact(H20, SolveLimits(mode="heuristic"))
         assert heur.diagnostics["master_method"] == "descent"
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 6)
         report = solve_exact(H)
@@ -113,7 +120,7 @@ class TestLowerBound:
     def test_heuristic_masters_bound_the_optimum(self):
         rng = np.random.default_rng(13)
         H = random_design(12, 3, rng)
-        report = solve_exact(H, master_mode="heuristic")
+        report = solve_exact(H, SolveLimits(mode="heuristic"))
         bound = report.diagnostics["lower_bound"]
         assert bound is not None and np.isfinite(bound)
         assert bound <= brute_bilevel_surrogate(H) + 1e-9
@@ -162,6 +169,18 @@ class TestReportFields:
         assert report.parameters["epsilon"] == 1e-7
         assert report.parameters["space"] == "hypercube"
         assert report.wall_time >= 0.0
+
+    def test_reports_surrogate_on_report_space(self):
+        H = generate_synthetic(SyntheticSpec(n=20, p=8, seed=1))
+        cube = solve_exact(H)
+        rows = solve_exact(H, report_space=CovariateSpace.rows())
+        assert cube.surrogate_value == cube.diagnostics["hypercube_value"]
+        assert rows.allocation.x.tolist() == cube.allocation.x.tolist()
+        assert rows.surrogate_value == surrogate_value(H, rows.allocation, CovariateSpace.rows())[0]
+        # the bound and the gap stay on the hypercube value the loop minimizes
+        assert rows.diagnostics["hypercube_value"] == cube.surrogate_value
+        assert rows.diagnostics["gap"] == cube.diagnostics["gap"]
+        assert rows.surrogate_value < rows.diagnostics["hypercube_value"]
 
     def test_verbose_progress_lines(self, toy_design, capsys):
         solve_exact(toy_design, verbose=True)

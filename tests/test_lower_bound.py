@@ -26,7 +26,7 @@ class TestKnownInstances:
 
     def test_synthetic_matches_enumeration(self):
         H = generate_synthetic(SyntheticSpec(n=12, p=4, seed=3))
-        report = solve_lb(H, mode="exact")
+        report = solve_lb(H, SolveLimits(mode="exact"))
         Q = oracle_lb_matrix(H.data)
         ref = brute_min_max_cuts(np.zeros(1), Q[None], balanced_corners(12))
         assert report.diagnostics["bqp_value"] == pytest.approx(ref, abs=1e-8)
@@ -52,8 +52,8 @@ class TestProperties:
         for _ in range(10):
             n = 2 * int(rng.integers(3, 8))
             H = random_design(n, 3, rng)
-            exact = solve_lb(H, mode="exact")
-            heur = solve_lb(H, mode="heuristic")
+            exact = solve_lb(H, SolveLimits(mode="exact"))
+            heur = solve_lb(H, SolveLimits(mode="heuristic"))
             assert (
                 heur.diagnostics["bqp_value"]
                 >= exact.diagnostics["bqp_value"] - 1e-9
@@ -86,15 +86,16 @@ class TestProperties:
 class TestModes:
     def test_rejects_unknown_mode(self, toy_design):
         with pytest.raises(ValueError, match="mode"):
-            solve_lb(toy_design, mode="annealing")
+            solve_lb(toy_design, SolveLimits(mode="annealing"))
 
     def test_auto_resolves_exact_for_small_n(self, toy_design):
-        report = solve_lb(toy_design, mode="auto")
+        report = solve_lb(toy_design)
         assert report.diagnostics["mode_resolved"] == "exact"
+        assert report.parameters["mode"] == "auto"
 
     def test_auto_resolves_heuristic_past_threshold(self, toy_design, monkeypatch):
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 2)
-        report = solve_lb(toy_design, mode="auto")
+        report = solve_lb(toy_design)
         assert report.diagnostics["mode_resolved"] == "heuristic"
         assert report.diagnostics["nodes"] == 0
 
@@ -108,8 +109,10 @@ class TestModes:
         assert report.diagnostics["mode_resolved"] == "heuristic"
         assert report.diagnostics["nodes"] == 0
 
-    def test_explicit_heuristic_echoed(self, toy_design):
-        report = solve_lb(toy_design, mode="heuristic")
+    def test_explicit_heuristic_echoed(self):
+        # n = 20 enumerates under auto, so only limits.mode can pick descent
+        H = generate_synthetic(SyntheticSpec(n=20, p=4, seed=0))
+        report = solve_lb(H, SolveLimits(mode="heuristic"))
         assert report.diagnostics["mode_resolved"] == "heuristic"
         assert report.parameters["mode"] == "heuristic"
         assert report.diagnostics["restarts"] >= 32

@@ -261,6 +261,19 @@ class TestLbValue:
         assert lb_value(toy_design, np.array([1, -1, -1, 1])) == pytest.approx(0.5)
         assert lb_value(toy_design, np.array([1, -1, 1, -1])) == pytest.approx(1.0)
 
+    def test_matches_n_by_n_form(self):
+        # the p x p evaluation against p/n + x'(M ∘ M)x / n built densely
+        rng = np.random.default_rng(31)
+        for n, p in [(8, 2), (15, 3), (40, 5), (120, 10)]:
+            H = random_design(n, p, rng)
+            Q = oracle_lb_matrix(H)
+            balanced = random_balanced_signs(n, rng)
+            unbalanced = np.where(rng.random(n) < 0.8, 1, -1)
+            unbalanced[:2] = 1
+            for x in (balanced, unbalanced):
+                ref = p / n + x @ Q @ x / n
+                assert lb_value(H, x) == pytest.approx(ref, rel=1e-12)
+
     def test_lower_bounds_row_surrogate(self):
         # averaged objective never exceeds the worst case over the rows
         rng = np.random.default_rng(6)
