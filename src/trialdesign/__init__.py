@@ -50,7 +50,7 @@ from .evaluation import (
     surrogate_gap_scan,
     variance_reduction,
 )
-from .inner_max import InnerMaxProblem, InnerMaxResult, solve_inner_max
+from .inner_max import InnerMaxProblem, InnerMaxResult, solve_inner_max, solve_inner_max_group
 from .limits import SolveLimits
 from .lower_bound import solve_lb
 from .objective import (
@@ -61,7 +61,9 @@ from .objective import (
     lb_value,
     original_value,
     psi,
+    psi_stack,
     sigma_beta,
+    sigma_beta_stack,
     spectral_cache,
     surrogate_matrix,
     surrogate_value,
@@ -117,6 +119,7 @@ __all__ = [
     "minimize_max_quadratic",
     "original_value",
     "psi",
+    "psi_stack",
     "quantile_nearest_rank",
     "rand_benchmark",
     "random_balanced_allocations",
@@ -125,9 +128,11 @@ __all__ = [
     "recommend",
     "sample_z0",
     "sigma_beta",
+    "sigma_beta_stack",
     "simulate_responses",
     "solve_exact",
     "solve_inner_max",
+    "solve_inner_max_group",
     "solve_lb",
     "spectral_cache",
     "surrogate_gap_scan",

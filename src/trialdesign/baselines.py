@@ -3,7 +3,9 @@
 A design method is useful only if it beats what plain randomization
 reaches by luck, so the benchmark draws seeded balanced allocations and
 reports the 1%, 5%, and 50% nearest-rank quantiles of the chosen
-objective across replicates.
+objective across replicates.  The replicates are evaluated as one stack:
+their matrices come from the stacked kernels of ``objective`` and their
+hypercube separations run as one multiplexed inner-max group.
 """
 
 from __future__ import annotations
@@ -13,16 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllConfounded, ConfoundedDesign
+from .errors import AllConfounded
 from .limits import SolveLimits
 from .objective import (
     Allocation,
     CovariateSpace,
     SpectralCache,
-    original_value,
+    allocation_vector,
+    objective_stack,
     random_balanced_signs,
     spectral_cache,
-    surrogate_value,
+    worst_case_stack,
 )
 
 RAND_LEVELS = (0.01, 0.05, 0.5)
@@ -51,7 +54,12 @@ def random_balanced_allocations(n: int, replicates: int = 100, seed: int = 0) ->
 
 @dataclass(frozen=True, eq=False)
 class RandBenchmark:
-    """Replicate values (NaN where confounded) and their quantiles."""
+    """Replicate values (NaN where confounded) and their quantiles.
+
+    unfinished counts the replicates whose separation stopped at a time
+    or node limit: their value only bounds their worst case from below.
+    separation_nodes sums the inner-max nodes of every separation.
+    """
 
     objective: str
     values: np.ndarray
@@ -59,6 +67,8 @@ class RandBenchmark:
     replicates: int
     seed: int | None
     confounded: int
+    unfinished: int
+    separation_nodes: int
 
     def to_dict(self) -> dict:
         return {
@@ -66,6 +76,8 @@ class RandBenchmark:
             "replicates": self.replicates,
             "seed": self.seed,
             "confounded": self.confounded,
+            "unfinished": self.unfinished,
+            "separation_nodes": self.separation_nodes,
             "quantiles": {str(q): v for q, v in self.quantiles.items()},
             "values": [None if math.isnan(v) else float(v) for v in self.values],
         }
@@ -84,6 +96,10 @@ def rand_benchmark(
 
     Confounded replicates keep their slot as NaN and are excluded from
     the quantiles; if every replicate confounds, AllConfounded is raised.
+    The replicates' hypercube separations run as one multiplexed group
+    (inner_max.solve_inner_max_group): each keeps its own
+    limits.node_limit, and all share one deadline, limits.time_limit from
+    the start of the group.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -97,15 +113,8 @@ def rand_benchmark(
         used_seed = None
         replicates = len(allocations)
 
-    evaluate = surrogate_value if objective == "surrogate" else original_value
-
-    def one(alloc: Allocation) -> float:
-        try:
-            return float(evaluate(F, alloc, space, limits)[0])
-        except ConfoundedDesign:
-            return float("nan")
-
-    values = np.array([one(alloc) for alloc in allocations])
+    X = np.array([allocation_vector(alloc) for alloc in allocations])
+    values, separations = worst_case_stack(objective_stack(F, X, objective), space, F, limits)
     valid = values[~np.isnan(values)]
     if valid.size == 0:
         raise AllConfounded(f"all {replicates} random allocations were confounded")
@@ -117,4 +126,6 @@ def rand_benchmark(
         replicates=replicates,
         seed=used_seed,
         confounded=int(np.isnan(values).sum()),
+        unfinished=sum(not result.optimal for result in separations),
+        separation_nodes=sum(result.nodes_explored for result in separations),
     )

@@ -143,6 +143,8 @@ def _rand_design_report(A, args, space) -> DesignReport:
         "replicates": args.replicates,
         "quantiles": {name: b.to_dict()["quantiles"] for name, b in benches.items()},
         "confounded": {name: b.confounded for name, b in benches.items()},
+        "unfinished": {name: b.unfinished for name, b in benches.items()},
+        "separation_nodes": {name: b.separation_nodes for name, b in benches.items()},
         "note": "allocation is the first replicate; quantiles summarize all of them",
     }
     return DesignReport(
@@ -164,11 +166,11 @@ def _rand_design_report(A, args, space) -> DesignReport:
 def cmd_design(args) -> int:
     A = _load_matrix(args.matrix)
     space = _space(args.space)
-    limits = _limits(args)
+    # RAND reads no solver limits, so it validates none
     if args.method == "exact":
-        report = solve_exact(A, limits, report_space=space, verbose=args.verbose)
+        report = solve_exact(A, _limits(args), report_space=space, verbose=args.verbose)
     elif args.method == "lb":
-        report = solve_lb(A, limits, report_space=space)
+        report = solve_lb(A, _limits(args), report_space=space)
     else:
         report = _rand_design_report(A, args, space)
     report.parameters.update(
@@ -224,7 +226,12 @@ def cmd_evaluate(args) -> int:
         for name in ("surrogate", "original")
     }
     doc["rand"] = {
-        name: {"quantiles": b.to_dict()["quantiles"], "confounded": b.confounded}
+        name: {
+            "quantiles": b.to_dict()["quantiles"],
+            "confounded": b.confounded,
+            "unfinished": b.unfinished,
+            "separation_nodes": b.separation_nodes,
+        }
         for name, b in benches.items()
     }
     if not args.skip_variance:

@@ -8,7 +8,10 @@ average random one: for covariate vectors z0, the percent reduction
 
 where the expectation runs over random balanced allocations (confounded
 draws are redrawn).  A scan utility pairs original and surrogate values
-on random allocations to show how tight the surrogate is.
+on random allocations to show how tight the surrogate is.  Both work on
+stacks of allocations: their matrices come from the stacked kernels of
+``objective``, and the scan's hypercube separations run as multiplexed
+inner-max groups.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ from .covariates import as_matrix, frozen_copy
 from .errors import AllConfounded, ConfoundedDesign
 from .limits import SolveLimits
 from .objective import (
-    Allocation,
     CovariateSpace,
     SpectralCache,
     allocation_vector,
-    original_value,
+    objective_stack,
     random_balanced_signs,
     sigma_beta,
+    sigma_beta_stack,
     spectral_cache,
-    surrogate_value,
+    stack_size,
+    worst_case_stack,
 )
 
 # relative singular-value cutoff for the stacked regression design
@@ -166,7 +170,10 @@ def variance_reduction(
 
     Raises ConfoundedDesign when x_star itself confounds, and
     AllConfounded when random designs keep confounding past the redraw
-    budget.
+    budget.  Random designs are drawn and evaluated in stacks of
+    objective.stack_size(H); a stack draws no more designs than are still
+    needed, so the draws, the accepted designs, the redraw count and the
+    point where the budget runs out are those of drawing one at a time.
     """
     if z0_count < 1 or rand_designs < 1:
         raise ValueError("z0_count and rand_designs must be positive")
@@ -181,18 +188,24 @@ def variance_reduction(
     accepted = 0
     redraws = 0
     budget = REDRAW_FACTOR * rand_designs
+    step = stack_size(F)
     while accepted < rand_designs:
+        X = np.array(
+            [random_balanced_signs(n, rng) for _ in range(min(step, rand_designs - accepted))],
+            dtype=float,
+        )
+        sigma, reasons = sigma_beta_stack(F, X)
+        if reasons:
+            sigma = np.delete(sigma, list(reasons), axis=0)
+        mean_sigma += sigma.sum(axis=0)
+        accepted += len(sigma)
+        redraws += len(reasons)
         if redraws >= budget:
+            # a stack with a confounded draw leaves accepted short, so one
+            # at a time the draws would have stopped at the budget
             raise AllConfounded(
-                f"random designs kept confounding after {redraws} redraws"
+                f"random designs kept confounding after {budget} redraws"
             )
-        signs = random_balanced_signs(n, rng)
-        try:
-            mean_sigma += sigma_beta(F, signs.astype(float))
-        except ConfoundedDesign:
-            redraws += 1
-            continue
-        accepted += 1
     mean_sigma /= rand_designs
 
     mean_var = np.einsum("ij,jk,ik->i", Z0, mean_sigma, Z0)
@@ -224,17 +237,23 @@ def surrogate_gap_scan(
     space: CovariateSpace | None = None,
     limits: SolveLimits | None = None,
 ) -> list[GapPair]:
-    """Paired objective values for each allocation, for scatter plots."""
+    """Paired objective values for each allocation, for scatter plots.
+
+    The separations of each objective run as one multiplexed inner-max
+    group, sharing one deadline (see rand_benchmark).
+    """
     F = H if isinstance(H, SpectralCache) else spectral_cache(H)
     if space is None:
         space = CovariateSpace.hypercube()
-
-    def one(alloc) -> GapPair:
-        surr = float(surrogate_value(F, alloc, space, limits)[0])
-        try:
-            orig = float(original_value(F, alloc, space, limits)[0])
-        except ConfoundedDesign:
-            return GapPair(original=None, surrogate=surr)
-        return GapPair(original=orig, surrogate=surr)
-
-    return [one(alloc) for alloc in allocations]
+    rows = [allocation_vector(alloc) for alloc in allocations]
+    if not rows:
+        return []
+    X = np.array(rows)
+    surr, orig = (
+        worst_case_stack(objective_stack(F, X, objective), space, F, limits)[0]
+        for objective in ("surrogate", "original")
+    )
+    return [
+        GapPair(original=None if np.isnan(o) else float(o), surrogate=float(s))
+        for o, s in zip(orig, surr)
+    ]

@@ -17,6 +17,16 @@ lexicographically smallest z only where values are computed exactly
 (integer or dyadic entries).  Otherwise rounding can decide: branch and
 bound prunes and pushes on bounds summed in one order, and enumeration
 judges ties on its block values.
+
+A search is a generator: it yields the fresh heap entries of each batch
+and is sent their expansions, which one module-level function computes.
+solve_inner_max drives one search; solve_inner_max_group drives many,
+and each round expands the fresh entries of every running search in one
+pass, so the per-call cost of the array operations is paid once per
+round rather than once per search.  The products with a search's own
+matrix run over that search's entries alone, and the rest is elementwise
+or rowwise, so a search takes the same path and the same bits alone or
+in a group.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bqp import _enumerate
+from .bqp import BLOCK_ENTRIES, _enumerate
 from .limits import SolveLimits
 
 # free-coordinate count at or below which enumeration is used
@@ -39,6 +49,9 @@ ENUM_MAX_FREE = 22
 EXPAND_MAX = 64
 
 METHODS = ("auto", "enumeration", "branch_and_bound")
+
+# child signs (-1, +1) as a column, against a parent's rows
+_SIGN = np.array([[-1.0], [1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,13 +104,125 @@ def _polish(y: np.ndarray, w: np.ndarray, N: np.ndarray) -> np.ndarray:
         val += float(deltas[i])
 
 
+class _Tables:
+    """Per-search tables of the searches in one group, one block per slot.
+
+    The search in slot j keeps w, N and 2N at index j and, for each depth
+    d at row j*q + d, the coordinate b branched on there, N_bb, the relaxed
+    mass left at its children's depth and the completion thresholds.
+    """
+
+    def __init__(self, slots: int, q: int) -> None:
+        self.q = q
+        self.w = np.empty((slots, q))
+        self.N = np.empty((slots, q, q))
+        self.N2 = np.empty((slots, q, q))
+        self.branch = np.empty(slots * q, dtype=np.intp)
+        self.diag_at = np.empty(slots * q)
+        self.tail_at = np.empty(slots * q)
+        self.thr_at = np.empty((slots * q, 2, q))
+
+    def load(self, slot: int, M: np.ndarray) -> tuple[float, float, list[int]]:
+        """Fill the slot for the search of M; return its root bound, its
+        rounding margin and its branch order."""
+        q = self.q
+        # fold the pinned leading coordinate into a linear term
+        w, N = self.w[slot], self.N[slot]
+        w[:] = 2.0 * M[0, 1:]
+        N[:] = M[1:, 1:]
+        absN = np.abs(N)
+        np.fill_diagonal(absN, 0.0)
+        diagN = np.diag(N).copy()
+        absw = np.abs(w)
+        # static branch order: heaviest total pairwise mass first
+        order = np.argsort(-(absw / 2.0 + absN.sum(axis=1)), kind="stable")
+        absN_o = absN[np.ix_(order, order)]
+        # relaxed value of the free part at each depth d: every pair touching a
+        # free coordinate taken at |.|, that is each k >= d with its pairs to
+        # the coordinates branched before it
+        mass = diagN[order] + absw[order] + 2.0 * np.tril(absN_o).sum(axis=1)
+        tail = np.zeros(q + 1)
+        tail[:q] = np.cumsum(mass[::-1])[::-1]
+        rows = slice(slot * q, (slot + 1) * q)
+        # per depth d: the coordinate b = order[d] branched on, N_bb, and the
+        # relaxed mass left at its children's depth
+        self.branch[rows], self.diag_at[rows], self.tail_at[rows] = order, diagN[order], tail[1:]
+        N2 = self.N2[slot]
+        N2[:] = 2.0 * N  # N is exactly symmetric, so row b of N2 is 2 N[:, b]
+        # A child of sign s of a depth-d node completes a free y_i to +1 iff
+        # its lin_i = (w + 2 N yf)_i + 2s N_bi >= 0, that is iff the parent's
+        # (w + 2 N yf)_i >= thr_at[d, c, i] = -2s N_bi, c indexing s; at i = b
+        # the threshold -s inf sets y_b = s.
+        thr_at = self.thr_at[rows]
+        thr_at[:] = -_SIGN * N2[order][:, None, :]
+        thr_at[np.arange(q), :, order] = -np.inf * _SIGN.T
+        # A child's greedy completion is worth at most the child's bound.  Every
+        # bound and value here sums at most ~q^2 terms of total magnitude
+        # below S = sum|w| + sum|N|, so their rounding errors stay far below
+        # margin, and a child bounded under best_val - margin has a completion
+        # that offer() would reject: skipping it changes no incumbent.  So does
+        # a completion whose approximate value lies under best_val - margin.
+        margin = 1e-9 * float(absw.sum() + np.abs(N).sum())
+        return float(tail[0]), margin, order.tolist()
+
+
+def _expand(tables: _Tables, requests: list) -> list[list]:
+    """Expand the fresh entries of every search of a round in one pass.
+
+    requests holds (slot, entries) per search.  Returns, per request and
+    entry, its children in sign order (-1, +1): values, bounds,
+    approximate values of their completions, and the completions.  The
+    products with a search's own matrices run over its own entries alone,
+    the operands a search expanded alone would have, so they give the
+    same bits; every other operation is elementwise or rowwise.
+    """
+    q = tables.q
+    entries = requests[0][1] if len(requests) == 1 else [e for _, batch in requests for e in batch]
+    k = len(entries)
+    _, _, depths, vals_fixed, signs = zip(*entries)
+    key = np.array(depths)
+    # cast once here rather than inside each search's product
+    fixed = np.frombuffer(b"".join(signs), dtype=np.int8).reshape(k, q).astype(float)
+    spans = []
+    start = 0
+    for slot, batch in requests:
+        spans.append((slot, start, start + len(batch)))
+        if slot:
+            key[start : start + len(batch)] += slot * q
+        start += len(batch)
+    # lin = w + 2 N yf at each parent; setting y_b = s moves it by
+    # 2s N[:, b] and the value of the fixed part by s lin_b + N_bb
+    if len(spans) == 1:
+        lin = tables.w[slot] + fixed @ tables.N2[slot]
+    else:
+        lin = np.concatenate([tables.w[j] + fixed[a:b] @ tables.N2[j] for j, a, b in spans])
+    val = np.array(vals_fixed) + _SIGN * lin[np.arange(k), tables.branch[key]] + tables.diag_at[key]
+    bound = val + tables.tail_at[key]
+    y = np.where(lin[:, None, :] >= tables.thr_at[key], 1.0, -1.0)
+    np.copyto(y, fixed[:, None, :], where=fixed[:, None, :] != 0)
+    flat = y.reshape(2 * k, q)
+    if len(spans) == 1:
+        Nyw = flat @ tables.N[slot] + tables.w[slot]
+    else:
+        Nyw = np.concatenate([flat[2 * a : 2 * b] @ tables.N[j] + tables.w[j] for j, a, b in spans])
+    approx = np.einsum("ij,ij->i", Nyw, flat).reshape(k, 2)
+    vals, bounds, approxs = val.T.tolist(), bound.T.tolist(), approx.tolist()
+    if len(spans) == 1:
+        return [list(zip(vals, bounds, approxs, y))]
+    # each search gets its completions in a block of its own, so that a
+    # search holding one keeps no other search's rows alive
+    return [
+        list(zip(vals[a:b], bounds[a:b], approxs[a:b], y[a:b].copy())) for _, a, b in spans
+    ]
+
+
 def _branch_and_bound(
-    w: np.ndarray,
-    N: np.ndarray,
-    limits: SolveLimits,
-    deadline: float,
-) -> tuple[np.ndarray, int, bool, float]:
-    """Best-first search over partial sign fixings (constant term omitted).
+    M: np.ndarray, limits: SolveLimits, deadline: float, tables: _Tables, slot: int
+):
+    """Best-first search over partial sign fixings of z = (1, y).
+
+    It maximizes w'y + y'Ny, with w = 2 M[0, 1:] and N = M[1:, 1:]; the
+    constant M[0, 0] is omitted.
 
     Branching follows a static order, so a node at depth d has fixed
     exactly the coordinates order[:d].  Its interval bound is the value of
@@ -117,40 +242,14 @@ def _branch_and_bound(
     EXPAND_MAX, while batches are used up, and shrinks to the number used
     when one is cut short: diving searches run batches of mostly one to
     four nodes, flat frontiers mostly full ones.
+
+    A generator: it loads its tables into the given slot, yields the
+    fresh entries of each batch and is sent their expansions by _expand;
+    it returns (y, nodes, optimal, gap).
     """
-    q = w.size
-    absN = np.abs(N).copy()
-    np.fill_diagonal(absN, 0.0)
-    diagN = np.diag(N).copy()
-    absw = np.abs(w)
-    # static branch order: heaviest total pairwise mass first
-    order = np.argsort(-(absw / 2.0 + absN.sum(axis=1)), kind="stable")
-    absN_o = absN[np.ix_(order, order)]
-    # relaxed value of the free part at each depth d: every pair touching a
-    # free coordinate taken at |.|, that is each k >= d with its pairs to
-    # the coordinates branched before it
-    mass = diagN[order] + absw[order] + 2.0 * np.tril(absN_o).sum(axis=1)
-    tail = np.zeros(q + 1)
-    tail[:q] = np.cumsum(mass[::-1])[::-1]
-    # A child's greedy completion is worth at most the child's bound.  Every
-    # bound and value here sums at most ~q^2 terms of total magnitude
-    # below S = sum|w| + sum|N|, so their rounding errors stay far below
-    # margin, and a child bounded under best_val - margin has a completion
-    # that offer() would reject: skipping it changes no incumbent.  So does
-    # a completion whose approximate value lies under best_val - margin.
-    margin = 1e-9 * float(absw.sum() + np.abs(N).sum())
-    N2 = 2.0 * N  # N is exactly symmetric, so row b of N2 is 2 N[:, b]
-    sign = np.array([-1.0, 1.0])[:, None]
-    # per depth d: N_bb of the coordinate b = order[d] branched on, and
-    # the relaxed mass left at its children's depth
-    diag_at, tail_at = diagN[order], tail[1:]
-    # A child of sign s of a depth-d node completes a free y_i to +1 iff
-    # its lin_i = (w + 2 N yf)_i + 2s N_bi >= 0, that is iff the parent's
-    # (w + 2 N yf)_i >= thr_at[d, c, i] = -2s N_bi, c indexing s; at i = b
-    # the threshold -s inf sets y_b = s.
-    thr_at = -sign * N2[order][:, None, :]
-    thr_at[np.arange(q), :, order] = -np.inf * sign.T
-    branch_at = order.tolist()
+    q = tables.q
+    root_bound, margin, branch_at = tables.load(slot, M)
+    w, N = tables.w[slot], tables.N[slot]
 
     def exact_value(y: np.ndarray) -> float:
         return float(w @ y + y @ N @ y)
@@ -164,27 +263,9 @@ def _branch_and_bound(
         if val > best_val or (val == best_val and tuple(y) < tuple(best_y)):
             best_y, best_val = y.copy(), val
 
-    def expand(entries: list) -> zip:
-        # per entry, its children in sign order (-1, +1): values, bounds,
-        # approximate values of their completions, and the completions
-        k = len(entries)
-        _, _, depths, vals_fixed, signs = zip(*entries)
-        depth = np.array(depths)
-        fixed = np.frombuffer(b"".join(signs), dtype=np.int8).reshape(k, q)
-        # lin = w + 2 N yf at each parent; setting y_b = s moves it by
-        # 2s N[:, b] and the value of the fixed part by s lin_b + N_bb
-        lin = w + fixed @ N2
-        val = np.array(vals_fixed) + sign * lin[np.arange(k), order[depth]] + diag_at[depth]
-        bound = val + tail_at[depth]
-        y = np.where(lin[:, None, :] >= thr_at[depth], 1.0, -1.0)
-        np.copyto(y, fixed[:, None, :], where=fixed[:, None, :] != 0)
-        flat = y.reshape(2 * k, q)
-        approx = np.einsum("ij,ij->i", flat @ N + w, flat).reshape(k, 2)
-        return zip(val.T.tolist(), bound.T.tolist(), approx.tolist(), y)
-
     # heap entry: (-bound, tie counter, depth, value of the fixed part,
     # int8 signs as bytes, which take less memory than an array object)
-    heap: list[tuple[float, int, int, float, bytes]] = [(-tail[0], 0, 0, 0.0, bytes(q))]
+    heap: list[tuple[float, int, int, float, bytes]] = [(-root_bound, 0, 0, 0.0, bytes(q))]
     counter = 1
     nodes = 0
     optimal = True
@@ -197,7 +278,7 @@ def _branch_and_bound(
         batch = [heapq.heappop(heap) for _ in range(min(size, len(heap)))]
         fresh = [entry for entry in batch if entry[1] not in expanded]
         if fresh:
-            expanded.update(zip([entry[1] for entry in fresh], expand(fresh)))
+            expanded.update(zip([entry[1] for entry in fresh], (yield fresh)))
         used = 0
         for i, entry in enumerate(batch):
             if heap and heap[0] < entry:
@@ -235,32 +316,101 @@ def _branch_and_bound(
     return best_y, nodes, optimal, gap
 
 
+def _multiplex(matrices: list, limits: SolveLimits, deadline: float) -> list[tuple]:
+    """Run the branch and bound of every matrix, all of one width q + 1.
+
+    Searches run slots at a time; a slot freed by a finished search takes
+    the next one.  The slots are as many as fit about BLOCK_ENTRIES
+    entries, each with its tables (4 q^2 entries: N, 2N and two thresholds
+    per depth) and its share of a round's largest temporary (two children
+    of up to EXPAND_MAX entries).  Returns (y, nodes, optimal, gap) per
+    search, in order.
+    """
+    q = matrices[0].shape[0] - 1
+    slots = max(1, BLOCK_ENTRIES // (4 * q * q + 2 * EXPAND_MAX * q))
+    tables = _Tables(min(len(matrices), slots), q)
+    found: list = [None] * len(matrices)
+    running: dict[int, tuple] = {}  # slot -> (search index, generator, fresh entries)
+    free = list(range(len(tables.w)))[::-1]
+    waiting = iter(range(len(matrices)))
+
+    def advance(slot: int, index: int, search, sent) -> None:
+        try:
+            running[slot] = (index, search, search.send(sent))
+        except StopIteration as stop:
+            found[index] = stop.value
+            free.append(slot)
+
+    while True:
+        while free:
+            index = next(waiting, None)
+            if index is None:
+                break
+            slot = free.pop()
+            advance(slot, index, _branch_and_bound(matrices[index], limits, deadline, tables, slot), None)
+        if not running:
+            return found
+        requests = [(slot, fresh) for slot, (_, _, fresh) in running.items()]
+        for (slot, _), expansion in zip(requests, _expand(tables, requests)):
+            index, search, _ = running.pop(slot)
+            advance(slot, index, search, expansion)
+
+
+def _solve(problems: list, limits: SolveLimits | None, method: str) -> list[InnerMaxResult]:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if limits is None:
+        limits = SolveLimits()
+    found: list = [None] * len(problems)
+    by_width: dict[int, list[int]] = {}  # q -> problems searched by branch and bound
+    for i, problem in enumerate(problems):
+        q = problem.p - 1
+        use = method
+        if use == "auto" or q == 0:
+            use = "enumeration" if q <= ENUM_MAX_FREE else "branch_and_bound"
+        if use == "enumeration":
+            z = _enumerate(np.zeros(1), -problem.M[None], balanced=False)[0]
+            found[i] = (z, 1 << q, use, True, 0.0)
+        else:
+            by_width.setdefault(q, []).append(i)
+    if by_width:
+        deadline = time.monotonic() + limits.time_limit
+        for indices in by_width.values():
+            matrices = [problems[i].M for i in indices]
+            for i, (y, nodes, optimal, gap) in zip(indices, _multiplex(matrices, limits, deadline)):
+                found[i] = (np.concatenate([[1.0], y]), nodes, "branch_and_bound", optimal, gap)
+    results = []
+    for problem, (z, nodes, use, optimal, gap) in zip(problems, found):
+        z.flags.writeable = False
+        results.append(
+            InnerMaxResult(
+                z_star=z, value=float(z @ problem.M @ z), nodes_explored=nodes,
+                method=use, optimal=optimal, gap=gap,
+            )
+        )
+    return results
+
+
 def solve_inner_max(
     problem: InnerMaxProblem,
     limits: SolveLimits | None = None,
     method: str = "auto",
 ) -> InnerMaxResult:
     """Maximize z'Mz with z[0] = +1; exact unless a limit interrupts."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if limits is None:
-        limits = SolveLimits()
-    M = problem.M
-    q = problem.p - 1
-    if method == "auto" or q == 0:
-        method = "enumeration" if q <= ENUM_MAX_FREE else "branch_and_bound"
-    if method == "enumeration":
-        z = _enumerate(np.zeros(1), -M[None], balanced=False)[0]
-        nodes, optimal, gap = 1 << q, True, 0.0
-    else:
-        # fold the pinned leading coordinate into a linear term
-        w, N = 2.0 * M[0, 1:], M[1:, 1:].copy()
-        deadline = time.monotonic() + limits.time_limit
-        y, nodes, optimal, gap = _branch_and_bound(w, N, limits, deadline)
-        z = np.concatenate([[1.0], y])
-    z.flags.writeable = False
-    value = float(z @ M @ z)
-    return InnerMaxResult(
-        z_star=z, value=value, nodes_explored=nodes,
-        method=method, optimal=optimal, gap=gap,
-    )
+    return _solve([problem], limits, method)[0]
+
+
+def solve_inner_max_group(
+    problems: list[InnerMaxProblem],
+    limits: SolveLimits | None = None,
+) -> list[InnerMaxResult]:
+    """solve_inner_max in auto mode for every problem, branch and bound
+    multiplexed.
+
+    The searches of each width share every round of node expansion.  Each
+    search keeps its own node_limit, and takes the same path, with the
+    same result, as it would alone.  The time limit is the group's: every
+    search stops at one deadline, start + limits.time_limit, where start
+    is when the group begins its first search.
+    """
+    return _solve(problems, limits, "auto")

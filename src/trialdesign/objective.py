@@ -27,10 +27,20 @@ All of these depend on H through one factorization.  spectral_cache(H)
 computes it once: H, its thin-SVD factor U (so M = UU'), H'H and its
 inverse.  Every function here that takes H also accepts that object in
 H's place, and then factors nothing again.
+
+Psi and Sigma_beta have stacked kernels for R allocations at once, the
+rows of an (R, n) matrix X: H'DxH for all of them is one product X K,
+K holding the rowwise outer products h_i h_i', and the rest are stacked
+matrix products.  Sigma_beta's confounding test runs as a Cholesky
+screen that clears most designs for one stacked inverse, with the
+eigenvalue test deciding the rest (sigma_beta_stack).  cross_gram, psi,
+surrogate_matrix and sigma_beta are the one-allocation case of these
+kernels, and worst_case_stack maximizes over profiles for a whole stack.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +57,7 @@ CONDITION_LIMIT = 1e12
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    return (M + M.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,48 +228,181 @@ def _factored(H) -> SpectralCache:
     return H if isinstance(H, SpectralCache) else spectral_cache(H)
 
 
+def stack_size(H) -> int:
+    """Allocations per stacked call, so that what one holds at a time stays
+    within about bqp.BLOCK_ENTRIES entries.  cross_gram_stack's K takes at
+    most half of them; the (R, n) allocations and at most four (R, p, p)
+    stacks held together take the other half."""
+    from .bqp import BLOCK_ENTRIES
+
+    n, p = as_matrix(H).shape
+    return max(1, BLOCK_ENTRIES // (2 * (n + 4 * p * p)))
+
+
+def _allocation_rows(X, n: int) -> np.ndarray:
+    rows = np.asarray(X, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError("allocations must form a non-empty 2-d stack")
+    if rows.shape[1] != n:
+        raise ValueError(f"allocation length {rows.shape[1]} != n = {n}")
+    if not np.all(np.abs(rows) == 1.0):
+        raise ValueError("allocation entries must be +1 or -1")
+    return rows
+
+
+@functools.cache
+def _upper(p: int) -> tuple[np.ndarray, np.ndarray]:
+    # index pairs (a, b), a <= b, of a p x p matrix; built once per width
+    a, b = np.triu_indices(p)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def cross_gram_stack(H, X) -> np.ndarray:
+    """H'DxH for every row x of the (R, n) stack X, as (R, p, p).
+
+    All R at once are X @ K, row i of K holding the products h_ia h_ib,
+    a <= b, of row i of H: the upper triangle of h_i h_i'.  K is built for
+    blocks of rows of H, so that it and the gather it is built from stay
+    within half of bqp.BLOCK_ENTRIES entries whatever n is.
+    """
+    from .bqp import BLOCK_ENTRIES
+
+    A = as_matrix(H)
+    n, p = A.shape
+    X = _allocation_rows(X, n)
+    a, b = _upper(p)
+    step = max(1, BLOCK_ENTRIES // (4 * a.size))
+    upper = None
+    for start in range(0, n, step):
+        B = A[start : start + step]
+        K = B[:, a]
+        K *= B[:, b]
+        part = X[:, start : start + step] @ K
+        upper = part if upper is None else upper + part
+    S = np.empty((len(X), p, p))
+    S[:, a, b] = upper
+    S[:, b, a] = upper
+    return S
+
+
 def cross_gram(H, x) -> np.ndarray:
     """H'DxH, the covariate imbalance between the two arms."""
-    A = as_matrix(H)
-    xv = allocation_vector(x)
-    if xv.size != A.shape[0]:
-        raise ValueError(f"allocation length {xv.size} != n = {A.shape[0]}")
-    return _sym(A.T @ (xv[:, None] * A))
+    return cross_gram_stack(H, allocation_vector(x)[None])[0]
+
+
+def _cholesky_cleared(A: np.ndarray) -> np.ndarray:
+    # which matrices of the stack have a Cholesky factor; numpy raises for
+    # the whole stack when one fails, so a failing stack is split in two
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(A) // 2
+        return np.concatenate([_cholesky_cleared(A[:half]), _cholesky_cleared(A[half:])])
+    return np.ones(len(A), dtype=bool)
+
+
+def _complement_inverse(C: np.ndarray, gram_max: float) -> tuple[np.ndarray, dict[int, str]]:
+    # Sigma_beta = C^-1 for a stack of C = H'H - H'DxH (H'H)^-1 H'DxH,
+    # with sigma_beta_stack's confounding test
+    tau = CONFOUND_RTOL * gram_max
+    cleared = _cholesky_cleared(C - 2.0 * tau * np.eye(C.shape[-1]))
+    if cleared.all():
+        return _sym(np.linalg.inv(C)), {}
+    sigma = np.full_like(C, np.nan)
+    if cleared.any():
+        sigma[cleared] = _sym(np.linalg.inv(C[cleared]))
+    reasons: dict[int, str] = {}
+    for r in np.flatnonzero(~cleared).tolist():
+        w, V = np.linalg.eigh(C[r])
+        # C <= H'H in the PSD order, so the Gram scale bounds how small an
+        # eigenvalue of C can be before the inverse is meaningless; C's own
+        # largest eigenvalue is useless as a yardstick when all of C collapses
+        scale = max(float(w[-1]), gram_max)
+        if w[-1] <= 0 or w[0] <= CONFOUND_RTOL * scale:
+            reasons[r] = (
+                f"allocation confounds treatment with covariates "
+                f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
+            )
+        else:
+            sigma[r] = _sym((V / w) @ V.T)
+    return sigma, reasons
+
+
+def sigma_beta_stack(H, X) -> tuple[np.ndarray, dict[int, str]]:
+    """Sigma_beta for every row x of the (R, n) stack X.
+
+    Returns the (R, p, p) stack, NaN where a design confounds, and the
+    reason for each confounded row by index.  A design confounds when
+    C = H'H - H'DxH (H'H)^-1 H'DxH has an eigenvalue at or below tau, 1e-10
+    times the larger of C's and H'H's largest.  A Cholesky screen decides
+    most designs without an eigendecomposition: C - 2 tau' I, with tau' =
+    1e-10 times H'H's largest, has a Cholesky factor only if C's smallest
+    eigenvalue exceeds 2 tau' less the factorization's backward error,
+    about p eps times C's largest and so 1e5 times smaller than tau'.  So
+    every design the screen clears passes the eigenvalue test, and their
+    Sigma_beta come from one stacked inverse.  Every other design goes
+    through the eigenvalue test itself, which decides it.
+    """
+    F = _factored(H)
+    S = cross_gram_stack(F.matrix, X)
+    C = _sym(F.gram - S @ F.gram_inverse @ S)
+    del S  # freed before the inverse's temporaries
+    return _complement_inverse(C, F.gram_max_eigenvalue)
 
 
 def sigma_beta(H, x) -> np.ndarray:
     """Interaction-effect covariance at unit noise variance.
 
     Raises ConfoundedDesign when the matrix being inverted has an
-    eigenvalue at or below 1e-10 times its largest.
+    eigenvalue at or below 1e-10 times its largest (see sigma_beta_stack,
+    of which this is the one-allocation case).
     """
+    sigma, reasons = sigma_beta_stack(H, allocation_vector(x)[None])
+    if reasons:
+        raise ConfoundedDesign(reasons[0])
+    return sigma[0]
+
+
+def psi_stack(H, X) -> np.ndarray:
+    """Psi for every row x of the (R, n) stack X, as (R, p, p)."""
     F = _factored(H)
-    S = cross_gram(F.matrix, x)
-    C = _sym(F.gram - S @ F.gram_inverse @ S)
-    w, V = np.linalg.eigh(C)
-    # C <= H'H in the PSD order, so the Gram scale bounds how small an
-    # eigenvalue of C can be before the inverse is meaningless; C's own
-    # largest eigenvalue is useless as a yardstick when all of C collapses
-    scale = max(float(w[-1]), F.gram_max_eigenvalue)
-    if w[-1] <= 0 or w[0] <= CONFOUND_RTOL * scale:
-        raise ConfoundedDesign(
-            f"allocation confounds treatment with covariates "
-            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    return _sym((V / w) @ V.T)
+    W = F.gram_inverse @ cross_gram_stack(F.matrix, X)
+    return _sym(W @ F.gram_inverse @ W.swapaxes(-1, -2))
 
 
 def psi(H, x) -> np.ndarray:
     """Second-order surrogate term; PSD and zero iff H'DxH = 0."""
-    F = _factored(H)
-    W = F.gram_inverse @ cross_gram(F.matrix, x)
-    return _sym(W @ F.gram_inverse @ W.T)
+    return psi_stack(H, allocation_vector(x)[None])[0]
 
 
 def surrogate_matrix(H, x) -> np.ndarray:
     """(H'H)^-1 + Psi(x, H); always defined, unlike Sigma_beta."""
     F = _factored(H)
     return F.gram_inverse + psi(F, x)
+
+
+def objective_stack(H, X, objective: str) -> np.ndarray:
+    """Surrogate matrices ("surrogate") or Sigma_beta ("original") of every
+    row of the (R, n) stack X, NaN where Sigma_beta confounds.
+
+    The rows go through the stacked kernels stack_size(H) at a time.
+    """
+    if objective not in ("surrogate", "original"):
+        raise ValueError(f"objective must be 'surrogate' or 'original', got {objective!r}")
+    F = _factored(H)
+    X = np.asarray(X, dtype=float)
+    step = stack_size(F)
+    parts = []
+    for start in range(0, len(X), step):
+        chunk = X[start : start + step]
+        if objective == "surrogate":
+            parts.append(F.gram_inverse + psi_stack(F, chunk))
+        else:
+            parts.append(sigma_beta_stack(F, chunk)[0])
+    return np.concatenate(parts) if parts else np.empty((0, F.p, F.p))
 
 
 def upsilon(H, z) -> np.ndarray:
@@ -317,6 +460,28 @@ def worst_case_quadratic(
         result = solve_inner_max(InnerMaxProblem(M), limits=limits)
         return result.value, result.z_star
     return _max_over_candidates(M, Z)
+
+
+def worst_case_stack(Ms, space: CovariateSpace, H, limits: SolveLimits | None = None):
+    """worst_case_quadratic's value for every matrix of a stack; NaN stays NaN.
+
+    Returns the values and the inner-max results of the hypercube
+    separations (none for a finite space).  Those run as one multiplexed
+    group, inner_max.solve_inner_max_group: they share one deadline,
+    start + limits.time_limit, and each keeps its own node_limit.
+    """
+    Ms = np.asarray(Ms, dtype=float)
+    values = np.full(len(Ms), np.nan)
+    valid = np.flatnonzero(~np.isnan(Ms).any(axis=(1, 2)))
+    Z = space.resolve(H)
+    if Z is not None:
+        values[valid] = [_max_over_candidates(Ms[i], Z)[0] for i in valid]
+        return values, []
+    from .inner_max import InnerMaxProblem, solve_inner_max_group
+
+    results = solve_inner_max_group([InnerMaxProblem(Ms[i]) for i in valid], limits)
+    values[valid] = [result.value for result in results]
+    return values, results
 
 
 def original_value(

@@ -9,9 +9,11 @@ from trialdesign.baselines import (
     rand_benchmark,
     random_balanced_allocations,
 )
+from conftest import random_design
 from trialdesign.cutting_plane import solve_exact
 from trialdesign.errors import AllConfounded
-from trialdesign.objective import Allocation
+from trialdesign.limits import SolveLimits
+from trialdesign.objective import Allocation, CovariateSpace, original_value, surrogate_value
 
 
 def all_balanced_allocations(n: int) -> list[Allocation]:
@@ -150,5 +152,29 @@ class TestRandBenchmark:
         )
         doc = bench.to_dict()
         assert doc["confounded"] == 2
+        assert doc["unfinished"] == 0
+        assert doc["separation_nodes"] == 4 * 2  # four enumerations of one free sign
         assert doc["values"].count(None) == 2
         assert set(doc["quantiles"]) == {"0.01", "0.05", "0.5"}
+
+    @pytest.mark.parametrize("objective", ["surrogate", "original"])
+    def test_values_match_one_allocation_at_a_time(self, objective):
+        rng = np.random.default_rng(41)
+        H = random_design(40, 6, rng)
+        allocations = random_balanced_allocations(40, replicates=15, seed=2)
+        evaluate = surrogate_value if objective == "surrogate" else original_value
+        for space in (CovariateSpace.hypercube(), CovariateSpace.rows()):
+            bench = rand_benchmark(H, objective, space, allocations=allocations)
+            expected = [evaluate(H, alloc, space)[0] for alloc in allocations]
+            assert bench.values == pytest.approx(expected, rel=1e-12)
+
+    def test_limit_stopped_separations_are_counted(self):
+        # one node cannot finish a p = 25 search: every value is only a
+        # lower bound on its replicate's worst case
+        H = random_design(60, 25, np.random.default_rng(43))
+        bench = rand_benchmark(H, "original", replicates=4, seed=1, limits=SolveLimits(node_limit=1))
+        assert bench.unfinished == bench.replicates == 4
+        assert bench.separation_nodes == 4
+        full = rand_benchmark(H, "original", replicates=4, seed=1)
+        assert full.unfinished == 0 and full.separation_nodes > 4
+        assert np.all(bench.values <= full.values + 1e-12)

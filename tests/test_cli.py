@@ -205,6 +205,27 @@ class TestDesign:
         for values in doc["diagnostics"]["quantiles"]["surrogate"].values():
             assert values >= 0.5 - 1e-12
         assert len(doc["allocation"]) == 4
+        for key in ("confounded", "unfinished", "separation_nodes"):
+            assert set(doc["diagnostics"][key]) == {"surrogate", "original"}
+        assert doc["diagnostics"]["unfinished"] == {"surrogate": 0, "original": 0}
+
+    def test_rand_reads_no_solver_limits(self, toy_csv, capsys):
+        code, doc, err = run_cli(
+            capsys, "design", "--matrix", str(toy_csv), "--method", "rand",
+            "--replicates", "5", "--time-limit", "0",
+        )
+        assert code == 0, err
+        assert doc["method"] == "RAND"
+
+    @pytest.mark.parametrize("method", ["exact", "lb"])
+    def test_solver_methods_reject_a_zero_time_limit(self, method, toy_csv, capsys):
+        code, doc, err = run_cli(
+            capsys, "design", "--matrix", str(toy_csv), "--method", method,
+            "--time-limit", "0",
+        )
+        assert code == 1 and doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and "time_limit" in error["message"]
 
     def test_exact_with_tiny_time_limit_finishes_one_round(self, tmp_path, capsys):
         matrix = tmp_path / "m.csv"
@@ -250,6 +271,9 @@ class TestEvaluate:
         assert doc["surrogate_worst_z"][0] == 1.0
         assert doc["lb_value"] <= doc["surrogate_value"] + 1e-8
         assert set(doc["rand"]) == {"surrogate", "original"}
+        for block in doc["rand"].values():
+            assert set(block) == {"quantiles", "confounded", "unfinished", "separation_nodes"}
+            assert block["unfinished"] == 0
         assert doc["variance_reduction"]["z0_count"] == 10
 
     @pytest.mark.parametrize("space", ["hypercube", "rows"])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import hypercube_vertices, oracle_sigma_beta, random_design
-from trialdesign.errors import ConfoundedDesign
+from trialdesign import bqp, evaluation
+from trialdesign.errors import AllConfounded, ConfoundedDesign
 from trialdesign.evaluation import (
     FittedModel,
     SimulationSpec,
@@ -13,7 +14,14 @@ from trialdesign.evaluation import (
     surrogate_gap_scan,
     variance_reduction,
 )
-from trialdesign.objective import Allocation, random_balanced_signs, sigma_beta
+from trialdesign.objective import (
+    CONFOUND_RTOL,
+    Allocation,
+    original_value,
+    random_balanced_signs,
+    sigma_beta,
+    surrogate_value,
+)
 
 ALTERNATING_20 = np.array([1.0, -1.0] * 10)
 
@@ -262,6 +270,81 @@ class TestVarianceReduction:
         assert summary["fraction_positive"] == 0.0
 
 
+def serial_variance_replay(H, seed, z0_count, rand_designs, budget):
+    """Redo variance_reduction's draws one at a time with naive algebra.
+
+    Returns z0, the mean random-design variances (None where the redraw
+    budget ran out) and the redraw count."""
+    rng = np.random.default_rng(seed)
+    Z0 = sample_z0(H.shape[1], z0_count, rng)
+    G = H.T @ H
+    gram_max = np.linalg.eigvalsh(G)[-1]
+    total = np.zeros_like(G)
+    accepted = redraws = 0
+    while accepted < rand_designs:
+        if redraws >= budget:
+            return Z0, None, redraws
+        x = random_balanced_signs(H.shape[0], rng).astype(float)
+        S = H.T @ (x[:, None] * H)
+        w = np.linalg.eigvalsh(G - S @ np.linalg.inv(G) @ S)
+        if w[0] <= CONFOUND_RTOL * max(w[-1], gram_max):
+            redraws += 1
+            continue
+        total += oracle_sigma_beta(H, x)
+        accepted += 1
+    return Z0, np.einsum("ij,jk,ik->i", Z0, total / rand_designs, Z0), redraws
+
+
+class TestStackedRandomDesigns:
+    """variance_reduction draws and evaluates its random designs in stacks."""
+
+    @staticmethod
+    def rare_level_design(rng):
+        # a binary covariate held by two of ten subjects: about 4 in 9
+        # balanced allocations put both in one arm and confound
+        rare = -np.ones(10)
+        rare[rng.permutation(10)[:2]] = 1.0
+        H = np.column_stack([np.ones(10), rare, rng.choice([-1.0, 1.0], size=10)])
+        while True:
+            x_star = random_balanced_signs(10, rng).astype(float)
+            try:
+                sigma_beta(H, x_star)
+            except ConfoundedDesign:
+                continue
+            return H, x_star
+
+    @pytest.mark.parametrize("block_entries", [bqp.BLOCK_ENTRIES, 30])
+    def test_replay_with_confounded_draws(self, block_entries, monkeypatch):
+        # 30 entries make stacks of three designs, so the draws straddle stacks
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", block_entries)
+        H, x_star = self.rare_level_design(np.random.default_rng(40))
+        for seed in range(6):
+            report = variance_reduction(H, x_star, z0_count=7, rand_designs=11, seed=seed)
+            Z0, mean_var, redraws = serial_variance_replay(H, seed, 7, 11, 1100)
+            assert report.redraws == redraws
+            assert report.z0.tolist() == Z0.tolist()
+            assert report.mean_variance == pytest.approx(mean_var, rel=1e-12)
+        assert redraws > 0
+
+    def test_budget_runs_out_where_serial_draws_do(self, monkeypatch):
+        # a budget of one redraw per design runs out on some seeds only
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", 30)
+        monkeypatch.setattr(evaluation, "REDRAW_FACTOR", 1)
+        H, x_star = self.rare_level_design(np.random.default_rng(41))
+        outcomes = set()
+        for seed in range(16):
+            _, mean_var, redraws = serial_variance_replay(H, seed, 3, 8, 8)
+            if mean_var is None:
+                with pytest.raises(AllConfounded, match=f"after {redraws} redraws"):
+                    variance_reduction(H, x_star, z0_count=3, rand_designs=8, seed=seed)
+            else:
+                report = variance_reduction(H, x_star, z0_count=3, rand_designs=8, seed=seed)
+                assert report.redraws == redraws
+                assert report.mean_variance == pytest.approx(mean_var, rel=1e-12)
+            outcomes.add(mean_var is None)
+        assert outcomes == {True, False}
+
+
 class TestSurrogateGapScan:
     def test_cancelled_interaction_makes_pairs_equal(self, toy_design):
         pairs = surrogate_gap_scan(
@@ -291,3 +374,23 @@ class TestSurrogateGapScan:
         for pair in pairs:
             if pair.original is not None:
                 assert pair.surrogate <= pair.original + 1e-9
+
+    def test_pairs_match_one_allocation_at_a_time(self):
+        # the stacked scan against surrogate_value and original_value per
+        # allocation, confounded allocations included
+        rng = np.random.default_rng(16)
+        H, _ = TestStackedRandomDesigns.rare_level_design(rng)
+        allocations = [Allocation(random_balanced_signs(10, rng)) for _ in range(12)]
+        pairs = surrogate_gap_scan(H, allocations)
+        assert any(pair.original is None for pair in pairs)
+        for alloc, pair in zip(allocations, pairs):
+            assert pair.surrogate == surrogate_value(H, alloc)[0]
+            try:
+                original = original_value(H, alloc)[0]
+            except ConfoundedDesign:
+                assert pair.original is None
+            else:
+                assert pair.original == pytest.approx(original, rel=1e-12)
+
+    def test_no_allocations(self, toy_design):
+        assert surrogate_gap_scan(toy_design, []) == []

@@ -5,14 +5,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import brute_max_quadratic, naive_branch_and_bound
+from conftest import brute_max_quadratic, naive_branch_and_bound, random_design
 from trialdesign import inner_max
 from trialdesign.inner_max import (
     ENUM_MAX_FREE,
     InnerMaxProblem,
     solve_inner_max,
+    solve_inner_max_group,
 )
 from trialdesign.limits import SolveLimits
+from trialdesign.objective import (
+    psi_stack,
+    random_balanced_signs,
+    sigma_beta_stack,
+    spectral_cache,
+)
 
 
 def random_symmetric(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -334,3 +341,110 @@ class TestBranchAndBoundOracle:
         y, _, optimal, gap = naive_branch_and_bound(2.0 * M[0, 1:], M[1:, 1:], 100, float("inf"))
         assert res.z_star[1:].tolist() == y.tolist() and not optimal
         assert res.gap == pytest.approx(gap, rel=1e-12, abs=1e-12)
+
+
+def one_hot_design(rows: int, levels: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Intercept plus drop-one +/-1 coding of random categorical factors."""
+    while True:
+        blocks = [np.ones((rows, 1))]
+        for count in levels:
+            draw = rng.integers(0, count, size=(rows, 1))
+            blocks.append(np.where(draw == np.arange(1, count), 1.0, -1.0))
+        H = np.hstack(blocks)
+        if np.linalg.matrix_rank(H) == H.shape[1]:
+            return H
+
+
+def rand_separations(H: np.ndarray, count: int, rng: np.random.Generator) -> list:
+    """Surrogate and Sigma_beta matrices of random balanced allocations."""
+    F = spectral_cache(H)
+    X = np.array([random_balanced_signs(F.n, rng) for _ in range(count)], dtype=float)
+    sigma, reasons = sigma_beta_stack(F, X)
+    surrogate = F.gram_inverse + psi_stack(F, X)
+    return [InnerMaxProblem(M) for M in surrogate] + [
+        InnerMaxProblem(M) for r, M in enumerate(sigma) if r not in reasons
+    ]
+
+
+class TestMultiplexedGroup:
+    """A group of searches against one solve_inner_max per problem.
+
+    Each search of a group takes the tree it takes alone, bit for bit:
+    the same z_star, value, node count, status and gap."""
+
+    @staticmethod
+    def assert_alone_equal(problems, limits=None, method="auto"):
+        group = solve_inner_max_group(problems, limits)
+        assert len(group) == len(problems)
+        for problem, got in zip(problems, group):
+            alone = solve_inner_max(problem, limits, method=method)
+            assert got.z_star.tolist() == alone.z_star.tolist()
+            assert got.value == alone.value
+            assert got.nodes_explored == alone.nodes_explored
+            assert got.optimal == alone.optimal
+            assert got.gap == alone.gap
+            assert got.method == alone.method
+        return group
+
+    def test_cohort_separations(self):
+        # the README cohort's level counts: p = 25, shallow searches
+        rng = np.random.default_rng(900)
+        H = one_hot_design(200, (9, 3, 3, 4, 2, 2, 3, 6), rng)
+        problems = rand_separations(H, 100, rng)
+        assert len(problems) >= 190 and problems[0].p == 25
+        group = self.assert_alone_equal(problems)
+        assert {r.method for r in group} == {"branch_and_bound"}
+
+    def test_iid_separations(self):
+        rng = np.random.default_rng(901)
+        problems = rand_separations(random_design(60, 25, rng), 8, rng)
+        group = self.assert_alone_equal(problems)
+        assert all(r.optimal for r in group)
+        assert max(r.nodes_explored for r in group) >= 1000
+
+    def test_per_search_node_limit(self):
+        # the searches of test_iid_separations take 35 to 13,682 nodes
+        rng = np.random.default_rng(901)
+        problems = rand_separations(random_design(60, 25, rng), 8, rng)
+        group = self.assert_alone_equal(problems, SolveLimits(node_limit=2000))
+        stopped = [r for r in group if not r.optimal]
+        assert stopped and all(r.nodes_explored == 2000 for r in stopped)
+        assert any(r.optimal for r in group)
+
+    @pytest.mark.parametrize("node_limit", [FULL_SEARCH, 40])
+    def test_tie_heavy_integer_matrices(self, node_limit, monkeypatch):
+        # forced to branch and bound below the enumeration cutover; widths
+        # are mixed, so the group runs one multiplexed pass per width
+        monkeypatch.setattr(inner_max, "ENUM_MAX_FREE", 0)
+        rng = np.random.default_rng(903)
+        problems = [InnerMaxProblem(integer_tied(int(rng.integers(15, 22)), rng)) for _ in range(40)]
+        assert len({problem.p for problem in problems}) > 3
+        self.assert_alone_equal(problems, SolveLimits(node_limit=node_limit), "branch_and_bound")
+
+    def test_enumerated_and_searched_problems_mix(self, monkeypatch):
+        monkeypatch.setattr(inner_max, "ENUM_MAX_FREE", 6)
+        rng = np.random.default_rng(904)
+        problems = [InnerMaxProblem(random_symmetric(p, rng)) for p in (3, 14, 7, 12, 1)]
+        group = self.assert_alone_equal(problems)
+        assert [r.method for r in group] == [
+            "enumeration", "branch_and_bound", "enumeration", "branch_and_bound", "enumeration",
+        ]
+
+    def test_slots_are_reused(self, monkeypatch):
+        # a budget for one search at a time still runs every search
+        monkeypatch.setattr(inner_max, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(inner_max, "ENUM_MAX_FREE", 0)
+        rng = np.random.default_rng(905)
+        H = one_hot_design(120, (4, 3, 2), rng)
+        self.assert_alone_equal(rand_separations(H, 6, rng), method="branch_and_bound")
+
+    def test_group_shares_one_deadline(self, monkeypatch):
+        # a clock that ticks once per reading: the group reads its deadline
+        # once, then every search reads the clock before each node
+        clock = itertools.count()
+        monkeypatch.setattr(inner_max, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        rng = np.random.default_rng(906)
+        problems = rand_separations(random_design(60, 25, rng), 3, rng)[:3]
+        group = solve_inner_max_group(problems, SolveLimits(time_limit=90.0))
+        assert not any(r.optimal for r in group)
+        assert sum(r.nodes_explored for r in group) == 90

@@ -17,17 +17,22 @@ from conftest import (
 from trialdesign.baselines import rand_benchmark, random_balanced_allocations
 from trialdesign.errors import ConfoundedDesign, IllConditioned
 from trialdesign.evaluation import surrogate_gap_scan, variance_reduction
+from trialdesign import objective
 from trialdesign.objective import (
+    CONFOUND_RTOL,
     Allocation,
     CovariateSpace,
     allocation_vector,
     cross_gram,
+    cross_gram_stack,
     lb_matrix,
     lb_value,
     original_value,
     psi,
+    psi_stack,
     random_balanced_signs,
     sigma_beta,
+    sigma_beta_stack,
     spectral_cache,
     surrogate_matrix,
     surrogate_value,
@@ -172,6 +177,95 @@ class TestSigmaBeta:
             except ConfoundedDesign:
                 pass
         assert not any(seen)
+
+
+def parent_complement_inverse(C: np.ndarray, gram_max: float) -> np.ndarray | None:
+    """The one-matrix rule the Cholesky screen stands in for: eigendecompose
+    C, refuse it when an eigenvalue is at or below 1e-10 times the larger of
+    C's and H'H's largest, else invert through the eigenvectors."""
+    w, V = np.linalg.eigh(C)
+    if w[-1] <= 0 or w[0] <= CONFOUND_RTOL * max(float(w[-1]), gram_max):
+        return None
+    M = (V / w) @ V.T
+    return (M + M.T) / 2.0
+
+
+class TestStackedKernel:
+    def test_every_balanced_allocation_of_the_toy(self, toy_design):
+        # six allocations, two of them confounded
+        X = balanced_corners(4)
+        sigma, reasons = sigma_beta_stack(toy_design, X)
+        assert sorted(reasons) == [r for r in range(len(X)) if abs(X[r] @ toy_design[:, 1]) == 4]
+        assert len(reasons) == 2
+        for r, x in enumerate(X):
+            if r in reasons:
+                assert np.isnan(sigma[r]).all()
+                with pytest.raises(ConfoundedDesign, match="eigenvalue range"):
+                    sigma_beta(toy_design, x)
+            else:
+                assert sigma[r] == pytest.approx(oracle_sigma_beta(toy_design, x), abs=1e-12)
+                assert np.array_equal(sigma[r], sigma_beta(toy_design, x))
+        assert psi_stack(toy_design, X) == pytest.approx(
+            np.array([oracle_psi(toy_design, x) for x in X]), abs=1e-12
+        )
+
+    def test_stack_against_oracles_and_single_calls(self):
+        rng = np.random.default_rng(5)
+        H = random_design(30, 5, rng)
+        X = np.array([random_balanced_signs(30, rng) for _ in range(40)], dtype=float)
+        sigma, reasons = sigma_beta_stack(H, X)
+        assert not reasons
+        for r, x in enumerate(X):
+            assert sigma[r] == pytest.approx(oracle_sigma_beta(H, x), rel=1e-10, abs=1e-12)
+            # +/-1 matrices give exact cross grams, so one row of a stack
+            # carries the bits of the same allocation alone
+            assert np.array_equal(cross_gram_stack(H, X)[r], cross_gram(H, x))
+            assert np.array_equal(psi_stack(H, X)[r], psi(H, x))
+
+    def test_near_threshold_designs_go_to_the_eigenvalue_test(self, monkeypatch):
+        # C with smallest eigenvalue 0.5 tau, 1.5 tau, 2 tau and 3 tau, where
+        # tau = 1e-10 times H'H's largest: the screen must leave the first
+        # three to the eigenvalue test, which refuses the first only
+        rng = np.random.default_rng(8)
+        gram_max = 4.0
+        tau = CONFOUND_RTOL * gram_max
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        stack, inverses = [], []
+        for factor in (0.5, 1.5, 2.0, 3.0):
+            w = np.array([factor * tau, 0.3, 0.7, 1.1, 2.0, 3.5])
+            C = (Q * w) @ Q.T
+            stack.append((C + C.T) / 2.0)
+            inverses.append((Q / w) @ Q.T)
+        stack = np.array(stack)
+        eigh = np.linalg.eigh
+        seen = []
+
+        def counting(a, *args, **kwargs):
+            seen.append(a.copy())
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        sigma, reasons = objective._complement_inverse(stack, gram_max)
+        assert len(seen) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(seen, stack[:3]))
+        assert list(reasons) == [0]
+        for r in range(4):
+            expected = parent_complement_inverse(stack[r], gram_max)
+            if expected is None:
+                assert np.isnan(sigma[r]).all()
+            elif r < 3:
+                assert np.array_equal(sigma[r], expected)
+            else:
+                # cleared: from the stacked inverse, at condition number 1e10
+                assert sigma[r] == pytest.approx(inverses[r], rel=1e-5)
+
+    def test_rejects_malformed_stacks(self, toy_design):
+        with pytest.raises(ValueError, match="length"):
+            sigma_beta_stack(toy_design, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="entries"):
+            psi_stack(toy_design, np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="2-d"):
+            cross_gram_stack(toy_design, np.ones(4))
 
 
 class TestPsi:
