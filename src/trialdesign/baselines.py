@@ -21,7 +21,6 @@ from .objective import (
     Allocation,
     CovariateSpace,
     SpectralCache,
-    allocation_vector,
     objective_stack,
     random_balanced_signs,
     spectral_cache,
@@ -113,8 +112,8 @@ def rand_benchmark(
         used_seed = None
         replicates = len(allocations)
 
-    X = np.array([allocation_vector(alloc) for alloc in allocations])
-    values, separations = worst_case_stack(objective_stack(F, X, objective), space, F, limits)
+    values, _, results = worst_case_stack(objective_stack(F, allocations, objective), space, F, limits)
+    separations = [result for result in results if result is not None]
     valid = values[~np.isnan(values)]
     if valid.size == 0:
         raise AllConfounded(f"all {replicates} random allocations were confounded")

@@ -282,6 +282,7 @@ def cmd_scan(args) -> int:
             "seed": args.seed,
             "space": args.space,
             "confounded": sum(1 for pair in pairs if pair.original is None),
+            "unfinished": sum(1 for pair in pairs if not pair.finished),
             "mean_relative_gap": (float(np.mean(gaps)) if gaps else None),
             "out": str(args.out),
         }

@@ -225,10 +225,15 @@ def variance_reduction(
 
 
 class GapPair(NamedTuple):
-    """Original objective (None when confounded) paired with the surrogate."""
+    """Original objective (None when confounded) paired with the surrogate.
+
+    finished is False when a separation of the pair stopped at a time or
+    node limit; its value then only bounds the worst case from below.
+    """
 
     original: float | None
     surrogate: float
+    finished: bool = True
 
 
 def surrogate_gap_scan(
@@ -240,20 +245,24 @@ def surrogate_gap_scan(
     """Paired objective values for each allocation, for scatter plots.
 
     The separations of each objective run as one multiplexed inner-max
-    group, sharing one deadline (see rand_benchmark).
+    group, sharing one deadline, start + limits.time_limit (see
+    rand_benchmark); a pair with a separation stopped at that deadline or
+    at its node limit is not finished.
     """
     F = H if isinstance(H, SpectralCache) else spectral_cache(H)
     if space is None:
         space = CovariateSpace.hypercube()
-    rows = [allocation_vector(alloc) for alloc in allocations]
-    if not rows:
+    if len(allocations) == 0:
         return []
-    X = np.array(rows)
-    surr, orig = (
-        worst_case_stack(objective_stack(F, X, objective), space, F, limits)[0]
+    (surr, _, surr_runs), (orig, _, orig_runs) = (
+        worst_case_stack(objective_stack(F, allocations, objective), space, F, limits)
         for objective in ("surrogate", "original")
     )
     return [
-        GapPair(original=None if np.isnan(o) else float(o), surrogate=float(s))
-        for o, s in zip(orig, surr)
+        GapPair(
+            original=None if np.isnan(o) else float(o),
+            surrogate=float(s),
+            finished=all(run is None or run.optimal for run in runs),
+        )
+        for o, s, *runs in zip(orig, surr, surr_runs, orig_runs)
     ]

@@ -177,7 +177,7 @@ def _expand(tables: _Tables, requests: list) -> list[list]:
     same bits; every other operation is elementwise or rowwise.
     """
     q = tables.q
-    entries = requests[0][1] if len(requests) == 1 else [e for _, batch in requests for e in batch]
+    entries = [entry for _, batch in requests for entry in batch]
     k = len(entries)
     _, _, depths, vals_fixed, signs = zip(*entries)
     key = np.array(depths)
@@ -187,33 +187,22 @@ def _expand(tables: _Tables, requests: list) -> list[list]:
     start = 0
     for slot, batch in requests:
         spans.append((slot, start, start + len(batch)))
-        if slot:
-            key[start : start + len(batch)] += slot * q
+        key[start : start + len(batch)] += slot * q
         start += len(batch)
     # lin = w + 2 N yf at each parent; setting y_b = s moves it by
     # 2s N[:, b] and the value of the fixed part by s lin_b + N_bb
-    if len(spans) == 1:
-        lin = tables.w[slot] + fixed @ tables.N2[slot]
-    else:
-        lin = np.concatenate([tables.w[j] + fixed[a:b] @ tables.N2[j] for j, a, b in spans])
+    lin = np.concatenate([tables.w[j] + fixed[a:b] @ tables.N2[j] for j, a, b in spans])
     val = np.array(vals_fixed) + _SIGN * lin[np.arange(k), tables.branch[key]] + tables.diag_at[key]
     bound = val + tables.tail_at[key]
     y = np.where(lin[:, None, :] >= tables.thr_at[key], 1.0, -1.0)
     np.copyto(y, fixed[:, None, :], where=fixed[:, None, :] != 0)
     flat = y.reshape(2 * k, q)
-    if len(spans) == 1:
-        Nyw = flat @ tables.N[slot] + tables.w[slot]
-    else:
-        Nyw = np.concatenate([flat[2 * a : 2 * b] @ tables.N[j] + tables.w[j] for j, a, b in spans])
+    Nyw = np.concatenate([flat[2 * a : 2 * b] @ tables.N[j] + tables.w[j] for j, a, b in spans])
     approx = np.einsum("ij,ij->i", Nyw, flat).reshape(k, 2)
     vals, bounds, approxs = val.T.tolist(), bound.T.tolist(), approx.tolist()
-    if len(spans) == 1:
-        return [list(zip(vals, bounds, approxs, y))]
-    # each search gets its completions in a block of its own, so that a
-    # search holding one keeps no other search's rows alive
-    return [
-        list(zip(vals[a:b], bounds[a:b], approxs[a:b], y[a:b].copy())) for _, a, b in spans
-    ]
+    # the completions are views of one block; a search copies the rows of
+    # an entry it keeps past the round (_branch_and_bound)
+    return [list(zip(vals[a:b], bounds[a:b], approxs[a:b], y[a:b])) for _, a, b in spans]
 
 
 def _branch_and_bound(

@@ -110,9 +110,22 @@ def allocation_vector(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("allocation must be a non-empty 1-d vector")
-    if not np.all(np.isin(arr, (-1.0, 1.0))):
+    return _allocation_rows(arr[None], arr.size)[0]
+
+
+def _allocation_rows(X, n: int) -> np.ndarray:
+    # X as an (R, n) float stack: a 2-d array, or a sequence of Allocation
+    # objects and raw +/-1 vectors; the one check of allocation entries
+    if not isinstance(X, np.ndarray):
+        X = [x.x if isinstance(x, Allocation) else x for x in X]
+    rows = np.asarray(X, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError("allocations must form a non-empty 2-d stack")
+    if rows.shape[1] != n:
+        raise ValueError(f"allocation length {rows.shape[1]} != n = {n}")
+    if not np.all(np.abs(rows) == 1.0):
         raise ValueError("allocation entries must be +1 or -1")
-    return arr
+    return rows
 
 
 def random_balanced_signs(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,17 +252,6 @@ def stack_size(H) -> int:
     return max(1, BLOCK_ENTRIES // (2 * (n + 4 * p * p)))
 
 
-def _allocation_rows(X, n: int) -> np.ndarray:
-    rows = np.asarray(X, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("allocations must form a non-empty 2-d stack")
-    if rows.shape[1] != n:
-        raise ValueError(f"allocation length {rows.shape[1]} != n = {n}")
-    if not np.all(np.abs(rows) == 1.0):
-        raise ValueError("allocation entries must be +1 or -1")
-    return rows
-
-
 @functools.cache
 def _upper(p: int) -> tuple[np.ndarray, np.ndarray]:
     # index pairs (a, b), a <= b, of a p x p matrix; built once per width
@@ -260,6 +262,9 @@ def _upper(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cross_gram_stack(H, X) -> np.ndarray:
     """H'DxH for every row x of the (R, n) stack X, as (R, p, p).
+
+    X may also be a sequence of Allocation objects or raw +/-1 vectors.
+    Every stacked kernel reaches X through here, where it is checked once.
 
     All R at once are X @ K, row i of K holding the products h_ia h_ib,
     a <= b, of row i of H: the upper triangle of h_i h_i'.  K is built for
@@ -288,7 +293,7 @@ def cross_gram_stack(H, X) -> np.ndarray:
 
 def cross_gram(H, x) -> np.ndarray:
     """H'DxH, the covariate imbalance between the two arms."""
-    return cross_gram_stack(H, allocation_vector(x)[None])[0]
+    return cross_gram_stack(H, [x])[0]
 
 
 def _cholesky_cleared(A: np.ndarray) -> np.ndarray:
@@ -360,7 +365,7 @@ def sigma_beta(H, x) -> np.ndarray:
     eigenvalue at or below 1e-10 times its largest (see sigma_beta_stack,
     of which this is the one-allocation case).
     """
-    sigma, reasons = sigma_beta_stack(H, allocation_vector(x)[None])
+    sigma, reasons = sigma_beta_stack(H, [x])
     if reasons:
         raise ConfoundedDesign(reasons[0])
     return sigma[0]
@@ -375,7 +380,7 @@ def psi_stack(H, X) -> np.ndarray:
 
 def psi(H, x) -> np.ndarray:
     """Second-order surrogate term; PSD and zero iff H'DxH = 0."""
-    return psi_stack(H, allocation_vector(x)[None])[0]
+    return psi_stack(H, [x])[0]
 
 
 def surrogate_matrix(H, x) -> np.ndarray:
@@ -388,12 +393,12 @@ def objective_stack(H, X, objective: str) -> np.ndarray:
     """Surrogate matrices ("surrogate") or Sigma_beta ("original") of every
     row of the (R, n) stack X, NaN where Sigma_beta confounds.
 
-    The rows go through the stacked kernels stack_size(H) at a time.
+    X may also be a sequence of allocations, as for cross_gram_stack.  The
+    rows go through the stacked kernels stack_size(H) at a time.
     """
     if objective not in ("surrogate", "original"):
         raise ValueError(f"objective must be 'surrogate' or 'original', got {objective!r}")
     F = _factored(H)
-    X = np.asarray(X, dtype=float)
     step = stack_size(F)
     parts = []
     for start in range(0, len(X), step):
@@ -446,42 +451,51 @@ def _max_over_candidates(M: np.ndarray, Z: np.ndarray) -> tuple[float, np.ndarra
     return float(values[index]), Z[index].copy()
 
 
+def worst_case_stack(Ms, space: CovariateSpace, H, limits: SolveLimits | None = None):
+    """max_z z'Mz over the space for every matrix M of a stack.
+
+    Returns the values and the argmax profiles as rows, both NaN where M
+    has a NaN, and per matrix the inner-max result of its hypercube
+    separation (None where none ran).  The separations of a stack run as
+    one multiplexed group, inner_max.solve_inner_max_group: they share one
+    deadline, start + limits.time_limit, and each keeps its own node_limit.
+    A separation stopped at a limit has optimal False, and its value only
+    bounds the worst case from below.
+    """
+    Ms = np.asarray(Ms, dtype=float)
+    values = np.full(len(Ms), np.nan)
+    profiles = np.full(Ms.shape[:2], np.nan)
+    results: list = [None] * len(Ms)
+    valid = np.flatnonzero(~np.isnan(Ms).any(axis=(1, 2))).tolist()
+    Z = space.resolve(H)
+    if Z is not None:
+        for i in valid:
+            values[i], profiles[i] = _max_over_candidates(Ms[i], Z)
+        return values, profiles, results
+    from . import inner_max
+
+    problems = [inner_max.InnerMaxProblem(Ms[i]) for i in valid]
+    # a lone matrix goes through solve_inner_max, the one-search entry
+    # point that wrappers of the inner-max layer see; both run _solve
+    if len(problems) == 1:
+        found = [inner_max.solve_inner_max(problems[0], limits)]
+    else:
+        found = inner_max.solve_inner_max_group(problems, limits)
+    for i, result in zip(valid, found):
+        values[i], profiles[i], results[i] = result.value, result.z_star, result
+    return values, profiles, results
+
+
 def worst_case_quadratic(
     M: np.ndarray,
     space: CovariateSpace,
     H,
     limits: SolveLimits | None = None,
 ) -> tuple[float, np.ndarray]:
-    """max_z z'Mz over the space, with its argmax."""
-    Z = space.resolve(H)
-    if Z is None:
-        from .inner_max import InnerMaxProblem, solve_inner_max
-
-        result = solve_inner_max(InnerMaxProblem(M), limits=limits)
-        return result.value, result.z_star
-    return _max_over_candidates(M, Z)
-
-
-def worst_case_stack(Ms, space: CovariateSpace, H, limits: SolveLimits | None = None):
-    """worst_case_quadratic's value for every matrix of a stack; NaN stays NaN.
-
-    Returns the values and the inner-max results of the hypercube
-    separations (none for a finite space).  Those run as one multiplexed
-    group, inner_max.solve_inner_max_group: they share one deadline,
-    start + limits.time_limit, and each keeps its own node_limit.
-    """
-    Ms = np.asarray(Ms, dtype=float)
-    values = np.full(len(Ms), np.nan)
-    valid = np.flatnonzero(~np.isnan(Ms).any(axis=(1, 2)))
-    Z = space.resolve(H)
-    if Z is not None:
-        values[valid] = [_max_over_candidates(Ms[i], Z)[0] for i in valid]
-        return values, []
-    from .inner_max import InnerMaxProblem, solve_inner_max_group
-
-    results = solve_inner_max_group([InnerMaxProblem(Ms[i]) for i in valid], limits)
-    values[valid] = [result.value for result in results]
-    return values, results
+    """max_z z'Mz over the space, with its argmax: worst_case_stack's
+    one-matrix case."""
+    values, profiles, _ = worst_case_stack(np.asarray(M, dtype=float)[None], space, H, limits)
+    return float(values[0]), profiles[0]
 
 
 def original_value(

@@ -178,3 +178,7 @@ class TestRandBenchmark:
         full = rand_benchmark(H, "original", replicates=4, seed=1)
         assert full.unfinished == 0 and full.separation_nodes > 4
         assert np.all(bench.values <= full.values + 1e-12)
+        # the group's one deadline, passed before any search expands a node
+        late = rand_benchmark(H, "original", replicates=4, seed=1, limits=SolveLimits(time_limit=1e-9))
+        assert late.unfinished == 4 and late.separation_nodes == 0
+        assert np.all(late.values <= full.values + 1e-12)

@@ -382,8 +382,31 @@ class TestScan:
         assert doc["confounded"] + sum(
             1 for line in lines[1:] if not line.startswith(",")
         ) == 10
+        assert doc["unfinished"] == 0
         if doc["mean_relative_gap"] is not None:
             assert doc["mean_relative_gap"] >= 0.0
+
+    def test_counts_pairs_stopped_at_a_limit(self, tmp_path, capsys, monkeypatch):
+        # scan takes no solver limits, so one node is imposed on its call;
+        # no p = 25 surrogate search, which every pair runs, finishes in it
+        from trialdesign import cli
+        from trialdesign.evaluation import surrogate_gap_scan
+        from trialdesign.limits import SolveLimits
+
+        monkeypatch.setattr(
+            cli, "surrogate_gap_scan",
+            lambda *a, **k: surrogate_gap_scan(*a, limits=SolveLimits(node_limit=1), **k),
+        )
+        rng = np.random.default_rng(43)
+        H = np.hstack([np.ones((60, 1)), rng.choice([-1.0, 1.0], size=(60, 24))])
+        matrix_path = tmp_path / "H.csv"
+        write_matrix_csv(matrix_path, H)
+        code, doc, _ = run_cli(
+            capsys, "scan", "--matrix", str(matrix_path), "--samples", "3",
+            "--out", str(tmp_path / "pairs.csv"),
+        )
+        assert code == 0
+        assert doc["unfinished"] == 3
 
 
 class TestUsageErrors:

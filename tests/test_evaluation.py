@@ -4,6 +4,7 @@ import pytest
 from conftest import hypercube_vertices, oracle_sigma_beta, random_design
 from trialdesign import bqp, evaluation
 from trialdesign.errors import AllConfounded, ConfoundedDesign
+from trialdesign.limits import SolveLimits
 from trialdesign.evaluation import (
     FittedModel,
     SimulationSpec,
@@ -394,3 +395,17 @@ class TestSurrogateGapScan:
 
     def test_no_allocations(self, toy_design):
         assert surrogate_gap_scan(toy_design, []) == []
+
+    @pytest.mark.parametrize("limits", [SolveLimits(node_limit=1), SolveLimits(time_limit=1e-9)])
+    def test_limit_stopped_pairs_are_not_finished(self, limits):
+        # neither one node nor a deadline passed at the start finishes a
+        # p = 25 search, so every pair holds lower bounds and says so;
+        # without the limit every pair finishes
+        H = random_design(60, 25, np.random.default_rng(43))
+        allocations = [Allocation(random_balanced_signs(60, np.random.default_rng(s))) for s in range(3)]
+        stopped = surrogate_gap_scan(H, allocations, limits=limits)
+        assert [pair.finished for pair in stopped] == [False] * 3
+        full = surrogate_gap_scan(H, allocations)
+        assert all(pair.finished for pair in full)
+        for low, pair in zip(stopped, full):
+            assert low.surrogate <= pair.surrogate + 1e-12

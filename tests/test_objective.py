@@ -38,6 +38,7 @@ from trialdesign.objective import (
     surrogate_value,
     upsilon,
     worst_case_quadratic,
+    worst_case_stack,
 )
 
 INTERCEPT_ONLY = np.array([[1.0], [1.0]])
@@ -453,6 +454,21 @@ class TestWorstCase:
         value, z = worst_case_quadratic(M, space, np.ones((6, 3)))
         assert value == pytest.approx(3.0)
         assert np.array_equal(z, [1.0, -1.0, -1.0])
+
+    @pytest.mark.parametrize("space", [CovariateSpace.hypercube(), CovariateSpace.rows()])
+    def test_stack_rows_are_the_one_matrix_case(self, space):
+        # each row of a stack, a NaN matrix among them, against
+        # worst_case_quadratic on that matrix alone
+        rng = np.random.default_rng(18)
+        H = random_design(12, 4, rng)
+        Ms = np.array([surrogate_matrix(H, random_balanced_signs(12, rng)) for _ in range(3)])
+        Ms[1] = np.nan
+        values, profiles, results = worst_case_stack(Ms, space, H)
+        assert np.isnan(values[1]) and np.isnan(profiles[1]).all() and results[1] is None
+        for i in (0, 2):
+            value, z = worst_case_quadratic(Ms[i], space, H)
+            assert values[i] == value and np.array_equal(profiles[i], z)
+            assert (results[i] is None) == (space.kind != "hypercube")
 
 
 def _outputs_on(X, x, z, allocations, space) -> dict:
