@@ -13,16 +13,22 @@ Exact mode enumerates every canonical balanced allocation when n is at
 most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
 trailing signs in one matrix product per block and cut.  The same
 engine, run without the balance constraint, enumerates the separation
-max z'Mz for inner_max as min z'(-M)z.  Past that,
-exact mode runs best-first branch-and-bound with two bounds per node: a
-cheap interval bound that relaxes every pairwise product touching a free
-coordinate, and a certified convex bound from accelerated projected
-gradient with restart (FISTA) on each cut's quadratic over the
-box-and-balance polytope.  The gradient linearization at the final
+max z'Mz for inner_max as min z'(-M)z.  Past that, exact mode first
+runs the descent and its root test, and when that fails continues with
+best-first branch-and-bound from the descent's incumbent, with two
+bounds per node: a cheap interval bound that relaxes every pairwise
+product touching a free coordinate, and a certified convex bound from
+accelerated projected gradient with restart (FISTA) on each cut's
+quadratic over the box-and-balance polytope.  The gradient linearization at the final
 iterate is minimized exactly over that polytope, so the bound is valid
 even before the gradient iteration converges.  An iteration costs one
 batched matrix-vector product and one projection for every node and cut
 in the batch.
+
+Every method returns one contract.  lower_bound is a valid bound on the
+optimum and is never below min(value, root bound), where the root bound
+is max(max c, the interval bound at the root); status is "optimal"
+exactly when value is certified to within epsilon of the optimum.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import functools
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,30 +250,32 @@ def _descent(
     return x, float(_exact_cut_values(c, A, x).max())
 
 
-def _heuristic_core(
-    c: np.ndarray,
-    A: np.ndarray,
-    diag: np.ndarray,
-    n: int,
-    limits: SolveLimits,
-    warm_start,
-    deadline: float,
-) -> tuple[np.ndarray, float, int]:
+def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
+    """Multi-start descent and the root test: optimal when the best value
+    is within epsilon of the root bound, which is then the lower bound."""
+    deadline = time.monotonic() + limits.time_limit
     rng = np.random.default_rng(limits.seed)
-    restarts = max(MIN_RESTARTS, n // 4)
-    starts: list[np.ndarray] = []
-    if warm_start is not None:
-        starts.append(allocation_vector(warm_start))
-    starts.extend(random_balanced_signs(n, rng).astype(float) for _ in range(restarts))
-    best_x: np.ndarray | None = None
-    best_val = np.inf
+    restarts = max(MIN_RESTARTS, cuts.n // 4)
+    starts = [] if warm_start is None else [allocation_vector(warm_start)]
+    starts.extend(random_balanced_signs(cuts.n, rng).astype(float) for _ in range(restarts))
+    best_x, best_val = None, np.inf
     for x0 in starts:
-        xv, val = _descent(c, A, diag, x0, deadline)
+        xv, val = _descent(cuts.constants, cuts.matrices, cuts.diagonals, x0, deadline)
         xc = _canonical(xv)
         if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
             best_x, best_val = xc.copy(), val
-    assert best_x is not None
-    return best_x, best_val, len(starts)
+    root_bound = _root_bound(cuts)
+    status = "optimal" if best_val <= root_bound + limits.epsilon else "incumbent"
+    lower = min(best_val, root_bound)
+    return BqpResult(
+        x_star=Allocation(best_x.astype(np.int64)),
+        value=best_val,
+        lower_bound=lower,
+        status=status,
+        nodes=0,
+        restarts=len(starts),
+        gap=best_val - lower,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +469,17 @@ def _corner_bounds(
     )
 
 
+def _root_bound(cuts: CutSet) -> float:
+    """max(max c, interval bound at the root), which every allocation meets.
+
+    y = 0 meets the box and the balance and every cut is PSD, so the
+    root relaxation is max(c) exactly; the interval bound may beat it.
+    """
+    c = cuts.constants
+    corner = _corner_bounds(c, cuts.matrices, cuts.diagonals, np.zeros(cuts.n, dtype=np.int8))
+    return max(float(c.max()), float(corner.max()))
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration for small problems
 
@@ -574,13 +593,12 @@ def _enumerate(
 def _enumerate_master(cuts: CutSet, deadline: float) -> BqpResult:
     """Every canonical balanced allocation, by ``_enumerate``.
 
-    A search cut short returns its best allocation with the bound max(c):
-    every cut is PSD, so every allocation meets it.
+    A search cut short returns its best allocation with the root bound.
     """
     c, A = cuts.constants, cuts.matrices
     x, finished = _enumerate(c, A, True, deadline)
     value = float(_exact_cut_values(c, A, x).max())
-    lower = value if finished else min(float(c.max()), value)
+    lower = value if finished else min(_root_bound(cuts), value)
     return BqpResult(
         x_star=Allocation(x.astype(np.int64)),
         value=value,
@@ -619,40 +637,17 @@ def _completions(fixed: np.ndarray, ytilde: np.ndarray, m_options: list[int]) ->
     return out
 
 
-def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
-    c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
-    n = cuts.n
-    deadline = time.monotonic() + limits.time_limit
-    best_x, best_val, restarts = _heuristic_core(c, A, diag, n, limits, warm_start, deadline)
-    # y = 0 meets the box and the balance and every cut is PSD, so the
-    # root relaxation is max(c) exactly; the interval bound may beat it
-    corner = _corner_bounds(c, A, diag, np.zeros(n, dtype=np.int8))
-    root_bound = max(float(c.max()), float(corner.max()))
-    status = "optimal" if best_val <= root_bound + limits.epsilon else "incumbent"
-    lower = min(best_val, root_bound)
-    return BqpResult(
-        x_star=Allocation(best_x.astype(np.int64)),
-        value=best_val,
-        lower_bound=lower,
-        status=status,
-        nodes=0,
-        restarts=restarts,
-        gap=best_val - lower,
-    )
+def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) -> BqpResult:
+    """Branch and bound from ``seed``, a descent that failed its root test.
 
-
-def _exact(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
-    start_time = time.monotonic()
-    deadline = start_time + limits.time_limit
+    The descent's allocation is the first incumbent, and its lower bound,
+    the root bound, floors the reported bound.
+    """
     c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
     n, K = cuts.n, cuts.k
     lo, hi = _sum_interval(n)
     eps = limits.epsilon
-
-    seed_budget = max(min(limits.time_limit * 0.25, 30.0), 0.05)
-    best_x, best_val, restarts = _heuristic_core(
-        c, A, diag, n, limits, warm_start, time.monotonic() + seed_budget
-    )
+    best_x, best_val = seed.x_star.x.astype(float), seed.value
 
     step = 1.0 / (2.0 * max(float(cuts.lambda_max.max()), 1e-12))
 
@@ -701,17 +696,12 @@ def _exact(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     counter = itertools.count()
     root = np.zeros(n, dtype=np.int8)
     root[0] = 1  # x -> -x symmetry
-    warm0 = np.tile(best_x.astype(float), (K, 1))
-    corner0 = _corner_bounds(c, A, diag, root)
-    if float(corner0.max()) >= best_val - eps:
-        bound0, ybind0, yfull0 = float(corner0.max()), best_x.copy(), warm0
-    else:
-        bound0, ybind0, yfull0 = relax_nodes([(root, corner0)], warm0)[0]
+    warm0 = np.tile(best_x, (K, 1))
+    bound0, ybind0, yfull0 = relax_nodes([(root, _corner_bounds(c, A, diag, root))], warm0)[0]
     heap = [(bound0, next(counter), root, ybind0, yfull0)]
-    prune_lb = np.inf
+    prune_lb = open_bound = np.inf
     nodes = 0
     status = "optimal"
-    open_bound: float | None = None
     while heap:
         if nodes >= limits.node_limit or time.monotonic() > deadline:
             status = "incumbent"
@@ -755,19 +745,16 @@ def _exact(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
                 prune_lb = min(prune_lb, child_bound)
                 continue
             heapq.heappush(heap, (child_bound, next(counter), child, ybind, yfull))
-    lower_candidates = [best_val]
-    if open_bound is not None:
-        lower_candidates.append(open_bound)
-    if np.isfinite(prune_lb):
-        lower_candidates.append(prune_lb)
-    lower = min(lower_candidates)
+    # the heap keys stay unfloored, so the tree is the same; only the
+    # reported bound takes the root bound as its floor
+    lower = min(best_val, max(seed.lower_bound, min(open_bound, prune_lb)))
     return BqpResult(
         x_star=Allocation(best_x.astype(np.int64)),
         value=best_val,
         lower_bound=lower,
         status=status,
         nodes=nodes,
-        restarts=restarts,
+        restarts=seed.restarts,
         gap=best_val - lower,
     )
 
@@ -812,4 +799,11 @@ def minimize_max_quadratic(
         return _heuristic(cuts, limits, warm_start)
     if method == "enumeration":
         return _enumerate_master(cuts, time.monotonic() + limits.time_limit)
-    return _exact(cuts, limits, warm_start)
+    # the branch and bound continues from a descent run under a quarter
+    # of the budget (0.05 to 30 s) whose root test did not certify
+    deadline = time.monotonic() + limits.time_limit
+    seed_budget = max(min(limits.time_limit * 0.25, 30.0), 0.05)
+    seed = _heuristic(cuts, replace(limits, time_limit=seed_budget), warm_start)
+    if seed.status == "optimal":
+        return seed
+    return _exact(cuts, limits, seed, deadline)

@@ -4,8 +4,10 @@ The master problem keeps a finite set Z_m of covariate vectors and
 minimizes theta = max_k (z_k'(H'H)^-1 z_k + x'Upsilon(z_k,H)x) over
 balanced sign vectors.  The separation step maximizes the surrogate
 quadratic at the master solution over the full hypercube; the loop stops
-once theta_m >= delta_m - epsilon.  Each new cut is a hypercube vertex,
-so with exact masters the loop terminates within 2^(p-1) iterations.
+once theta_m >= delta_m - epsilon.  Each iteration that goes on adds a
+hypercube vertex not yet in Z_m (a repeat raises DuplicateCut), so the
+loop ends within 2^(p-1) iterations, plus one for the verification
+switch below.
 """
 
 from __future__ import annotations
@@ -55,11 +57,14 @@ def solve_exact(
     original values on report_space, and diagnostics keep the hypercube
     value that lower_bound and gap refer to as hypercube_value.
 
-    Status is "optimal" only when the final master solve carried an
-    optimality certificate and the separation solve was exact; hitting a
-    time or node budget downgrades it to "incumbent" with the best
-    subproblem value found so far.  One master/separation round always
-    runs, however small the time limit.
+    Every master reports a status and a lower bound (bqp's contract), and
+    the loop reads only those: the bound is the best master bound, and
+    status is "optimal" only when the final master certified its value
+    and the separation solve was exact; hitting a time or node budget
+    downgrades it to "incumbent" with the best design found so far.
+    limits.node_limit budgets each master; separations get the remaining
+    time only.  One master/separation round always runs, however small
+    the time limit.
     """
     if limits is None:
         limits = SolveLimits()
@@ -71,9 +76,9 @@ def solve_exact(
         report_space = CovariateSpace.hypercube()
 
     # under "auto", past the enumeration cutover heuristic masters find the
-    # design and exact ones then verify it
+    # design and exact ones then verify it, unless a heuristic master's
+    # root test already certified it
     mode_now = resolve_mode(n, limits.mode)
-    verification_allowed = limits.mode == "auto" and mode_now == "heuristic"
 
     Z = [np.asarray(z, dtype=float) for z in _seed_vectors(p)]
     cut_pairs = [(float(z @ F.gram_inverse @ z), upsilon(F, z)) for z in Z]
@@ -81,13 +86,12 @@ def solve_exact(
     history: list[tuple[float, float, float]] = []
     best_delta = np.inf
     best_x = None
+    best_finished = False
     theta_lb = -np.inf  # best certified master bound
     master_nodes = 0
     prev_x = None
-    status = "incumbent"
     converged = False
     iteration = 0
-    iteration_cap = (1 << (p - 1)) + 2 if p <= 31 else None
     sub_method = None
 
     while True:
@@ -95,10 +99,6 @@ def solve_exact(
         if iteration and remaining <= 0.01:
             break  # the first master/separation round always runs
         iteration += 1
-        if iteration_cap is not None and iteration > iteration_cap:
-            raise DuplicateCut(
-                "cutting plane exceeded the hypercube size without converging"
-            )
         master_limits = replace(limits, time_limit=max(remaining, 0.05), mode=mode_now)
         master: BqpResult = minimize_max_quadratic(
             CutSet.from_pairs(cut_pairs), master_limits, warm_start=prev_x
@@ -109,15 +109,12 @@ def solve_exact(
         master_nodes += master.nodes
         # every cut is a hypercube vertex, so any master bound is a bound
         # on the design problem
-        if mode_now == "exact" and master.status == "optimal":
-            theta_lb = max(theta_lb, theta)
-        else:
-            theta_lb = max(theta_lb, master.lower_bound)
+        theta_lb = max(theta_lb, master.lower_bound)
 
         remaining = max(deadline - time.monotonic(), 0.05)
-        sub_limits = replace(limits, time_limit=remaining)
         sub = solve_inner_max(
-            InnerMaxProblem(surrogate_matrix(F, x_m)), limits=sub_limits
+            InnerMaxProblem(surrogate_matrix(F, x_m)),
+            limits=SolveLimits(time_limit=remaining),
         )
         delta = sub.value
         sub_method = sub.method
@@ -129,20 +126,20 @@ def solve_exact(
                 file=sys.stderr,
             )
         if delta < best_delta or best_x is None:
-            best_delta = delta
-            best_x = x_m
+            best_delta, best_x, best_finished = delta, x_m, sub.optimal
 
         if theta >= delta - limits.epsilon:
-            if mode_now == "heuristic" and verification_allowed:
-                # heuristic masters prove nothing: re-run the loop with
-                # exact masters while budget remains
-                if deadline - time.monotonic() > 0.05:
-                    mode_now = "exact"
-                    continue
-                break
-            converged = (
-                mode_now == "exact" and master.status == "optimal" and sub.optimal
-            )
+            converged = master.status == "optimal" and sub.optimal
+            if (
+                not converged
+                and limits.mode == "auto"
+                and mode_now == "heuristic"
+                and deadline - time.monotonic() > 0.05
+            ):
+                # the heuristic master did not certify: re-run the loop
+                # with exact masters while budget remains
+                mode_now = "exact"
+                continue
             break
         z_new = sub.z_star
         if any(np.array_equal(z_new, z) for z in Z):
@@ -152,12 +149,13 @@ def solve_exact(
         Z.append(z_new)
         cut_pairs.append((float(z_new @ F.gram_inverse @ z_new), upsilon(F, z_new)))
 
-    if converged:
-        status = "optimal"
     wall = time.monotonic() - t0
 
+    # a finished separation already maximized over the hypercube; one
+    # stopped at a limit only bounds the design's value from below
+    cube_value = best_delta if best_finished else surrogate_value(F, best_x)[0]
     if report_space.kind == "hypercube":
-        surr = best_delta  # the separation already maximized over it
+        surr = cube_value
     else:
         surr, _ = surrogate_value(F, best_x, report_space)
     try:
@@ -169,8 +167,7 @@ def solve_exact(
 
     # theta and delta round differently, so a certified bound can pass the
     # value it certifies by an ulp; the value is itself a valid bound
-    theta_lb = min(theta_lb, best_delta)
-    gap = float(best_delta - theta_lb) if np.isfinite(theta_lb) else None
+    theta_lb = min(theta_lb, cube_value)
     diagnostics = {
         "iterations": iteration,
         "cuts": len(Z),
@@ -179,9 +176,9 @@ def solve_exact(
         "master_method": solver_method(n, mode_now),
         "subproblem_method": sub_method,
         "history": [[t, d, s] for t, d, s in history],
-        "lower_bound": float(theta_lb) if np.isfinite(theta_lb) else None,
-        "gap": gap,
-        "hypercube_value": float(best_delta),
+        "lower_bound": float(theta_lb),
+        "gap": float(cube_value - theta_lb),
+        "hypercube_value": float(cube_value),
         "confounded": confounded,
     }
     parameters = {
@@ -196,7 +193,7 @@ def solve_exact(
         allocation=best_x,
         surrogate_value=float(surr),
         original_value=orig,
-        status=status,
+        status="optimal" if converged else "incumbent",
         wall_time=wall,
         seed=limits.seed,
         n=n,

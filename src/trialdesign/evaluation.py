@@ -37,9 +37,6 @@ from .objective import (
     worst_case_stack,
 )
 
-# relative singular-value cutoff for the stacked regression design
-FIT_RANK_RTOL = 1e-10
-
 # redraw budget multiplier before giving up on random designs
 REDRAW_FACTOR = 100
 
@@ -87,18 +84,19 @@ def simulate_responses(H, x, spec: SimulationSpec) -> np.ndarray:
 def fit_interaction_model(H, x, y) -> FittedModel:
     """Least squares on the stacked design [H | D_x H].
 
-    Raises ConfoundedDesign when the stacked design is rank deficient,
-    which is exactly when Sigma_beta does not exist.
+    Raises ConfoundedDesign exactly when sigma_beta does, which decides
+    whether the stacked design is rank deficient.
     """
     A = as_matrix(H)
     xv = allocation_vector(x)
     yv = np.asarray(y, dtype=float)
     if yv.shape != (A.shape[0],):
         raise ValueError("response length must match the row count")
+    try:
+        sigma_beta(A, xv)
+    except ConfoundedDesign as err:
+        raise ConfoundedDesign(f"stacked design [H | DxH] is rank deficient: {err}") from None
     X = np.hstack([A, xv[:, None] * A])
-    singular = np.linalg.svd(X, compute_uv=False)
-    if singular[-1] <= FIT_RANK_RTOL * singular[0]:
-        raise ConfoundedDesign("stacked design [H | DxH] is rank deficient")
     coef, *_ = np.linalg.lstsq(X, yv, rcond=None)
     p = A.shape[1]
     return FittedModel(alpha_hat=coef[:p].copy(), beta_hat=coef[p:].copy())

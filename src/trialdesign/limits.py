@@ -13,7 +13,11 @@ class SolveLimits:
 
     epsilon      convergence / pruning tolerance on objective values
     time_limit   wall-clock budget in seconds for the whole call
-    node_limit   branch-and-bound node budget
+    node_limit   branch-and-bound node budget.  In EXACT it budgets each
+                 master's branch and bound, and the separations get only
+                 the remaining time; in LB, its one master's branch and
+                 bound; in RAND and the scan, each separation's branch and
+                 bound.  Enumeration and descent count no nodes.
     seed         seeds every random draw made by the solver
     mode         how the master problem is solved: "exact" (certified),
                  "heuristic" (multi-start descent), or "auto", which is

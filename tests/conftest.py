@@ -7,12 +7,20 @@ the implementation against something that cannot share its bugs.
 
 import heapq
 import itertools
+import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from trialdesign.bqp import MOVE_RTOL, PG_CHECK_EVERY, PG_MAX_ITER, PG_RTOL
+
+# HYPOTHESIS_PROFILE=ci runs the property tests on a fixed example
+# sequence, so a failure replays with the same examples; other runs keep
+# Hypothesis's random exploration
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_design(n: int, p: int, rng: np.random.Generator) -> np.ndarray:

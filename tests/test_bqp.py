@@ -135,7 +135,11 @@ class TestKnownInstances:
 
 
 def exact_branch_and_bound(cuts: CutSet, limits: SolveLimits, warm_start=None) -> BqpResult:
-    return bqp._exact(cuts, limits, warm_start)
+    """Exact mode past the enumeration cutover: the descent's root test,
+    then branch and bound."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bqp, "ENUM_MAX_N", 1)
+        return minimize_max_quadratic(cuts, limits, warm_start)
 
 
 class TestExact:
@@ -204,6 +208,61 @@ class TestExact:
 
 class TestExactBranchAndBound(TestExact):
     solve = staticmethod(exact_branch_and_bound)
+
+
+class TestMasterContract:
+    """Every method's status and lower bound mean the same thing.
+
+    lower_bound <= optimum <= value; optimal means value - lower_bound <=
+    epsilon; and lower_bound >= min(value, root bound), the root bound
+    being max(max c, the interval bound at the root).
+    """
+
+    @staticmethod
+    def cut_sets():
+        rng = np.random.default_rng(241)
+        for n in range(6, 15):
+            k = int(rng.integers(1, 5))
+            yield random_cuts(n, k, rng)
+            low = rng.normal(size=(k, n, 2))
+            yield CutSet(constants=rng.uniform(0.0, 2.0, size=k), matrices=low @ low.transpose(0, 2, 1))
+
+    def test_every_method_keeps_the_contract(self):
+        eps = SolveLimits().epsilon
+        solves = [
+            lambda cuts: minimize_max_quadratic(cuts, SolveLimits(mode="exact")),
+            lambda cuts: minimize_max_quadratic(cuts, SolveLimits(mode="heuristic")),
+            lambda cuts: exact_branch_and_bound(cuts, SolveLimits(mode="exact")),
+            lambda cuts: exact_branch_and_bound(cuts, SolveLimits(mode="exact", node_limit=1)),
+        ]
+        for cuts in self.cut_sets():
+            ref = brute_value(cuts)
+            corner = _corner_bounds(
+                cuts.constants, cuts.matrices, cuts.diagonals, np.zeros(cuts.n, dtype=np.int8)
+            )
+            root = max(float(cuts.constants.max()), float(corner.max()))
+            for solve in solves:
+                res = solve(cuts)
+                assert res.lower_bound <= ref + 1e-9
+                assert ref <= res.value + 1e-9
+                assert res.lower_bound >= min(res.value, root)
+                assert res.gap == res.value - res.lower_bound
+                if res.status == "optimal":
+                    assert res.gap <= eps
+
+    def test_branch_and_bound_certifies_at_the_root_test(self):
+        # a dominant cut with a tiny quadratic part: max c is within
+        # epsilon of every value, so the descent certifies without a node
+        rng = np.random.default_rng(251)
+        cuts = random_cuts(12, 2, rng)
+        cuts = CutSet(
+            constants=np.array([10.0, float(cuts.constants[1])]),
+            matrices=np.stack([1e-8 * cuts.matrices[0], cuts.matrices[1]]),
+        )
+        res = exact_branch_and_bound(cuts, SolveLimits(mode="exact"))
+        assert res.status == "optimal" and res.nodes == 0
+        assert res.lower_bound == 10.0 < res.value
+        assert res.value == pytest.approx(brute_value(cuts), abs=1e-12)
 
 
 def lex_first_min(cuts: CutSet) -> tuple[np.ndarray, float]:
@@ -334,7 +393,7 @@ class TestMasterEnumeration:
         assert bqp.solver_method(8, "heuristic") == "descent"
         small = minimize_max_quadratic(random_cuts(8, 2, rng), SolveLimits(mode="exact"))
         assert small.restarts == 0
-        # past the cutover the branch and bound seeds itself with descents
+        # past the cutover the branch and bound continues from a descent
         large = minimize_max_quadratic(random_cuts(10, 2, rng), SolveLimits(mode="exact"))
         assert large.restarts >= bqp.MIN_RESTARTS
 

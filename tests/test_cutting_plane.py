@@ -100,6 +100,21 @@ class TestMasterModes:
         )
 
 
+    def test_heuristic_master_root_test_certifies(self):
+        # the descent's value sits 6.2e-7 above the root bound, within
+        # epsilon, so a heuristic master certifies and auto needs no
+        # verification phase
+        H = generate_synthetic(SyntheticSpec(n=100, p=4, seed=2))
+        heur = solve_exact(H, SolveLimits(mode="heuristic", time_limit=20.0))
+        assert heur.status == "optimal"
+        gap = heur.surrogate_value - heur.diagnostics["lower_bound"]
+        assert 0.0 < gap <= SolveLimits().epsilon
+        assert heur.diagnostics["gap"] == gap
+        auto = solve_exact(H, SolveLimits(time_limit=20.0))
+        assert auto.status == "optimal"
+        assert auto.diagnostics["master_mode_final"] == "heuristic"
+        assert auto.allocation.x.tolist() == heur.allocation.x.tolist()
+
     def test_final_master_method_is_reported(self, monkeypatch):
         rng = np.random.default_rng(11)
         H = random_design(10, 3, rng)
@@ -137,6 +152,30 @@ class TestLowerBound:
         assert bound is not None and bound <= report.surrogate_value + 1e-12
         assert report.diagnostics["gap"] >= -1e-12
 
+    def test_every_master_bound_reaches_the_root_bound(self, monkeypatch):
+        # the verification master of the test above stops at its node
+        # limit; its bound must still be at least min(value, max c)
+        from trialdesign import cutting_plane
+
+        masters = []
+
+        def spy(cuts, limits, warm_start=None):
+            result = bqp.minimize_max_quadratic(cuts, limits, warm_start)
+            masters.append((cuts, limits.mode, result))
+            return result
+
+        monkeypatch.setattr(cutting_plane, "minimize_max_quadratic", spy)
+        rng = np.random.default_rng(17)
+        H = random_design(60, 5, rng)
+        report = solve_exact(H, SolveLimits(node_limit=10, time_limit=60.0))
+        assert {mode for _, mode, _ in masters} == {"heuristic", "exact"}
+        for cuts, _, result in masters:
+            floor = min(result.value, float(cuts.constants.max()))
+            assert result.lower_bound >= floor
+        assert report.diagnostics["lower_bound"] >= max(
+            min(r.value, float(c.constants.max())) for c, _, r in masters
+        )
+
     def test_bound_never_passes_the_value(self):
         # the certified master theta rounded one ulp above the separation's
         # value here, which gave a gap of -1.3e-15 before the clamp
@@ -148,6 +187,15 @@ class TestLowerBound:
 
 
 class TestBudgets:
+    def test_node_limit_budgets_masters_not_separations(self):
+        # p = 24 separations run branch and bound; stopped at the master's
+        # 5 nodes they under-reported the design's value
+        H = generate_synthetic(SyntheticSpec(n=48, p=24, seed=1))
+        report = solve_exact(H, SolveLimits(node_limit=5, time_limit=20.0))
+        value, _ = surrogate_value(H, report.allocation)
+        assert report.surrogate_value == pytest.approx(value, abs=1e-12)
+        assert report.diagnostics["hypercube_value"] == report.surrogate_value
+
     def test_tight_budget_returns_incumbent(self):
         rng = np.random.default_rng(7)
         H = random_design(30, 5, rng)

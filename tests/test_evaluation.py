@@ -109,6 +109,19 @@ class TestFitInteractionModel:
         with pytest.raises(ConfoundedDesign, match="rank deficient"):
             fit_interaction_model(H, column, np.zeros(10))
 
+    def test_refuses_exactly_what_sigma_beta_refuses(self):
+        # a near-confounded design: the allocation almost reproduces a
+        # covariate's interaction column; sigma_beta's eigenvalue rule
+        # refuses it, which a singular-value cutoff of 1e-10 did not
+        rng = np.random.default_rng(0)
+        a, r = rng.normal(size=40), rng.normal(size=40)
+        x = random_balanced_signs(40, rng).astype(float)
+        H = np.column_stack([np.ones(40), a, x * a + 1e-7 * r])
+        with pytest.raises(ConfoundedDesign):
+            sigma_beta(H, x)
+        with pytest.raises(ConfoundedDesign, match="rank deficient"):
+            fit_interaction_model(H, x, np.zeros(40))
+
     def test_rejects_response_length(self):
         rng = np.random.default_rng(8)
         H = random_design(10, 2, rng)
