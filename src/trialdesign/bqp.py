@@ -15,15 +15,14 @@ trailing signs in one matrix product per block and cut.  The same
 engine, run without the balance constraint, enumerates the separation
 max z'Mz for inner_max as min z'(-M)z.  Past that, exact mode first
 runs the descent and its root test, and when that fails continues with
-best-first branch-and-bound from the descent's incumbent, with two
-bounds per node: a cheap interval bound that relaxes every pairwise
-product touching a free coordinate, and a certified convex bound from
-accelerated projected gradient with restart (FISTA) on each cut's
-quadratic over the box-and-balance polytope.  The gradient linearization at the final
-iterate is minimized exactly over that polytope, so the bound is valid
-even before the gradient iteration converges.  An iteration costs one
-batched matrix-vector product and one projection for every node and cut
-in the batch.
+best-first branch-and-bound from the descent's incumbent.  Each node has
+one bound, certified once its relaxation ends: accelerated projected
+gradient with restart (FISTA) on each cut's quadratic over the
+box-and-balance polytope, after which the gradient linearization at the
+final iterate is minimized exactly over that polytope, so the bound is
+valid even before the gradient iteration converges.  An iteration costs
+one batched matrix-vector product and one projection for every node and
+cut in the batch.
 
 Every method returns one contract.  lower_bound is a valid bound on the
 optimum and is never below min(value, root bound), where the root bound
@@ -37,7 +36,7 @@ import functools
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +49,6 @@ CUT_PSD_ATOL = 1e-8
 # projected-gradient settings for the convex node bound
 PG_MAX_ITER = 500
 PG_RTOL = 1e-7
-PG_CHECK_EVERY = 25
 
 # strict-decrease guard for the descent heuristic
 MOVE_RTOL = 1e-12
@@ -379,21 +377,6 @@ def _linear_min_rows(
     return vals
 
 
-def _certified_bounds(
-    Y: np.ndarray,
-    G: np.ndarray,
-    f: np.ndarray,
-    l: np.ndarray,
-    u: np.ndarray,
-    lo: float,
-    hi: float,
-) -> np.ndarray:
-    # f(y) + min gradient step over the feasible box-and-sum set; valid
-    # for any iterate by convexity, regardless of how converged Y is
-    linmin = _linear_min_rows(G, l, u, lo, hi)
-    return f + linmin - np.einsum("ki,ki->k", G, Y)
-
-
 def _batched_pg(
     c: np.ndarray,
     A: np.ndarray,
@@ -404,8 +387,6 @@ def _batched_pg(
     hi: float,
     step: float,
     deadline: float,
-    stop_above: float | None = None,
-    group_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run accelerated projected gradient per cut; return iterates and certified bounds.
 
@@ -415,11 +396,10 @@ def _batched_pg(
     ran against its momentum, (Z - X).(X - Y) > 0, restarts with t = 1
     and beta = 0.  Each iteration costs one batched product A X and one
     projection: the value c + X.AX, the next gradient and the product at
-    the next Z (AX + beta (AX - AY)) all follow from it.
-
-    When ``stop_above`` is given, bounds are certified periodically and the
-    loop exits as soon as every group of ``group_size`` consecutive rows
-    (one branch node per group) holds a cut proving that node prunable.
+    the next Z (AX + beta (AX - AY)) all follow from it.  The loop stops
+    when the relative change of every value falls below PG_RTOL, after
+    PG_MAX_ITER iterations or at the deadline; the bounds are certified
+    once, at the final iterate.
     """
     project = _BoxSumProjector(l, u, lo, hi, Y0.shape[0])
     Y = project(Y0)
@@ -427,7 +407,7 @@ def _batched_pg(
     f = c + np.einsum("ki,ki->k", Y, AY)
     Z, AZ = Y, AY
     t = np.ones(Y.shape[0])
-    for it in range(1, PG_MAX_ITER + 1):
+    for _ in range(PG_MAX_ITER):
         X = project(Z - (2.0 * step) * AZ)
         AX = np.matmul(A, X[:, :, None])[:, :, 0]
         f_new = c + np.einsum("ki,ki->k", X, AX)
@@ -442,41 +422,27 @@ def _batched_pg(
         Y, AY, f = X, AX, f_new
         if change < PG_RTOL or time.monotonic() > deadline:
             break
-        if stop_above is not None and it % PG_CHECK_EVERY == 0:
-            bounds = _certified_bounds(Y, 2.0 * AY, f, l, u, lo, hi)
-            gs = group_size if group_size is not None else bounds.shape[0]
-            if float(bounds.reshape(-1, gs).max(axis=1).min()) >= stop_above:
-                return Y, bounds
-    return Y, _certified_bounds(Y, 2.0 * AY, f, l, u, lo, hi)
-
-
-def _corner_bounds(
-    c: np.ndarray, A: np.ndarray, diag: np.ndarray, fixed: np.ndarray
-) -> np.ndarray:
-    """Interval bound per cut: every pair with a free coordinate goes to -|.|."""
-    free = fixed == 0
-    xf = fixed.astype(float)
-    gf = A @ xf
-    fixed_val = c + gf @ xf
-    dfree = diag[:, free]
-    block = np.abs(A[:, free][:, :, free])
-    offdiag = block.sum(axis=(1, 2)) - np.abs(dfree).sum(axis=1)
-    return (
-        fixed_val
-        + dfree.sum(axis=1)
-        - 2.0 * np.abs(gf[:, free]).sum(axis=1)
-        - offdiag
-    )
+    # f(y) + min gradient step over the feasible box-and-sum set; valid
+    # for any iterate by convexity, regardless of how converged Y is
+    G = 2.0 * AY
+    return Y, f + _linear_min_rows(G, l, u, lo, hi) - np.einsum("ki,ki->k", G, Y)
 
 
 def _root_bound(cuts: CutSet) -> float:
     """max(max c, interval bound at the root), which every allocation meets.
 
     y = 0 meets the box and the balance and every cut is PSD, so the
-    root relaxation is max(c) exactly; the interval bound may beat it.
+    root relaxation is max(c) exactly.  The interval bound relaxes every
+    off-diagonal product x_i x_j to -|A_ij|, and may beat it.
     """
+    # column-major operands sum each cut in one running sum rather than
+    # numpy's pairwise blocks; that order fixes the bound's last bits,
+    # which every master's lower bound and status carry
     c = cuts.constants
-    corner = _corner_bounds(c, cuts.matrices, cuts.diagonals, np.zeros(cuts.n, dtype=np.int8))
+    A = np.asfortranarray(cuts.matrices)
+    diag = np.asfortranarray(cuts.diagonals)
+    offdiag = np.abs(A).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
+    corner = c + diag.sum(axis=1) - offdiag
     return max(float(c.max()), float(corner.max()))
 
 
@@ -643,7 +609,7 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
     The descent's allocation is the first incumbent, and its lower bound,
     the root bound, floors the reported bound.
     """
-    c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
+    c, A = cuts.constants, cuts.matrices
     n, K = cuts.n, cuts.k
     lo, hi = _sum_interval(n)
     eps = limits.epsilon
@@ -663,11 +629,11 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
     A2 = np.concatenate([A, A], axis=0)
 
     def relax_nodes(pending: list, warm: np.ndarray) -> list:
-        # pending: (fixed, corner) per node; warm: parent iterates (K, n)
+        # pending: fixings per node; warm: parent iterates (K, n)
         r = len(pending)
         L = np.empty((r * K, n))
         U = np.empty((r * K, n))
-        for g, (fixed, _) in enumerate(pending):
+        for g, fixed in enumerate(pending):
             xf = fixed.astype(float)
             free = fixed == 0
             L[g * K : (g + 1) * K] = np.where(free, -1.0, xf)
@@ -682,22 +648,19 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
             hi,
             step,
             deadline,
-            stop_above=best_val - eps,
-            group_size=K,
         )
-        out = []
-        for g, (_, corner) in enumerate(pending):
-            per_cut = np.maximum(corner, pg[g * K : (g + 1) * K])
-            binding = int(np.argmax(per_cut))
-            rows = Y[g * K : (g + 1) * K]
-            out.append((float(per_cut[binding]), rows[binding].copy(), rows.copy()))
-        return out
+        # per node: its bound, the binding cut's iterate, and every iterate
+        bounds, Y = pg.reshape(r, K), Y.reshape(r, K, n)
+        return [
+            (float(bounds[g, b]), Y[g, b].copy(), Y[g].copy())
+            for g, b in enumerate(np.argmax(bounds, axis=1))
+        ]
 
     counter = itertools.count()
     root = np.zeros(n, dtype=np.int8)
     root[0] = 1  # x -> -x symmetry
     warm0 = np.tile(best_x, (K, 1))
-    bound0, ybind0, yfull0 = relax_nodes([(root, _corner_bounds(c, A, diag, root))], warm0)[0]
+    bound0, ybind0, yfull0 = relax_nodes([root], warm0)[0]
     heap = [(bound0, next(counter), root, ybind0, yfull0)]
     prune_lb = open_bound = np.inf
     nodes = 0
@@ -730,15 +693,11 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
                 for xv in _completions(child, np.zeros(n), m_options):
                     offer(xv)
                 continue
-            corner = _corner_bounds(c, A, diag, child)
-            if float(corner.max()) >= best_val - eps:
-                prune_lb = min(prune_lb, float(corner.max()))
-                continue
-            pending.append((child, corner, m_options))
+            pending.append((child, m_options))
         if not pending:
             continue
-        evals = relax_nodes([(ch, co) for ch, co, _ in pending], ywarm)
-        for (child, _, m_options), (child_bound, ybind, yfull) in zip(pending, evals):
+        evals = relax_nodes([child for child, _ in pending], ywarm)
+        for (child, m_options), (child_bound, ybind, yfull) in zip(pending, evals):
             for xv in _completions(child, ybind, m_options):
                 offer(xv)
             if child_bound >= best_val - eps:
@@ -799,11 +758,10 @@ def minimize_max_quadratic(
         return _heuristic(cuts, limits, warm_start)
     if method == "enumeration":
         return _enumerate_master(cuts, time.monotonic() + limits.time_limit)
-    # the branch and bound continues from a descent run under a quarter
-    # of the budget (0.05 to 30 s) whose root test did not certify
+    # the branch and bound continues from a descent whose root test did
+    # not certify, under the same deadline
     deadline = time.monotonic() + limits.time_limit
-    seed_budget = max(min(limits.time_limit * 0.25, 30.0), 0.05)
-    seed = _heuristic(cuts, replace(limits, time_limit=seed_budget), warm_start)
+    seed = _heuristic(cuts, limits, warm_start)
     if seed.status == "optimal":
         return seed
     return _exact(cuts, limits, seed, deadline)

@@ -219,10 +219,9 @@ def cmd_evaluate(args) -> int:
         "original_worst_z": None if orig_z is None else [float(v) for v in orig_z],
         "lb_value": float(lb_value(F, allocation)),
     }
+    allocations = random_balanced_allocations(A.shape[0], args.replicates, args.seed)
     benches = {
-        name: rand_benchmark(
-            F, objective=name, space=space, replicates=args.replicates, seed=args.seed
-        )
+        name: rand_benchmark(F, objective=name, space=space, allocations=allocations)
         for name in ("surrogate", "original")
     }
     doc["rand"] = {

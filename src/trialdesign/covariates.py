@@ -152,8 +152,9 @@ COLUMN_KINDS = ("binary", "categorical")
 
 @dataclass(frozen=True)
 class SchemaColumn:
-    """One raw column: a name, its kind, the allowed levels, and for
-    categorical columns the dropped reference level."""
+    """One raw column: a name, its kind, the allowed levels, and the
+    dropped reference level.  A binary column is a categorical column
+    held to exactly two levels, and encodes as one."""
 
     name: str
     kind: str
@@ -178,19 +179,14 @@ class SchemaColumn:
 
     @property
     def width(self) -> int:
-        return 1 if self.kind == "binary" else len(self.levels) - 1
+        return len(self.levels) - 1
 
     def encoded_names(self) -> list[str]:
-        if self.kind == "binary":
-            other = next(v for v in self.levels if v != self.reference)
-            return [f"{self.name}={other}"]
         return [f"{self.name}={v}" for v in self.levels if v != self.reference]
 
     def encode_cell(self, value: str) -> list[float]:
         if value not in self.levels:
             raise UnknownLevel(f"column {self.name!r}: value {value!r} is not a declared level")
-        if self.kind == "binary":
-            return [1.0 if value != self.reference else -1.0]
         return [1.0 if value == lvl else -1.0 for lvl in self.levels if lvl != self.reference]
 
 

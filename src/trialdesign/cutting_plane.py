@@ -149,8 +149,6 @@ def solve_exact(
         Z.append(z_new)
         cut_pairs.append((float(z_new @ F.gram_inverse @ z_new), upsilon(F, z_new)))
 
-    wall = time.monotonic() - t0
-
     # a finished separation already maximized over the hypercube; one
     # stopped at a limit only bounds the design's value from below
     cube_value = best_delta if best_finished else surrogate_value(F, best_x)[0]
@@ -194,7 +192,7 @@ def solve_exact(
         surrogate_value=float(surr),
         original_value=orig,
         status="optimal" if converged else "incumbent",
-        wall_time=wall,
+        wall_time=time.monotonic() - t0,
         seed=limits.seed,
         n=n,
         p=p,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from trialdesign.bqp import MOVE_RTOL, PG_CHECK_EVERY, PG_MAX_ITER, PG_RTOL
+from trialdesign.bqp import MOVE_RTOL, PG_MAX_ITER, PG_RTOL
 
 # HYPOTHESIS_PROFILE=ci runs the property tests on a fixed example
 # sequence, so a failure replays with the same examples; other runs keep
@@ -225,27 +225,17 @@ def naive_batched_pg(
     hi: float,
     step: float,
     deadline: float,
-    stop_above: float | None = None,
-    group_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain projected gradient per cut, with dense products on every step.
 
     Reference for the solver's accelerated loop: the same stop rules
-    (relative decrease below PG_RTOL, the periodic prune check, the
-    deadline) and the same certificate, f(y) plus the exact minimum of
-    the gradient step over the feasible set, at the final iterate.
+    (relative decrease below PG_RTOL, the deadline) and the same
+    certificate, f(y) plus the exact minimum of the gradient step over
+    the feasible set, at the final iterate.
     """
-    L = np.broadcast_to(l, Y0.shape)
-    U = np.broadcast_to(u, Y0.shape)
-
-    def certified(Y, f):
-        G = 2.0 * np.einsum("kij,kj->ki", A, Y)
-        linmin = np.array([naive_linear_min(G[r], L[r], U[r], lo, hi) for r in range(len(G))])
-        return f + linmin - np.einsum("ki,ki->k", G, Y)
-
     Y = naive_project_rows(Y0, l, u, lo, hi)
     f = c + np.einsum("kij,ki,kj->k", A, Y, Y)
-    for it in range(1, PG_MAX_ITER + 1):
+    for _ in range(PG_MAX_ITER):
         G = 2.0 * np.einsum("kij,kj->ki", A, Y)
         Y = naive_project_rows(Y - step * G, l, u, lo, hi)
         f_new = c + np.einsum("kij,ki,kj->k", A, Y, Y)
@@ -253,12 +243,11 @@ def naive_batched_pg(
         f = f_new
         if improvement < PG_RTOL or time.monotonic() > deadline:
             break
-        if stop_above is not None and it % PG_CHECK_EVERY == 0:
-            bounds = certified(Y, f)
-            gs = group_size if group_size is not None else bounds.shape[0]
-            if float(bounds.reshape(-1, gs).max(axis=1).min()) >= stop_above:
-                return Y, bounds
-    return Y, certified(Y, f)
+    L = np.broadcast_to(l, Y0.shape)
+    U = np.broadcast_to(u, Y0.shape)
+    G = 2.0 * np.einsum("kij,kj->ki", A, Y)
+    linmin = np.array([naive_linear_min(G[r], L[r], U[r], lo, hi) for r in range(len(G))])
+    return Y, f + linmin - np.einsum("ki,ki->k", G, Y)
 
 
 def naive_branch_and_bound(

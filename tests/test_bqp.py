@@ -19,8 +19,8 @@ from trialdesign.bqp import (
     CutSet,
     _batched_pg,
     _BoxSumProjector,
-    _corner_bounds,
     _descent,
+    _root_bound,
     minimize_max_quadratic,
 )
 from trialdesign.inner_max import InnerMaxProblem, solve_inner_max
@@ -215,7 +215,8 @@ class TestMasterContract:
 
     lower_bound <= optimum <= value; optimal means value - lower_bound <=
     epsilon; and lower_bound >= min(value, root bound), the root bound
-    being max(max c, the interval bound at the root).
+    being max(max c, the interval bound at the root), itself at most the
+    optimum.
     """
 
     @staticmethod
@@ -237,10 +238,8 @@ class TestMasterContract:
         ]
         for cuts in self.cut_sets():
             ref = brute_value(cuts)
-            corner = _corner_bounds(
-                cuts.constants, cuts.matrices, cuts.diagonals, np.zeros(cuts.n, dtype=np.int8)
-            )
-            root = max(float(cuts.constants.max()), float(corner.max()))
+            root = _root_bound(cuts)
+            assert root <= ref
             for solve in solves:
                 res = solve(cuts)
                 assert res.lower_bound <= ref + 1e-9
@@ -525,14 +524,13 @@ class TestDescentOracle:
 
 class TestNodeBounds:
     def test_relaxation_bounds_stay_below_subcube_minimum(self):
-        # both node bounds must under-estimate the best balanced completion
+        # the node bound must under-estimate the best balanced completion
         rng = np.random.default_rng(83)
         deadline = time.monotonic() + 30.0
         for _ in range(20):
             n, k = 10, int(rng.integers(1, 4))
             cuts = random_cuts(n, k, rng)
             c, A = cuts.constants, cuts.matrices
-            diag = np.einsum("kii->ki", A).copy()
 
             source = rng.permutation(np.repeat([1.0, -1.0], n // 2))
             fixed = np.zeros(n, dtype=np.int8)
@@ -552,9 +550,6 @@ class TestNodeBounds:
                 c, A, np.tile(source, (k, 1)), L, U, 0, 0, step, deadline
             )
             assert float(pg.max()) <= true_min + 1e-8
-
-            corner = _corner_bounds(c, A, diag, fixed)
-            assert float(corner.max()) <= true_min + 1e-8
 
 
 def pinned_box(n: int, k: int, nfix: int, rng: np.random.Generator):
@@ -649,7 +644,7 @@ class TestRelaxationOracle:
             short_old.extend(ref - old)
         assert np.median(short_new) <= np.median(short_old)
 
-    def test_prune_exit_bounds_are_valid(self):
+    def test_stacked_node_bounds_are_valid(self):
         for cuts, L, U, lo, hi, step, Y0, source, pinned in self.cases(12):
             c, A = cuts.constants, cuts.matrices
             corners = balanced_corners(cuts.n)
@@ -660,7 +655,6 @@ class TestRelaxationOracle:
             _, bounds = _batched_pg(
                 np.tile(c, 2), np.concatenate([A, A]), np.tile(Y0, (2, 1)),
                 np.tile(L, (2, 1)), np.tile(U, (2, 1)), lo, hi, step, np.inf,
-                stop_above=float(true_min.max()) - 1e-3, group_size=k,
             )
             assert np.all(bounds.reshape(2, k) <= true_min + 1e-9)
 

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from trialdesign import baselines
+from trialdesign.baselines import rand_benchmark
 from trialdesign.cli import main
 from trialdesign.report import (
     DesignReport,
@@ -294,6 +296,31 @@ class TestEvaluate:
         assert code == 0
         assert doc["surrogate_value"] == design_doc["surrogate_value"]
         assert doc["original_value"] == design_doc["original_value"]
+
+    def test_rand_allocations_drawn_once(self, tmp_path, capsys, monkeypatch):
+        matrix = tmp_path / "m.csv"
+        alloc_path = tmp_path / "alloc.csv"
+        run_cli(capsys, "synth", "--n", "20", "--p", "4", "--seed", "1", "--out", str(matrix))
+        write_allocation_csv(alloc_path, Allocation(np.resize([1, -1], 20)))
+        draws = []
+        draw = baselines.random_balanced_signs
+
+        def counted(*args, **kwargs):
+            draws.append(1)
+            return draw(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "random_balanced_signs", counted)
+            code, doc, _ = run_cli(
+                capsys, "evaluate", "--matrix", str(matrix), "--allocation", str(alloc_path),
+                "--replicates", "5", "--seed", "3", "--skip-variance",
+            )
+        assert code == 0
+        assert len(draws) == 5
+        H = read_matrix_csv(matrix)
+        for name, block in doc["rand"].items():
+            ref = rand_benchmark(H, objective=name, replicates=5, seed=3)
+            assert block["quantiles"] == ref.to_dict()["quantiles"]
 
     def test_variance_csv_written(self, toy_csv, tmp_path, capsys):
         alloc_path = tmp_path / "alloc.csv"

@@ -191,6 +191,25 @@ class TestSchema:
         assert np.array_equal(matrix.data, [[1.0, 1.0], [1.0, -1.0]])
         assert matrix.columns == ("intercept", "inducer=Yes")
 
+    @pytest.mark.parametrize("reference", [None, "No", "Yes"])
+    def test_binary_encodes_as_two_level_categorical(self, reference):
+        rows = [{"inducer": v} for v in ("Yes", "No", "No", "Yes", "No")]
+        matrices = [
+            encode_rows(
+                rows,
+                CovariateSchema(
+                    columns=(
+                        SchemaColumn(
+                            name="inducer", kind=kind, levels=("No", "Yes"), reference=reference
+                        ),
+                    )
+                ),
+            )
+            for kind in ("binary", "categorical")
+        ]
+        assert np.array_equal(matrices[0].data, matrices[1].data)
+        assert matrices[0].columns == matrices[1].columns
+
     def test_drop_one_coding(self):
         col = SchemaColumn(
             name="x", kind="categorical", levels=("A", "B", "C"), reference="C"

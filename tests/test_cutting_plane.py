@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from conftest import brute_bilevel_surrogate, random_design
-from trialdesign import bqp
+from trialdesign import bqp, cutting_plane
 from trialdesign.covariates import SyntheticSpec, generate_synthetic, matrix_hash
 from trialdesign.cutting_plane import solve_exact
 from trialdesign.limits import SolveLimits
@@ -195,6 +197,16 @@ class TestBudgets:
         value, _ = surrogate_value(H, report.allocation)
         assert report.surrogate_value == pytest.approx(value, abs=1e-12)
         assert report.diagnostics["hypercube_value"] == report.surrogate_value
+
+    def test_wall_time_includes_the_report_evaluation(self, toy_design, monkeypatch):
+        evaluate = cutting_plane.original_value
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cutting_plane, "original_value", slow)
+        assert solve_exact(toy_design).wall_time >= 0.2
 
     def test_tight_budget_returns_incumbent(self):
         rng = np.random.default_rng(7)
