@@ -90,6 +90,7 @@ def solve_exact(
     theta_lb = -np.inf  # best certified master bound
     master_nodes = 0
     prev_x = None
+    continue_from: BqpResult | None = None
     converged = False
     iteration = 0
     sub_method = None
@@ -101,8 +102,10 @@ def solve_exact(
         iteration += 1
         master_limits = replace(limits, time_limit=max(remaining, 0.05), mode=mode_now)
         master: BqpResult = minimize_max_quadratic(
-            CutSet.from_pairs(cut_pairs), master_limits, warm_start=prev_x
+            CutSet.from_pairs(cut_pairs), master_limits, warm_start=prev_x,
+            incumbent=continue_from,
         )
+        continue_from = None
         theta = master.value
         x_m = master.x_star
         prev_x = x_m
@@ -137,8 +140,10 @@ def solve_exact(
                 and deadline - time.monotonic() > 0.05
             ):
                 # the heuristic master did not certify: re-run the loop
-                # with exact masters while budget remains
+                # with exact masters while budget remains, the first of
+                # them continuing from this master on the same cuts
                 mode_now = "exact"
+                continue_from = master
                 continue
             break
         z_new = sub.z_star

@@ -68,7 +68,8 @@ def solve_lb(
         "bqp_status": result.status,
         "nodes": result.nodes,
         "restarts": result.restarts,
-        "gap": float(result.gap),
+        # in the units of lb_objective and lb_lower_bound
+        "gap": float(result.gap / n),
         "mode_resolved": resolved,
         "confounded": confounded,
     }

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from trialdesign.bqp import MOVE_RTOL, PG_MAX_ITER, PG_RTOL
+from trialdesign.bqp import MOVE_RTOL, PG_MAX_ITER, PG_RTOL, _exact_cut_values
 
 # HYPOTHESIS_PROFILE=ci runs the property tests on a fixed example
 # sequence, so a failure replays with the same examples; other runs keep
@@ -109,7 +109,10 @@ def naive_descent(
 
     Reference for the heuristic's slot-indexed descent: the same moves,
     the same tie rule (row-major argmin over sorted index sets, so the
-    smallest (plus, minus) pair wins) and the same arithmetic order.
+    smallest (plus, minus) pair wins) and the same arithmetic order.  The
+    closing value comes from the solver's own ``_exact_cut_values``, whose
+    BLAS products round as the descent's do; the tests check that helper
+    against the three-operand einsum separately.
     """
     K = A.shape[0]
     x = x0.astype(float).copy()
@@ -152,7 +155,7 @@ def naive_descent(
         for idx in best_move:
             x[idx] = -x[idx]
         f = c + g @ x
-    return x, float((c + np.einsum("kij,i,j->k", A, x, x)).max())
+    return x, float(_exact_cut_values(c, A, x).max())
 
 
 def naive_project_rows(

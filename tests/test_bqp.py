@@ -394,7 +394,7 @@ class TestMasterEnumeration:
         assert small.restarts == 0
         # past the cutover the branch and bound continues from a descent
         large = minimize_max_quadratic(random_cuts(10, 2, rng), SolveLimits(mode="exact"))
-        assert large.restarts >= bqp.MIN_RESTARTS
+        assert large.restarts == bqp.RESTARTS
 
     def test_default_mode_resolves_per_n(self, monkeypatch):
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
@@ -463,6 +463,87 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="balanced"):
             minimize_max_quadratic(
                 cuts, SolveLimits(mode="heuristic"), warm_start=[1.0, 1.0, 1.0, -1.0]
+            )
+
+
+class TestRestarts:
+    """One count of seeded descents at every n, plus the warm start."""
+
+    @pytest.mark.parametrize("n", [40, 200, 600])
+    def test_count_does_not_grow_with_n(self, n, monkeypatch):
+        starts = []
+
+        def stub(c, A, diag, x0, deadline):
+            starts.append(x0)
+            return x0, float(bqp._exact_cut_values(c, A, x0).max())
+
+        monkeypatch.setattr(bqp, "_descent", stub)
+        cuts = CutSet(constants=np.zeros(1), matrices=np.eye(n)[None])
+        cold = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"))
+        assert cold.restarts == len(starts) == bqp.RESTARTS == 32
+        starts.clear()
+        warm = np.tile([1, -1], n // 2)
+        res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"), warm_start=warm)
+        assert res.restarts == len(starts) == 33
+        assert np.array_equal(starts[0], warm)
+
+
+class TestExactCutValues:
+    """The closing value's BLAS products agree with the 3-operand einsum."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    @pytest.mark.parametrize("n", [6, 7, 41, 200, 600])
+    def test_matches_three_operand_einsum(self, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        B = rng.normal(size=(k, n, min(n, 40)))
+        A = B @ B.transpose(0, 2, 1)
+        c = rng.uniform(0.0, 1.0, size=k)
+        for _ in range(3):
+            x = rng.choice([-1.0, 1.0], size=n)
+            np.testing.assert_allclose(
+                bqp._exact_cut_values(c, A, x),
+                c + np.einsum("kij,i,j->k", A, x, x),
+                rtol=1e-12,
+                atol=0.0,
+            )
+
+
+class TestIncumbentContinuation:
+    """An exact solve past the cutover can continue from a heuristic result."""
+
+    def test_continues_without_a_descent(self, monkeypatch):
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
+        rng = np.random.default_rng(257)
+        cuts = random_cuts(14, 3, rng)
+        heur = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"))
+        assert heur.status == "incumbent"
+        fresh = minimize_max_quadratic(cuts, SolveLimits(mode="exact"), warm_start=heur.x_star)
+
+        def forbidden(*args):
+            raise AssertionError("the continued solve ran a descent")
+
+        monkeypatch.setattr(bqp, "_descent", forbidden)
+        cont = minimize_max_quadratic(
+            cuts, SolveLimits(mode="exact"), warm_start=heur.x_star, incumbent=heur
+        )
+        assert cont.x_star.x.tolist() == fresh.x_star.x.tolist()
+        assert (cont.value, cont.lower_bound, cont.status, cont.nodes) == (
+            fresh.value, fresh.lower_bound, fresh.status, fresh.nodes,
+        )
+        assert cont.nodes > 0
+        assert (cont.restarts, fresh.restarts) == (0, 33)
+
+    def test_only_branch_and_bound_takes_an_incumbent(self, monkeypatch):
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
+        rng = np.random.default_rng(263)
+        small, large = random_cuts(8, 2, rng), random_cuts(10, 2, rng)
+        heur = minimize_max_quadratic(large, SolveLimits(mode="heuristic"))
+        for cuts, mode in ((large, "heuristic"), (small, "exact"), (large, "auto")):
+            with pytest.raises(ValueError, match="incumbent"):
+                minimize_max_quadratic(cuts, SolveLimits(mode=mode), incumbent=heur)
+        with pytest.raises(ValueError, match="incumbent"):
+            minimize_max_quadratic(
+                random_cuts(12, 2, rng), SolveLimits(mode="exact"), incumbent=heur
             )
 
 

@@ -161,8 +161,8 @@ class TestLowerBound:
 
         masters = []
 
-        def spy(cuts, limits, warm_start=None):
-            result = bqp.minimize_max_quadratic(cuts, limits, warm_start)
+        def spy(cuts, limits, warm_start=None, incumbent=None):
+            result = bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
             masters.append((cuts, limits.mode, result))
             return result
 
@@ -177,6 +177,41 @@ class TestLowerBound:
         assert report.diagnostics["lower_bound"] >= max(
             min(r.value, float(c.constants.max())) for c, _, r in masters
         )
+
+    def test_verification_master_runs_no_descent(self, monkeypatch):
+        # the first exact master solves the converged heuristic master's
+        # cut set again, so it continues from that master's result
+        descents = []
+        real_descent = bqp._descent
+
+        def count(*args):
+            descents[-1] += 1
+            return real_descent(*args)
+
+        masters = []
+
+        def spy(cuts, limits, warm_start=None, incumbent=None):
+            descents.append(0)
+            result = bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
+            masters.append((limits.mode, incumbent, result))
+            return result
+
+        monkeypatch.setattr(bqp, "_descent", count)
+        monkeypatch.setattr(cutting_plane, "minimize_max_quadratic", spy)
+        rng = np.random.default_rng(17)
+        H = random_design(60, 5, rng)
+        report = solve_exact(H, SolveLimits(node_limit=10, time_limit=60.0))
+        assert report.diagnostics["master_mode_final"] == "exact"
+        first = [mode for mode, _, _ in masters].index("exact")
+        assert first > 0
+        # heuristic masters: the seeded descents, and the warm start after the first
+        assert descents[:first] == [bqp.RESTARTS] + [bqp.RESTARTS + 1] * (first - 1)
+        _, incumbent, verify = masters[first]
+        assert incumbent is masters[first - 1][2]
+        assert descents[first] == 0 and verify.restarts == 0
+        assert verify.nodes > 0
+        history = report.diagnostics["history"]
+        assert history[first][:2] == history[first - 1][:2]
 
     def test_bound_never_passes_the_value(self):
         # the certified master theta rounded one ulp above the separation's

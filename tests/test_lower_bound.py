@@ -117,6 +117,19 @@ class TestModes:
         assert report.parameters["mode"] == "heuristic"
         assert report.diagnostics["restarts"] >= 32
 
+    def test_restarts_stay_at_32_past_n_128(self):
+        H = generate_synthetic(SyntheticSpec(n=200, p=4, seed=0))
+        report = solve_lb(H)
+        assert report.diagnostics["mode_resolved"] == "heuristic"
+        assert report.diagnostics["restarts"] == bqp.RESTARTS == 32
+
+    def test_gap_is_in_objective_units(self):
+        # the bqp gap was 0.0220 here, against an objective gap of 0.000367
+        H = generate_synthetic(SyntheticSpec(n=60, p=5, seed=1))
+        d = solve_lb(H).diagnostics
+        assert d["gap"] == pytest.approx(d["lb_objective"] - d["lb_lower_bound"], rel=1e-9)
+        assert 3e-4 < d["gap"] < 4e-4
+
 
 class TestReportFields:
     def test_echoes_inputs(self, toy_design):
