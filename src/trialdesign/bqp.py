@@ -93,7 +93,7 @@ class CutSet:
 
     def __post_init__(self) -> None:
         cons = np.asarray(self.constants, dtype=float).copy()
-        mats = np.asarray(self.matrices, dtype=float).copy()
+        mats = np.asarray(self.matrices, dtype=float)
         if cons.ndim != 1 or cons.size == 0:
             raise ValueError("constants must be a non-empty vector")
         if mats.ndim != 3 or mats.shape[0] != cons.size or mats.shape[1] != mats.shape[2]:
@@ -103,6 +103,7 @@ class CutSet:
         asym = np.max(np.abs(mats - mats.transpose(0, 2, 1)))
         if asym > CUT_PSD_ATOL:
             raise ValueError(f"cut matrices must be symmetric, max asymmetry {asym:.3e}")
+        # a new array: the caller's stack is read, never stored or written
         mats = (mats + mats.transpose(0, 2, 1)) / 2.0
         high = np.empty(cons.size)
         for k in range(cons.size):
@@ -192,7 +193,7 @@ def _descent(
     index) pair whatever the slot order.
     """
     K = A.shape[0]
-    x = x0.astype(float).copy()
+    x = x0.astype(float)
     g = A @ x
     f = c + g @ x
     S8 = None
@@ -272,7 +273,7 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
         xv, val = _descent(cuts.constants, cuts.matrices, cuts.diagonals, x0, deadline)
         xc = _canonical(xv)
         if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
-            best_x, best_val = xc.copy(), val
+            best_x, best_val = xc, val
     root_bound = _root_bound(cuts)
     status = "optimal" if best_val <= root_bound + limits.epsilon else "incumbent"
     lower = min(best_val, root_bound)
@@ -401,6 +402,11 @@ def _batched_pg(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run accelerated projected gradient per cut; return iterates and certified bounds.
 
+    c and A hold K cuts, and the rows of Y0 (with those of the bounds l
+    and u) come in groups of K: row g K + k relaxes cut k.  So one
+    (K, n, n) stack serves any number of stacked groups, and a stack with
+    one cut per row is the case of a single group.
+
     FISTA with gradient restart: a row steps from its extrapolated point
     Z to the new iterate X = proj(Z - step * 2 A Z), then extrapolates
     Z = X + beta (X - Y) from its previous iterate Y.  A row whose step
@@ -412,15 +418,16 @@ def _batched_pg(
     PG_MAX_ITER iterations or at the deadline; the bounds are certified
     once, at the final iterate.
     """
+    c = np.tile(c, Y0.shape[0] // c.size)
     project = _BoxSumProjector(l, u, lo, hi, Y0.shape[0])
     Y = project(Y0)
-    AY = np.matmul(A, Y[:, :, None])[:, :, 0]
+    AY = np.matmul(A, Y.reshape(-1, *A.shape[:2], 1)).reshape(Y.shape)
     f = c + np.einsum("ki,ki->k", Y, AY)
     Z, AZ = Y, AY
     t = np.ones(Y.shape[0])
     for _ in range(PG_MAX_ITER):
         X = project(Z - (2.0 * step) * AZ)
-        AX = np.matmul(A, X[:, :, None])[:, :, 0]
+        AX = np.matmul(A, X.reshape(-1, *A.shape[:2], 1)).reshape(X.shape)
         f_new = c + np.einsum("ki,ki->k", X, AX)
         change = float(np.max(np.abs(f - f_new) / np.maximum(1.0, np.abs(f))))
         D = X - Y
@@ -446,13 +453,8 @@ def _root_bound(cuts: CutSet) -> float:
     root relaxation is max(c) exactly.  The interval bound relaxes every
     off-diagonal product x_i x_j to -|A_ij|, and may beat it.
     """
-    # column-major operands sum each cut in one running sum rather than
-    # numpy's pairwise blocks; that order fixes the bound's last bits,
-    # which every master's lower bound and status carry
-    c = cuts.constants
-    A = np.asfortranarray(cuts.matrices)
-    diag = np.asfortranarray(cuts.diagonals)
-    offdiag = np.abs(A).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
+    c, diag = cuts.constants, cuts.diagonals
+    offdiag = np.abs(cuts.matrices).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
     corner = c + diag.sum(axis=1) - offdiag
     return max(float(c.max()), float(corner.max()))
 
@@ -635,12 +637,9 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
         if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
             best_x, best_val = xc.copy(), val
 
-    # nodes sharing one projected-gradient call are stacked K rows apiece
-    c2 = np.concatenate([c, c])
-    A2 = np.concatenate([A, A], axis=0)
-
     def relax_nodes(pending: list, warm: np.ndarray) -> list:
-        # pending: fixings per node; warm: parent iterates (K, n)
+        # pending: fixings per node; warm: parent iterates (K, n); the
+        # nodes share one projected-gradient call, stacked K rows apiece
         r = len(pending)
         L = np.empty((r * K, n))
         U = np.empty((r * K, n))
@@ -650,8 +649,8 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
             L[g * K : (g + 1) * K] = np.where(free, -1.0, xf)
             U[g * K : (g + 1) * K] = np.where(free, 1.0, xf)
         Y, pg = _batched_pg(
-            c2[: r * K],
-            A2[: r * K],
+            c,
+            A,
             np.concatenate([warm] * r, axis=0),
             L,
             U,

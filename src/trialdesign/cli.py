@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -128,30 +127,34 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _rand_block(F, args, space):
+    """Both RAND benchmarks on one draw of args.replicates allocations: the
+    allocations, replicate 0's value per objective, and a summary per objective."""
+    allocations = random_balanced_allocations(F.n, args.replicates, args.seed)
+    keys = ("quantiles", "confounded", "unfinished", "separation_nodes")
+    first, summary = {}, {}
+    for name in ("surrogate", "original"):
+        doc = rand_benchmark(F, objective=name, space=space, allocations=allocations).to_dict()
+        first[name] = doc["values"][0]  # None where it confounds
+        summary[name] = {key: doc[key] for key in keys}
+    return allocations, first, summary
+
+
 def _rand_design_report(A, args, space) -> DesignReport:
     t0 = time.monotonic()
-    F = spectral_cache(A)
-    allocations = random_balanced_allocations(A.shape[0], args.replicates, args.seed)
-    benches = {
-        name: rand_benchmark(F, objective=name, space=space, allocations=allocations)
-        for name in ("surrogate", "original")
-    }
     # the report shows replicate 0, whose values the benchmarks hold
-    surr = float(benches["surrogate"].values[0])
-    orig = float(benches["original"].values[0])  # NaN where it confounds
+    allocations, first, summary = _rand_block(spectral_cache(A), args, space)
     diagnostics = {
         "replicates": args.replicates,
-        "quantiles": {name: b.to_dict()["quantiles"] for name, b in benches.items()},
-        "confounded": {name: b.confounded for name, b in benches.items()},
-        "unfinished": {name: b.unfinished for name, b in benches.items()},
-        "separation_nodes": {name: b.separation_nodes for name, b in benches.items()},
+        # the design report groups the summaries by field, not by objective
+        **{key: {name: s[key] for name, s in summary.items()} for key in summary["surrogate"]},
         "note": "allocation is the first replicate; quantiles summarize all of them",
     }
     return DesignReport(
         method="RAND",
         allocation=allocations[0],
-        surrogate_value=surr,
-        original_value=None if math.isnan(orig) else orig,
+        surrogate_value=first["surrogate"],
+        original_value=first["original"],
         status="sampled",
         wall_time=time.monotonic() - t0,
         seed=args.seed,
@@ -219,20 +222,7 @@ def cmd_evaluate(args) -> int:
         "original_worst_z": None if orig_z is None else [float(v) for v in orig_z],
         "lb_value": float(lb_value(F, allocation)),
     }
-    allocations = random_balanced_allocations(A.shape[0], args.replicates, args.seed)
-    benches = {
-        name: rand_benchmark(F, objective=name, space=space, allocations=allocations)
-        for name in ("surrogate", "original")
-    }
-    doc["rand"] = {
-        name: {
-            "quantiles": b.to_dict()["quantiles"],
-            "confounded": b.confounded,
-            "unfinished": b.unfinished,
-            "separation_nodes": b.separation_nodes,
-        }
-        for name, b in benches.items()
-    }
+    _, _, doc["rand"] = _rand_block(F, args, space)
     if not args.skip_variance:
         vr = variance_reduction(
             F, allocation, z0_count=args.z0_count,

@@ -305,11 +305,14 @@ def encode_csv(path, schema: CovariateSchema) -> CovariateMatrix:
     Header must contain every schema column; extra CSV columns are
     ignored so outcome or id columns can ride along.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        absent = [c.name for c in schema.columns if c.name not in header]
-        if absent:
-            raise ValueError(f"CSV header is missing schema columns: {absent}")
-        records = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            absent = [c.name for c in schema.columns if c.name not in header]
+            if absent:
+                raise ValueError(f"CSV header is missing schema columns: {absent}")
+            records = list(reader)
+    except csv.Error as err:
+        raise ValueError(f"{path}: {err}") from None
     return encode_rows(records, schema)

@@ -193,8 +193,7 @@ def variance_reduction(
             dtype=float,
         )
         sigma, reasons = sigma_beta_stack(F, X)
-        if reasons:
-            sigma = np.delete(sigma, list(reasons), axis=0)
+        sigma = np.delete(sigma, list(reasons), axis=0)
         mean_sigma += sigma.sum(axis=0)
         accepted += len(sigma)
         redraws += len(reasons)

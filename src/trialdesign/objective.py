@@ -314,8 +314,6 @@ def _complement_inverse(C: np.ndarray, gram_max: float) -> tuple[np.ndarray, dic
     # with sigma_beta_stack's confounding test
     tau = CONFOUND_RTOL * gram_max
     cleared = _cholesky_cleared(C - 2.0 * tau * np.eye(C.shape[-1]))
-    if cleared.all():
-        return _sym(np.linalg.inv(C)), {}
     sigma = np.full_like(C, np.nan)
     if cleared.any():
         sigma[cleared] = _sym(np.linalg.inv(C[cleared]))

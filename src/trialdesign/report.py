@@ -124,8 +124,11 @@ def write_matrix_csv(path, matrix, columns: tuple[str, ...] | None = None) -> No
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a numeric CSV, skipping a header row when one is present."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except csv.Error as err:
+        raise ValueError(f"{path}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     start = 0

@@ -91,6 +91,18 @@ class TestCutSet:
         cuts = CutSet(constants=np.zeros(1), matrices=A[None])
         assert cuts.matrices[0, 0, 1] == cuts.matrices[0, 1, 0]
 
+    def test_leaves_the_callers_arrays_alone(self):
+        rng = np.random.default_rng(5)
+        source = random_cuts(6, 2, rng)
+        c, A = source.constants.copy(), source.matrices.copy()
+        A[0, 0, 1] += 1e-10  # symmetrized on the way in
+        c_before, A_before = c.copy(), A.copy()
+        cuts = CutSet(constants=c, matrices=A)
+        assert c.flags.writeable and A.flags.writeable
+        assert np.array_equal(c, c_before) and np.array_equal(A, A_before)
+        for stored, given in ((cuts.constants, c), (cuts.matrices, A)):
+            assert not np.shares_memory(stored, given)
+
 
 class TestResult:
     def test_rejects_value_below_bound(self):
@@ -738,6 +750,20 @@ class TestRelaxationOracle:
                 np.tile(L, (2, 1)), np.tile(U, (2, 1)), lo, hi, step, np.inf,
             )
             assert np.all(bounds.reshape(2, k) <= true_min + 1e-9)
+
+    def test_one_stack_serves_stacked_groups(self):
+        # one (K, n, n) stack over two groups of K rows gives the bits of
+        # the stack repeated once per group
+        for cuts, L, U, lo, hi, step, Y0, _, _ in self.cases(12):
+            c, A = cuts.constants, cuts.matrices
+            Y0 = np.concatenate([Y0, -Y0])
+            L2, U2 = np.tile(L, (2, 1)), np.tile(U, (2, 1))
+            shared = _batched_pg(c, A, Y0, L2, U2, lo, hi, step, np.inf)
+            repeated = _batched_pg(
+                np.tile(c, 2), np.concatenate([A, A]), Y0, L2, U2, lo, hi, step, np.inf
+            )
+            for got, want in zip(shared, repeated):
+                assert np.array_equal(got, want)
 
     def test_iterates_follow_fista_with_gradient_restart(self, monkeypatch):
         # rebuild each extrapolated point from the recorded iterates with

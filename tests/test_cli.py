@@ -145,6 +145,25 @@ class TestEncode:
         assert doc["columns"] == ["intercept", f"flag={levels[1]}"]
         assert read_matrix_csv(out)[:, 1].tolist() == [-1.0, 1.0, 1.0, -1.0]
 
+    def test_oversized_csv_field_is_reported(self, tmp_path, capsys):
+        # a cell past the csv module's field limit raised csv.Error
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("id,sex\n1,M\n2," + "F" * 200_000 + "\n")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(
+            json.dumps({"columns": [{"name": "sex", "kind": "binary", "levels": ["F", "M"]}]})
+        )
+        code, doc, err = run_cli(
+            capsys, "encode", "--csv", str(csv_path),
+            "--schema", str(schema_path), "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 1
+        assert doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(str(csv_path))
+        assert "field larger than field limit" in error["message"]
+
 
 class TestDesign:
     @pytest.mark.parametrize(
@@ -252,6 +271,20 @@ class TestDesign:
         assert code == 1
         assert doc is None
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+    def test_oversized_matrix_field_is_reported(self, tmp_path, capsys):
+        # a cell past the csv module's field limit raised csv.Error
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("intercept,x1\n1,1\n1," + "1" * 200_000 + "\n")
+        code, doc, err = run_cli(
+            capsys, "design", "--matrix", str(matrix), "--method", "lb",
+        )
+        assert code == 1
+        assert doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(str(matrix))
+        assert "field larger than field limit" in error["message"]
 
 
 class TestEvaluate:

@@ -7,6 +7,7 @@ from conftest import brute_bilevel_surrogate, random_design
 from trialdesign import bqp, cutting_plane
 from trialdesign.covariates import SyntheticSpec, generate_synthetic, matrix_hash
 from trialdesign.cutting_plane import solve_exact
+from trialdesign.inner_max import solve_inner_max
 from trialdesign.limits import SolveLimits
 from trialdesign.objective import CovariateSpace, surrogate_value
 
@@ -212,6 +213,36 @@ class TestLowerBound:
         assert verify.nodes > 0
         history = report.diagnostics["history"]
         assert history[first][:2] == history[first - 1][:2]
+
+    def test_verification_master_reuses_the_separation(self, monkeypatch):
+        # the first exact master returns the allocation just separated, so
+        # its iteration reuses that separation
+        masters, separations = [], []
+
+        def spy(cuts, limits, warm_start=None, incumbent=None):
+            result = bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
+            masters.append(result)
+            return result
+
+        def count(problem, **kwargs):
+            separations.append(problem)
+            return solve_inner_max(problem, **kwargs)
+
+        monkeypatch.setattr(cutting_plane, "minimize_max_quadratic", spy)
+        monkeypatch.setattr(cutting_plane, "solve_inner_max", count)
+        rng = np.random.default_rng(17)
+        H = random_design(60, 5, rng)
+        report = solve_exact(H, SolveLimits(node_limit=10, time_limit=60.0))
+        assert report.diagnostics["master_mode_final"] == "exact"
+        assert len(separations) == len(masters) - 1
+        history = report.diagnostics["history"]
+        assert len(history) == len(masters)
+        repeats = [
+            i for i in range(1, len(masters))
+            if np.array_equal(masters[i].x_star.x, masters[i - 1].x_star.x)
+        ]
+        assert len(repeats) == 1
+        assert history[repeats[0]][:2] == history[repeats[0] - 1][:2]
 
     def test_bound_never_passes_the_value(self):
         # the certified master theta rounded one ulp above the separation's
