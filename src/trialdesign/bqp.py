@@ -105,12 +105,12 @@ class CutSet:
             raise ValueError(f"cut matrices must be symmetric, max asymmetry {asym:.3e}")
         # a new array: the caller's stack is read, never stored or written
         mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        high = np.empty(cons.size)
-        for k in range(cons.size):
-            eig = np.linalg.eigvalsh(mats[k])
-            if eig[0] < -CUT_PSD_ATOL:
-                raise ValueError(f"cut {k} is not PSD: smallest eigenvalue {eig[0]:.3e}")
-            high[k] = eig[-1]
+        eig = np.linalg.eigvalsh(mats)
+        bad = np.flatnonzero(eig[:, 0] < -CUT_PSD_ATOL)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"cut {k} is not PSD: smallest eigenvalue {eig[k, 0]:.3e}")
+        high = eig[:, -1].copy()
         diag = np.einsum("kii->ki", mats).copy()
         for name, arr in (("constants", cons), ("matrices", mats),
                           ("lambda_max", high), ("diagonals", diag)):

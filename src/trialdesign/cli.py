@@ -142,27 +142,19 @@ def _rand_block(F, args, space):
 
 def _rand_design_report(A, args, space) -> DesignReport:
     t0 = time.monotonic()
+    F = spectral_cache(A)
     # the report shows replicate 0, whose values the benchmarks hold
-    allocations, first, summary = _rand_block(spectral_cache(A), args, space)
+    allocations, first, summary = _rand_block(F, args, space)
     diagnostics = {
         "replicates": args.replicates,
         # the design report groups the summaries by field, not by objective
         **{key: {name: s[key] for name, s in summary.items()} for key in summary["surrogate"]},
         "note": "allocation is the first replicate; quantiles summarize all of them",
     }
-    return DesignReport(
-        method="RAND",
-        allocation=allocations[0],
-        surrogate_value=first["surrogate"],
-        original_value=first["original"],
-        status="sampled",
-        wall_time=time.monotonic() - t0,
-        seed=args.seed,
-        n=A.shape[0],
-        p=A.shape[1],
-        matrix_sha256=matrix_hash(A),
-        diagnostics=diagnostics,
-        parameters={"replicates": args.replicates, "space": space.kind},
+    return DesignReport.from_run(
+        "RAND", F, t0, allocation=allocations[0], surrogate_value=first["surrogate"],
+        original_value=first["original"], status="sampled", seed=args.seed,
+        diagnostics=diagnostics, parameters={"replicates": args.replicates, "space": space.kind},
     )
 
 

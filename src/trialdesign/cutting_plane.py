@@ -34,8 +34,7 @@ from .objective import (
     surrogate_value,
     upsilon,
 )
-from .covariates import matrix_hash
-from .report import DesignReport
+from .report import DesignReport, solver_parameters
 
 
 def _seed_vectors(p: int) -> list[np.ndarray]:
@@ -62,8 +61,9 @@ def solve_exact(
 
     Every master reports a status and a lower bound (bqp's contract), and
     the loop reads only those: the bound is the best master bound, and
-    status is "optimal" only when the final master certified its value
-    and the separation solve was exact; hitting a time or node budget
+    status is "optimal" only when the final master certified its value,
+    the separation solve was exact and report_space is the hypercube, the
+    problem the loop certifies; hitting a time or node budget
     downgrades it to "incumbent" with the best design found so far.
     limits.node_limit budgets each master; separations get the remaining
     time only.  One master/separation round always runs, however small
@@ -167,10 +167,8 @@ def solve_exact(
         surr, _ = surrogate_value(F, best_x, report_space)
     try:
         orig, _ = original_value(F, best_x, report_space)
-        confounded = False
     except ConfoundedDesign:
         orig = None
-        confounded = True
 
     # theta and delta round differently, so a certified bound can pass the
     # value it certifies by an ulp; the value is itself a valid bound
@@ -186,26 +184,13 @@ def solve_exact(
         "lower_bound": float(theta_lb),
         "gap": float(cube_value - theta_lb),
         "hypercube_value": float(cube_value),
-        "confounded": confounded,
+        "confounded": orig is None,
     }
-    parameters = {
-        "epsilon": limits.epsilon,
-        "time_limit": limits.time_limit,
-        "node_limit": limits.node_limit,
-        "mode": limits.mode,
-        "space": report_space.kind,
-    }
-    return DesignReport(
-        method="EXACT",
-        allocation=best_x,
-        surrogate_value=float(surr),
-        original_value=orig,
-        status="optimal" if converged else "incumbent",
-        wall_time=time.monotonic() - t0,
-        seed=limits.seed,
-        n=n,
-        p=p,
-        matrix_sha256=matrix_hash(F.matrix),
-        diagnostics=diagnostics,
-        parameters=parameters,
+    # the loop certifies the hypercube problem only: on another space the
+    # hypercube bound bounds nothing, so its design stays an incumbent
+    certified = converged and report_space.kind == "hypercube"
+    return DesignReport.from_run(
+        "EXACT", F, t0, allocation=best_x, surrogate_value=surr, original_value=orig,
+        status="optimal" if certified else "incumbent", seed=limits.seed,
+        diagnostics=diagnostics, parameters=solver_parameters(limits, report_space),
     )

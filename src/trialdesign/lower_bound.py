@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from .bqp import CutSet, minimize_max_quadratic, resolve_mode
-from .covariates import matrix_hash
 from .errors import ConfoundedDesign
 from .limits import SolveLimits
 from .objective import (
@@ -29,7 +28,7 @@ from .objective import (
     spectral_cache,
     surrogate_value,
 )
-from .report import DesignReport
+from .report import DesignReport, solver_parameters
 
 
 def solve_lb(
@@ -56,10 +55,8 @@ def solve_lb(
     surr, _ = surrogate_value(F, x_star, report_space)
     try:
         orig, _ = original_value(F, x_star, report_space)
-        confounded = False
     except ConfoundedDesign:
         orig = None
-        confounded = True
 
     diagnostics = {
         "lb_objective": lb_objective,
@@ -71,26 +68,10 @@ def solve_lb(
         # in the units of lb_objective and lb_lower_bound
         "gap": float(result.gap / n),
         "mode_resolved": resolved,
-        "confounded": confounded,
+        "confounded": orig is None,
     }
-    parameters = {
-        "epsilon": limits.epsilon,
-        "time_limit": limits.time_limit,
-        "node_limit": limits.node_limit,
-        "mode": limits.mode,
-        "space": report_space.kind,
-    }
-    return DesignReport(
-        method="LB_APPROX",
-        allocation=x_star,
-        surrogate_value=float(surr),
-        original_value=orig,
-        status=result.status,
-        wall_time=time.monotonic() - t0,
-        seed=limits.seed,
-        n=n,
-        p=p,
-        matrix_sha256=matrix_hash(F.matrix),
-        diagnostics=diagnostics,
-        parameters=parameters,
+    return DesignReport.from_run(
+        "LB_APPROX", F, t0, allocation=x_star, surrogate_value=surr, original_value=orig,
+        status=result.status, seed=limits.seed, diagnostics=diagnostics,
+        parameters=solver_parameters(limits, report_space),
     )

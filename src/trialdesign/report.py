@@ -2,20 +2,23 @@
 
 Every report carries the content hash of the covariate matrix it was
 computed from plus a full parameter echo, so a stored allocation can be
-re-evaluated against the right input later.
+re-evaluated against the right input later.  EXACT, LB and RAND all
+build theirs with ``DesignReport.from_run``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .covariates import matrix_hash
-from .objective import Allocation
+from .limits import SolveLimits
+from .objective import Allocation, CovariateSpace, SpectralCache
 
 METHODS = ("EXACT", "LB_APPROX", "RAND")
 
@@ -42,6 +45,22 @@ class DesignReport:
             raise ValueError(f"method must be one of {METHODS}")
         if self.allocation.n != self.n:
             raise ValueError("allocation length disagrees with n")
+
+    @classmethod
+    def from_run(
+        cls, method: str, F: SpectralCache, t0: float, *, allocation: Allocation,
+        surrogate_value: float, original_value: float | None, status: str, seed: int,
+        diagnostics: dict, parameters: dict,
+    ) -> "DesignReport":
+        """The report of a run on the factored matrix F that started at t0, a
+        time.monotonic() reading: n, p and matrix_sha256 come from F and
+        wall_time from t0, the rest from the caller."""
+        return cls(
+            method=method, allocation=allocation, surrogate_value=float(surrogate_value),
+            original_value=original_value, status=status, wall_time=time.monotonic() - t0,
+            seed=seed, n=F.n, p=F.p, matrix_sha256=matrix_hash(F.matrix),
+            diagnostics=diagnostics, parameters=parameters,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +110,12 @@ class DesignReport:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def solver_parameters(limits: SolveLimits, space: CovariateSpace) -> dict:
+    """The parameter echo of EXACT and LB: the SolveLimits they read and the report space."""
+    return {"epsilon": limits.epsilon, "time_limit": limits.time_limit,
+            "node_limit": limits.node_limit, "mode": limits.mode, "space": space.kind}
+
+
 def _plain(value):
     """Recursively convert numpy scalars and arrays for JSON."""
     if isinstance(value, dict):
@@ -123,22 +148,31 @@ def write_matrix_csv(path, matrix, columns: tuple[str, ...] | None = None) -> No
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a numeric CSV, skipping a header row when one is present."""
+    """Read a numeric CSV, skipping blank lines and a header row when one is
+    present.  A row whose width differs from the first data row's, or with
+    a non-numeric cell, raises ValueError naming the file and the line."""
+    data, header = [], None
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+            for line, row in enumerate(csv.reader(handle), start=1):
+                if not row:
+                    continue
+                try:
+                    data.append([float(v) for v in row])
+                except ValueError as err:
+                    if data or header is not None:
+                        raise ValueError(f"{path}: line {line}: {err}") from None
+                    header = row
+                    continue
+                if len(row) != len(data[0]):
+                    raise ValueError(
+                        f"{path}: line {line}: expected {len(data[0])} fields, got {len(row)}"
+                    )
     except csv.Error as err:
         raise ValueError(f"{path}: {err}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    start = 0
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        start = 1
-    if start == len(rows):
-        raise ValueError(f"{path}: no data rows")
-    return np.array([[float(v) for v in row] for row in rows[start:]])
+    if not data:
+        raise ValueError(f"{path}: {'empty file' if header is None else 'no data rows'}")
+    return np.array(data)
 
 
 def write_allocation_csv(path, allocation: Allocation) -> None:
@@ -204,6 +238,7 @@ __all__ = [
     "matrix_hash",
     "read_allocation_csv",
     "read_matrix_csv",
+    "solver_parameters",
     "write_allocation_csv",
     "write_matrix_csv",
 ]

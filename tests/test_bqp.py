@@ -81,6 +81,19 @@ class TestCutSet:
         with pytest.raises(ValueError, match="not PSD"):
             CutSet(constants=np.zeros(1), matrices=A[None])
 
+    def test_names_the_first_indefinite_cut(self):
+        bad = np.array([[0.0, 1.0], [1.0, 0.0]])
+        mats = np.stack([np.eye(2), bad, 2.0 * bad])
+        with pytest.raises(ValueError, match=r"cut 1 is not PSD: smallest eigenvalue -1\.000e\+00"):
+            CutSet(constants=np.zeros(3), matrices=mats)
+
+    @pytest.mark.parametrize("n, k", [(5, 8), (60, 3), (200, 2)])
+    def test_stacked_spectrum_matches_each_cut(self, n, k):
+        # the check runs one stacked eigvalsh; each cut alone gives the same bits
+        cuts = random_cuts(n, k, np.random.default_rng(n))
+        for A, top in zip(cuts.matrices, cuts.lambda_max):
+            assert top == np.linalg.eigvalsh(A)[-1]
+
     def test_rejects_non_finite(self):
         A = np.full((2, 2), np.inf)
         with pytest.raises(ValueError, match="finite"):

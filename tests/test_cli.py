@@ -286,6 +286,35 @@ class TestDesign:
         assert error["message"].startswith(str(matrix))
         assert "field larger than field limit" in error["message"]
 
+    @pytest.mark.parametrize(
+        "body",
+        ["intercept,x1\n1,1\n1,-1\n1,1\n1,-1\n\n\n", "intercept,x1\n1,1\n1,-1\n\n1,1\n1,-1\n"],
+        ids=["trailing", "middle"],
+    )
+    def test_blank_matrix_lines_are_skipped(self, body, toy_csv, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(body)
+        code, doc, _ = run_cli(capsys, "design", "--matrix", str(matrix), "--method", "lb")
+        assert code == 0
+        _, clean, _ = run_cli(capsys, "design", "--matrix", str(toy_csv), "--method", "lb")
+        assert doc["allocation"] == clean["allocation"]
+        assert doc["matrix_sha256"] == clean["matrix_sha256"]
+
+    @pytest.mark.parametrize(
+        "third_line, message",
+        [("1", "line 3: expected 2 fields, got 1"), ("1,x", "line 3: could not convert string to float: 'x'")],
+        ids=["ragged", "non-numeric"],
+    )
+    def test_malformed_matrix_row_names_file_and_line(self, third_line, message, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(f"intercept,x1\n1,1\n{third_line}\n1,-1\n")
+        code, doc, err = run_cli(capsys, "design", "--matrix", str(matrix), "--method", "lb")
+        assert code == 1
+        assert doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{matrix}: {message}")
+
 
 class TestEvaluate:
     def test_round_trip_matches_design_values(self, toy_csv, tmp_path, capsys):

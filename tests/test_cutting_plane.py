@@ -308,6 +308,21 @@ class TestReportFields:
         assert rows.diagnostics["gap"] == cube.diagnostics["gap"]
         assert rows.surrogate_value < rows.diagnostics["hypercube_value"]
 
+    def test_certifies_only_the_hypercube_problem(self):
+        # on the rows the hypercube bound (0.897) sits above the design's
+        # value (0.659), which is not the rows optimum (0.493)
+        H = generate_synthetic(SyntheticSpec(n=20, p=6, seed=2))
+        assert solve_exact(H, report_space=CovariateSpace.rows()).status == "incumbent"
+        certified = 0
+        for n, seed in ((20, 2), (16, 0), (16, 1), (16, 2)):
+            H = generate_synthetic(SyntheticSpec(n=n, p=6, seed=seed))
+            for space in (CovariateSpace.hypercube(), CovariateSpace.rows()):
+                report = solve_exact(H, report_space=space)
+                if report.status == "optimal":
+                    certified += 1
+                    assert report.diagnostics["lower_bound"] <= report.surrogate_value
+        assert certified >= 4
+
     def test_verbose_progress_lines(self, toy_design, capsys):
         solve_exact(toy_design, verbose=True)
         err = capsys.readouterr().err

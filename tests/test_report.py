@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trialdesign.covariates import matrix_hash
-from trialdesign.objective import Allocation
+from trialdesign.covariates import SyntheticSpec, generate_synthetic, matrix_hash
+from trialdesign.cutting_plane import solve_exact
+from trialdesign.limits import SolveLimits
+from trialdesign.lower_bound import solve_lb
+from trialdesign.objective import Allocation, spectral_cache
 from trialdesign.report import (
     DesignReport,
     read_allocation_csv,
@@ -96,6 +100,39 @@ class TestDesignReport:
         assert report.to_json() == report.to_json()
         keys = list(json.loads(report.to_json()))
         assert keys == sorted(keys)
+
+
+class TestFromRun:
+    def test_derives_shape_hash_and_time_from_the_factored_matrix(self, toy_design):
+        F = spectral_cache(toy_design)
+        report = DesignReport.from_run(
+            "RAND", F, time.monotonic() - 5.0, allocation=Allocation(np.array([1, -1, -1, 1])),
+            surrogate_value=0.5, original_value=None, status="sampled", seed=3,
+            diagnostics={}, parameters={"space": "rows"},
+        )
+        assert (report.n, report.p) == (4, 2)
+        assert report.matrix_sha256 == matrix_hash(toy_design)
+        assert report.wall_time >= 5.0
+        assert report.parameters == {"space": "rows"}
+
+    def test_exact_and_lb_echo_the_same_run_fields(self):
+        H = generate_synthetic(SyntheticSpec(n=20, p=6, seed=2))
+        limits = SolveLimits(epsilon=1e-7, time_limit=30.0, node_limit=5000, seed=9, mode="exact")
+        exact, lb = solve_exact(H, limits), solve_lb(H, limits)
+        for field in ("parameters", "n", "p", "seed", "matrix_sha256"):
+            assert getattr(exact, field) == getattr(lb, field)
+        assert exact.parameters == {
+            "epsilon": 1e-7, "time_limit": 30.0, "node_limit": 5000, "mode": "exact",
+            "space": "hypercube",
+        }
+
+    def test_every_balanced_allocation_confounds(self):
+        # S(H'H)^-1 S = H'H for both balanced allocations (S = H'D_xH), so
+        # the information matrix is singular and Sigma_beta does not exist
+        H = np.array([[1.0, 1.0], [1.0, -1.0]])
+        for report in (solve_exact(H), solve_lb(H)):
+            assert report.original_value is None
+            assert report.diagnostics["confounded"] is True
 
 
 class TestMatrixCsv:
