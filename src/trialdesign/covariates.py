@@ -255,16 +255,18 @@ class CovariateSchema:
 
     @classmethod
     def from_file(cls, path) -> "CovariateSchema":
-        text = Path(path).read_text(encoding="utf-8")
-        if str(path).endswith(".json"):
-            doc = json.loads(text)
-        else:
-            # BaseLoader keeps every scalar a string as written: no YAML 1.1
-            # coercion of levels such as no/yes to booleans or 01 to 1
-            try:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+            if str(path).endswith(".json"):
+                doc = json.loads(text)
+            else:
+                # BaseLoader keeps every scalar a string as written: no YAML
+                # 1.1 coercion of levels such as no/yes to booleans or 01 to 1
                 doc = yaml.load(text, Loader=yaml.BaseLoader)
-            except yaml.YAMLError as err:
-                raise ValueError(f"{path}: malformed YAML: {err}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ValueError(f"{path}: {err}") from None
+        except yaml.YAMLError as err:
+            raise ValueError(f"{path}: malformed YAML: {err}") from None
         return cls.from_dict(doc)
 
 
@@ -313,6 +315,6 @@ def encode_csv(path, schema: CovariateSchema) -> CovariateMatrix:
             if absent:
                 raise ValueError(f"CSV header is missing schema columns: {absent}")
             records = list(reader)
-    except csv.Error as err:
+    except (csv.Error, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: {err}") from None
     return encode_rows(records, schema)

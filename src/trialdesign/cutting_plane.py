@@ -3,14 +3,15 @@
 The master problem keeps a finite set Z_m of covariate vectors and
 minimizes theta = max_k (z_k'(H'H)^-1 z_k + x'Upsilon(z_k,H)x) over
 balanced sign vectors.  The separation step maximizes the surrogate
-quadratic at the master solution over the full hypercube; the loop stops
-once theta_m >= delta_m - epsilon.  Each iteration that goes on adds a
-hypercube vertex not yet in Z_m (a repeat raises DuplicateCut), so the
-loop ends within 2^(p-1) iterations, plus one for the verification
-switch below.  A separation depends on the allocation alone, so when a
-master returns the allocation just separated, as the first verification
-master can, its iteration reuses that separation instead of solving it
-again.
+quadratic at the master solution over the reported profile space
+(objective.worst_case_stack); the loop stops once theta_m >= delta_m -
+epsilon.  Each iteration that goes on adds a profile of that space not
+yet in Z_m (a repeat raises DuplicateCut), so the loop ends within as
+many iterations as the space has distinct profiles, 2^(p-1) on the
+hypercube, plus one for the verification switch below.  A separation
+depends on the allocation alone, so when a master returns the allocation
+just separated, as the first verification master can, its iteration
+reuses that separation instead of solving it again.
 """
 
 from __future__ import annotations
@@ -23,27 +24,20 @@ import numpy as np
 
 from .bqp import BqpResult, CutSet, minimize_max_quadratic, resolve_mode, solver_method
 from .errors import ConfoundedDesign, DuplicateCut
-from .inner_max import InnerMaxProblem, solve_inner_max
+# unused here, but perfbench/tracing.py wraps solve_inner_max by name in
+# this module too, and its install raises AttributeError without it
+from .inner_max import solve_inner_max  # noqa: F401
 from .limits import SolveLimits
 from .objective import (
-    CovariateSpace,
-    SpectralCache,
-    original_value,
-    spectral_cache,
-    surrogate_matrix,
-    surrogate_value,
-    upsilon,
+    CovariateSpace, SpectralCache, original_value, spectral_cache, surrogate_matrix,
+    surrogate_value, upsilon, worst_case_quadratic, worst_case_stack,
 )
 from .report import DesignReport, solver_parameters
 
 
 def _seed_vectors(p: int) -> list[np.ndarray]:
-    ones = np.ones(p)
-    alternating = np.array([(-1.0) ** i for i in range(p)])
-    seeds = [ones]
-    if not np.array_equal(alternating, ones):
-        seeds.append(alternating)
-    return seeds
+    # the all-ones and the alternating profile, which coincide at p = 1
+    return [np.ones(p), (-1.0) ** np.arange(p)][: min(p, 2)]
 
 
 def solve_exact(
@@ -52,18 +46,18 @@ def solve_exact(
     report_space: CovariateSpace | None = None,
     verbose: bool = False,
 ) -> DesignReport:
-    """Run the cutting-plane loop and report the best allocation seen.
+    """Run the cutting-plane loop on report_space; report the best allocation seen.
 
-    Masters are solved in limits.mode.  The loop minimizes the surrogate
-    over the hypercube; the report gives the design's surrogate and
-    original values on report_space, and diagnostics keep the hypercube
-    value that lower_bound and gap refer to as hypercube_value.
+    Masters are solved in limits.mode.  Separations maximize over
+    report_space, so every cut is one of its profiles: the hypercube's
+    loop starts from the all-ones and alternating profiles, a finite
+    space's from its profile of largest z'(H'H)^-1 z.  The report gives
+    the design's surrogate and original values on report_space.
 
     Every master reports a status and a lower bound (bqp's contract), and
     the loop reads only those: the bound is the best master bound, and
-    status is "optimal" only when the final master certified its value,
-    the separation solve was exact and report_space is the hypercube, the
-    problem the loop certifies; hitting a time or node budget
+    status is "optimal" only when the final master certified its value
+    and the separation solve was exact; hitting a time or node budget
     downgrades it to "incumbent" with the best design found so far.
     limits.node_limit budgets each master; separations get the remaining
     time only.  One master/separation round always runs, however small
@@ -83,7 +77,8 @@ def solve_exact(
     # root test already certified it
     mode_now = resolve_mode(n, limits.mode)
 
-    Z = [np.asarray(z, dtype=float) for z in _seed_vectors(p)]
+    Z = (_seed_vectors(p) if report_space.kind == "hypercube"
+         else [worst_case_quadratic(F.gram_inverse, report_space, F)[1]])
     cut_pairs = [(float(z @ F.gram_inverse @ z), upsilon(F, z)) for z in Z]
 
     history: list[tuple[float, float, float]] = []
@@ -93,7 +88,7 @@ def solve_exact(
     theta_lb = -np.inf  # best certified master bound
     master_nodes = 0
     prev_x = None
-    sub = None
+    delta = None
     continue_from: BqpResult | None = None
     converged = False
     iteration = 0
@@ -112,19 +107,20 @@ def solve_exact(
         theta = master.value
         x_m = master.x_star
         master_nodes += master.nodes
-        # every cut is a hypercube vertex, so any master bound is a bound
-        # on the design problem
+        # every cut is a profile of report_space, so any master bound is a
+        # bound on the design problem there
         theta_lb = max(theta_lb, master.lower_bound)
 
-        # a separation depends on the allocation alone: a repeat reuses it
-        if sub is None or not np.array_equal(x_m.x, prev_x.x):
+        # a separation depends on the allocation alone: a repeat reuses it;
+        # search is the inner max's result, None on a finite space
+        if delta is None or not np.array_equal(x_m.x, prev_x.x):
             remaining = max(deadline - time.monotonic(), 0.05)
-            sub = solve_inner_max(
-                InnerMaxProblem(surrogate_matrix(F, x_m)),
-                limits=SolveLimits(time_limit=remaining),
+            (delta,), (z_new,), (search,) = worst_case_stack(
+                surrogate_matrix(F, x_m)[None], report_space, F,
+                SolveLimits(time_limit=remaining),
             )
+            finished = search is None or search.optimal
         prev_x = x_m
-        delta = sub.value
         history.append((float(theta), float(delta), time.monotonic() - t0))
         if verbose:
             print(
@@ -133,10 +129,10 @@ def solve_exact(
                 file=sys.stderr,
             )
         if delta < best_delta or best_x is None:
-            best_delta, best_x, best_finished = delta, x_m, sub.optimal
+            best_delta, best_x, best_finished = delta, x_m, finished
 
         if theta >= delta - limits.epsilon:
-            converged = master.status == "optimal" and sub.optimal
+            converged = master.status == "optimal" and finished
             if (
                 not converged
                 and limits.mode == "auto"
@@ -150,7 +146,6 @@ def solve_exact(
                 continue_from = master
                 continue
             break
-        z_new = sub.z_star
         if any(np.array_equal(z_new, z) for z in Z):
             raise DuplicateCut(
                 "separation returned an existing cut before the stopping test fired"
@@ -158,13 +153,9 @@ def solve_exact(
         Z.append(z_new)
         cut_pairs.append((float(z_new @ F.gram_inverse @ z_new), upsilon(F, z_new)))
 
-    # a finished separation already maximized over the hypercube; one
+    # a finished separation already maximized over report_space; one
     # stopped at a limit only bounds the design's value from below
-    cube_value = best_delta if best_finished else surrogate_value(F, best_x)[0]
-    if report_space.kind == "hypercube":
-        surr = cube_value
-    else:
-        surr, _ = surrogate_value(F, best_x, report_space)
+    surr = best_delta if best_finished else surrogate_value(F, best_x, report_space)[0]
     try:
         orig, _ = original_value(F, best_x, report_space)
     except ConfoundedDesign:
@@ -172,25 +163,21 @@ def solve_exact(
 
     # theta and delta round differently, so a certified bound can pass the
     # value it certifies by an ulp; the value is itself a valid bound
-    theta_lb = min(theta_lb, cube_value)
+    theta_lb = min(theta_lb, surr)
     diagnostics = {
         "iterations": iteration,
         "cuts": len(Z),
         "master_nodes": master_nodes,
         "master_mode_final": mode_now,
         "master_method": solver_method(n, mode_now),
-        "subproblem_method": sub.method,
+        "subproblem_method": "candidates" if search is None else search.method,
         "history": [[t, d, s] for t, d, s in history],
         "lower_bound": float(theta_lb),
-        "gap": float(cube_value - theta_lb),
-        "hypercube_value": float(cube_value),
+        "gap": float(surr - theta_lb),
         "confounded": orig is None,
     }
-    # the loop certifies the hypercube problem only: on another space the
-    # hypercube bound bounds nothing, so its design stays an incumbent
-    certified = converged and report_space.kind == "hypercube"
     return DesignReport.from_run(
         "EXACT", F, t0, allocation=best_x, surrogate_value=surr, original_value=orig,
-        status="optimal" if certified else "incumbent", seed=limits.seed,
+        status="optimal" if converged else "incumbent", seed=limits.seed,
         diagnostics=diagnostics, parameters=solver_parameters(limits, report_space),
     )

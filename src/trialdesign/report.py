@@ -147,10 +147,19 @@ def write_matrix_csv(path, matrix, columns: tuple[str, ...] | None = None) -> No
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a numeric CSV, skipping blank lines and a header row when one is
-    present.  A row whose width differs from the first data row's, or with
-    a non-numeric cell, raises ValueError naming the file and the line."""
+    present: a first row none of whose cells is a number.  A row whose
+    width differs from the first data row's, a non-numeric cell or bytes
+    that are not UTF-8 raise ValueError naming the file (and the line)."""
     data, header = [], None
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -160,7 +169,7 @@ def read_matrix_csv(path) -> np.ndarray:
                 try:
                     data.append([float(v) for v in row])
                 except ValueError as err:
-                    if data or header is not None:
+                    if data or header is not None or any(map(_is_number, row)):
                         raise ValueError(f"{path}: line {line}: {err}") from None
                     header = row
                     continue
@@ -168,7 +177,7 @@ def read_matrix_csv(path) -> np.ndarray:
                     raise ValueError(
                         f"{path}: line {line}: expected {len(data[0])} fields, got {len(row)}"
                     )
-    except csv.Error as err:
+    except (csv.Error, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: {err}") from None
     if not data:
         raise ValueError(f"{path}: {'empty file' if header is None else 'no data rows'}")

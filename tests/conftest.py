@@ -91,10 +91,12 @@ def brute_min_max_cuts(
     return float(vals.max(axis=1).min())
 
 
-def brute_bilevel_surrogate(H: np.ndarray) -> float:
-    """Min over all balanced x of max over all hypercube z (surrogate)."""
+def brute_bilevel_surrogate(H: np.ndarray, Z: np.ndarray | None = None) -> float:
+    """Min over all balanced x of max over z (surrogate), z ranging over the
+    rows of Z, all hypercube vertices when Z is None."""
     n, p = H.shape
-    Z = hypercube_vertices(p)
+    if Z is None:
+        Z = hypercube_vertices(p)
     best = np.inf
     for x in balanced_corners(n):
         M = oracle_surrogate_matrix(H, x)

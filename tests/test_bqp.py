@@ -40,6 +40,7 @@ def brute_value(cuts: CutSet) -> float:
     return brute_min_max_cuts(cuts.constants, cuts.matrices, balanced_corners(cuts.n))
 
 
+@pytest.mark.blas_bits
 class TestCutSet:
     def test_properties_and_read_only(self):
         cuts = CutSet(constants=np.array([0.5]), matrices=np.eye(3)[None])
@@ -231,10 +232,12 @@ class TestExact:
         assert abs(int(res.x_star.x.sum())) <= 1
 
 
+@pytest.mark.blas_bits
 class TestExactBranchAndBound(TestExact):
     solve = staticmethod(exact_branch_and_bound)
 
 
+@pytest.mark.blas_bits
 class TestMasterContract:
     """Every method's status and lower bound mean the same thing.
 
@@ -491,6 +494,7 @@ class TestHeuristic:
             )
 
 
+@pytest.mark.blas_bits
 class TestRestarts:
     """One count of seeded descents at every n, plus the warm start."""
 
@@ -513,6 +517,7 @@ class TestRestarts:
         assert np.array_equal(starts[0], warm)
 
 
+@pytest.mark.blas_bits
 class TestExactCutValues:
     """The closing value's BLAS products agree with the 3-operand einsum."""
 
@@ -533,6 +538,7 @@ class TestExactCutValues:
             )
 
 
+@pytest.mark.blas_bits
 class TestIncumbentContinuation:
     """An exact solve past the cutover can continue from a heuristic result."""
 
@@ -572,6 +578,7 @@ class TestIncumbentContinuation:
             )
 
 
+@pytest.mark.blas_bits
 class TestDescentOracle:
     """The slot-indexed descent must match the gather-based one bit for bit."""
 
@@ -764,6 +771,7 @@ class TestRelaxationOracle:
             )
             assert np.all(bounds.reshape(2, k) <= true_min + 1e-9)
 
+    @pytest.mark.blas_bits
     def test_one_stack_serves_stacked_groups(self):
         # one (K, n, n) stack over two groups of K rows gives the bits of
         # the stack repeated once per group

@@ -315,6 +315,48 @@ class TestDesign:
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"{matrix}: {message}")
 
+    def test_numeric_first_row_is_data_not_a_header(self, tmp_path, capsys):
+        # only a first row without a numeric cell is a header; this one
+        # was dropped as one, and the design ran on the other four rows
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("1,x\n1,1\n1,-1\n1,1\n1,-1\n")
+        code, doc, err = run_cli(capsys, "design", "--matrix", str(matrix), "--method", "lb")
+        assert code == 1
+        assert doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == f"{matrix}: line 1: could not convert string to float: 'x'"
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "bad, content",
+        [
+            ("m.csv", b"intercept,x1\n1,1\n1,\xff1\n1,-1\n"),
+            ("raw.csv", b"id,sex\n1,M\n2,\xffF\n"),
+            ("schema.json", b'{"columns":\n'),
+        ],
+        ids=["matrix-not-utf8", "encode-csv-not-utf8", "malformed-json-schema"],
+    )
+    def test_error_starts_with_the_path(self, bad, content, tmp_path, capsys):
+        (tmp_path / "raw.csv").write_text("id,sex\n1,M\n2,F\n")
+        (tmp_path / "schema.json").write_text(
+            json.dumps({"columns": [{"name": "sex", "kind": "binary", "levels": ["F", "M"]}]})
+        )
+        path = tmp_path / bad
+        path.write_bytes(content)
+        if bad == "m.csv":
+            argv = ["design", "--matrix", str(path), "--method", "lb"]
+        else:
+            argv = ["encode", "--csv", str(tmp_path / "raw.csv"),
+                    "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "out.csv")]
+        code, doc, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{path}: ")
+
 
 class TestEvaluate:
     def test_round_trip_matches_design_values(self, toy_csv, tmp_path, capsys):

@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_bilevel_surrogate, random_design
-from trialdesign import bqp, cutting_plane
+from conftest import brute_bilevel_surrogate, hypercube_vertices, random_design
+from trialdesign import bqp, cutting_plane, inner_max
 from trialdesign.covariates import SyntheticSpec, generate_synthetic, matrix_hash
 from trialdesign.cutting_plane import solve_exact
 from trialdesign.inner_max import solve_inner_max
@@ -65,6 +65,33 @@ class TestAgainstBruteForce:
             assert all(b >= a - 1e-9 for a, b in zip(thetas, thetas[1:]))
             assert all(t <= ref + 1e-6 for t in thetas)
             assert all(d >= ref - 1e-6 for d in deltas)
+
+    @pytest.mark.parametrize("n, p, seed", [(12, 4, 0), (14, 6, 1), (16, 8, 2)])
+    def test_matches_bilevel_enumeration_on_finite_spaces(self, n, p, seed):
+        # the loop separates on the reported space, so it certifies there
+        H = generate_synthetic(SyntheticSpec(n=n, p=p, seed=seed)).data
+        vertices = hypercube_vertices(p)
+        picked = np.random.default_rng(seed).choice(len(vertices), size=4, replace=False)
+        for space, Z in (
+            (CovariateSpace.rows(), H),
+            (CovariateSpace.explicit(vertices[picked]), vertices[picked]),
+        ):
+            report = solve_exact(H, report_space=space)
+            assert report.status == "optimal"
+            assert abs(report.surrogate_value - brute_bilevel_surrogate(H, Z)) <= 1e-9
+            assert report.diagnostics["lower_bound"] <= report.surrogate_value
+            assert report.diagnostics["subproblem_method"] == "candidates"
+            assert report.diagnostics["cuts"] <= len(np.unique(Z, axis=0))
+
+    def test_rows_optimum_of_a_hypercube_suboptimal_design(self):
+        # the hypercube-optimal design sits 33.6% above this rows optimum,
+        # which brute force over all 92,378 balanced allocations also gives
+        H = generate_synthetic(SyntheticSpec(n=20, p=6, seed=2))
+        report = solve_exact(H, report_space=CovariateSpace.rows())
+        assert report.status == "optimal"
+        assert report.surrogate_value == pytest.approx(0.49306142703712275, abs=1e-12)
+        cube = surrogate_value(H, solve_exact(H).allocation, CovariateSpace.rows())[0]
+        assert cube / report.surrogate_value == pytest.approx(1.336, abs=5e-4)
 
     def test_history_matches_iteration_count(self, toy_design):
         report = solve_exact(toy_design)
@@ -179,6 +206,7 @@ class TestLowerBound:
             min(r.value, float(c.constants.max())) for c, _, r in masters
         )
 
+    @pytest.mark.blas_bits
     def test_verification_master_runs_no_descent(self, monkeypatch):
         # the first exact master solves the converged heuristic master's
         # cut set again, so it continues from that master's result
@@ -214,6 +242,7 @@ class TestLowerBound:
         history = report.diagnostics["history"]
         assert history[first][:2] == history[first - 1][:2]
 
+    @pytest.mark.blas_bits
     def test_verification_master_reuses_the_separation(self, monkeypatch):
         # the first exact master returns the allocation just separated, so
         # its iteration reuses that separation
@@ -224,17 +253,19 @@ class TestLowerBound:
             masters.append(result)
             return result
 
-        def count(problem, **kwargs):
+        def count(problem, *args, **kwargs):
             separations.append(problem)
-            return solve_inner_max(problem, **kwargs)
+            return solve_inner_max(problem, *args, **kwargs)
 
         monkeypatch.setattr(cutting_plane, "minimize_max_quadratic", spy)
-        monkeypatch.setattr(cutting_plane, "solve_inner_max", count)
+        monkeypatch.setattr(inner_max, "solve_inner_max", count)
         rng = np.random.default_rng(17)
         H = random_design(60, 5, rng)
         report = solve_exact(H, SolveLimits(node_limit=10, time_limit=60.0))
         assert report.diagnostics["master_mode_final"] == "exact"
-        assert len(separations) == len(masters) - 1
+        # one search per distinct master allocation, len(masters) - 1 of
+        # them, and one for the report's original value
+        assert len(separations) == len(masters)
         history = report.diagnostics["history"]
         assert len(history) == len(masters)
         repeats = [
@@ -262,7 +293,7 @@ class TestBudgets:
         report = solve_exact(H, SolveLimits(node_limit=5, time_limit=20.0))
         value, _ = surrogate_value(H, report.allocation)
         assert report.surrogate_value == pytest.approx(value, abs=1e-12)
-        assert report.diagnostics["hypercube_value"] == report.surrogate_value
+        assert report.diagnostics["lower_bound"] <= report.surrogate_value
 
     def test_wall_time_includes_the_report_evaluation(self, toy_design, monkeypatch):
         evaluate = cutting_plane.original_value
@@ -300,28 +331,24 @@ class TestReportFields:
         H = generate_synthetic(SyntheticSpec(n=20, p=8, seed=1))
         cube = solve_exact(H)
         rows = solve_exact(H, report_space=CovariateSpace.rows())
-        assert cube.surrogate_value == cube.diagnostics["hypercube_value"]
-        assert rows.allocation.x.tolist() == cube.allocation.x.tolist()
-        assert rows.surrogate_value == surrogate_value(H, rows.allocation, CovariateSpace.rows())[0]
-        # the bound and the gap stay on the hypercube value the loop minimizes
-        assert rows.diagnostics["hypercube_value"] == cube.surrogate_value
-        assert rows.diagnostics["gap"] == cube.diagnostics["gap"]
-        assert rows.surrogate_value < rows.diagnostics["hypercube_value"]
+        for report, space in ((cube, CovariateSpace.hypercube()), (rows, CovariateSpace.rows())):
+            assert report.surrogate_value == surrogate_value(H, report.allocation, space)[0]
+            assert "hypercube_value" not in report.diagnostics
+        # the bound and the gap refer to the space reported on
+        assert rows.diagnostics["gap"] == rows.surrogate_value - rows.diagnostics["lower_bound"]
+        assert rows.surrogate_value <= surrogate_value(H, cube.allocation, CovariateSpace.rows())[0]
 
-    def test_certifies_only_the_hypercube_problem(self):
-        # on the rows the hypercube bound (0.897) sits above the design's
-        # value (0.659), which is not the rows optimum (0.493)
-        H = generate_synthetic(SyntheticSpec(n=20, p=6, seed=2))
-        assert solve_exact(H, report_space=CovariateSpace.rows()).status == "incumbent"
-        certified = 0
+    def test_certifies_the_reported_space(self):
+        # on the rows of (20, 6, 2) the hypercube-optimal design is 33.6%
+        # above the rows optimum; the rows loop certifies the latter
         for n, seed in ((20, 2), (16, 0), (16, 1), (16, 2)):
             H = generate_synthetic(SyntheticSpec(n=n, p=6, seed=seed))
-            for space in (CovariateSpace.hypercube(), CovariateSpace.rows()):
-                report = solve_exact(H, report_space=space)
-                if report.status == "optimal":
-                    certified += 1
-                    assert report.diagnostics["lower_bound"] <= report.surrogate_value
-        assert certified >= 4
+            cube = solve_exact(H)
+            rows = solve_exact(H, report_space=CovariateSpace.rows())
+            for report in (cube, rows):
+                assert report.status == "optimal"
+                assert report.diagnostics["lower_bound"] <= report.surrogate_value
+            assert rows.surrogate_value <= surrogate_value(H, cube.allocation, CovariateSpace.rows())[0]
 
     def test_verbose_progress_lines(self, toy_design, capsys):
         solve_exact(toy_design, verbose=True)

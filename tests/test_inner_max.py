@@ -225,6 +225,7 @@ class HeapCalls:
         return self.pops - self.pushed_back - nodes
 
 
+@pytest.mark.blas_bits
 class TestBranchAndBoundOracle:
     """The incremental search against the from-scratch oracle: the same
     tree in the same order, so the same y, node count and status.  Integer
@@ -366,6 +367,7 @@ def rand_separations(H: np.ndarray, count: int, rng: np.random.Generator) -> lis
     ]
 
 
+@pytest.mark.blas_bits
 class TestMultiplexedGroup:
     """A group of searches against one solve_inner_max per problem.
 
