@@ -15,6 +15,14 @@ against restarts (in CHANGES.md): on LB designs with n from 200 to 1000,
 the best of 32 descents and the best of n/4 differed in design value by
 at most 5.1e-4 relative, either way, except on one iid draw of three at
 n = 200, p = 25 (1%); 32 descents cost an eighth of n/4 at n = 1000.
+The starts descend in order, in stacks of R = BLOCK_ENTRIES // (K
+ceil(n/2)^2), so a stack's swap blocks hold about BLOCK_ENTRIES entries:
+13 starts at n = 200 with one cut, 3 at n = 400, 1 at n = 600.  A round
+makes one move in every running start of a stack with one set of array
+operations, so at trial sizes a move pays numpy's call overhead once per
+stack; each start still ends bit for bit where it would alone.  The
+deadline is read once per round, so under an expiring time limit a
+stack's starts stop together.
 
 Exact mode enumerates every canonical balanced allocation when n is at
 most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
@@ -71,24 +79,55 @@ ENUM_MAX_N = 28
 # trailing coordinates tabulated once for the enumeration
 SUFFIX_BITS = 12
 
-# entries in one enumeration block, so each temporary holds about 1 MB
+# entries in one enumeration block or descent stack, so each temporary
+# holds about 1 MB
 BLOCK_ENTRIES = 1 << 17
 
 STATUSES = ("optimal", "incumbent")
+
+
+def _factor_in_place(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the (K, n, n) stack has a Cholesky factor.
+
+    The factorization runs in place, a block of columns at a time
+    (left-looking), so its temporaries hold about BLOCK_ENTRIES entries
+    where np.linalg.cholesky would return a second stack.  It reads only
+    lower triangles and leaves the stack overwritten.
+    """
+    n = mats.shape[1]
+    width = max(1, BLOCK_ENTRIES // n)
+    cleared = np.ones(len(mats), dtype=bool)
+    for k, M in enumerate(mats):
+        for j in range(0, n, width):
+            e = min(j + width, n)
+            if j:
+                M[j:, j:e] -= M[j:, :j] @ M[j:e, :j].T
+            try:
+                corner = np.linalg.cholesky(M[j:e, j:e])
+            except np.linalg.LinAlgError:
+                cleared[k] = False
+                break
+            if e < n:
+                M[e:, j:e] = np.linalg.solve(corner, M[e:, j:e].T).T
+    return cleared
 
 
 @dataclass(frozen=True, eq=False)
 class CutSet:
     """K cuts (c_k, A_k) sharing one allocation dimension n.
 
-    The PSD check computes every cut's spectrum, so the largest
-    eigenvalues are kept (``lambda_max``, (K,)), as are the diagonals
-    (``diagonals``, (K, n)); both are read-only.
+    The PSD check screens each cut with a Cholesky factorization of
+    A_k + (CUT_PSD_ATOL / 2) I: a factor puts every eigenvalue of A_k
+    above -CUT_PSD_ATOL / 2, less a rounding error of about n eps max|A_k|.
+    Cuts the screen does not clear, and cuts whose rounding error could
+    exceed CUT_PSD_ATOL / 2, get the eigenvalue test instead.  The
+    diagonals (``diagonals``, (K, n)) are kept, and the largest
+    eigenvalues (``lambda_max``, (K,)) are computed on first read; both
+    are read-only.
     """
 
     constants: np.ndarray
     matrices: np.ndarray
-    lambda_max: np.ndarray = field(init=False, repr=False)
     diagonals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -100,22 +139,45 @@ class CutSet:
             raise ValueError("matrices must be a (K, n, n) stack matching constants")
         if not (np.all(np.isfinite(cons)) and np.all(np.isfinite(mats))):
             raise ValueError("cut data has non-finite entries")
-        asym = np.max(np.abs(mats - mats.transpose(0, 2, 1)))
+        # one new array holds the asymmetry, the screen's factors and the
+        # symmetrized stack in turn: the caller's stack is read, never
+        # stored or written
+        given, mats = mats, mats - mats.transpose(0, 2, 1)
+        asym = np.max(np.abs(mats, out=mats))
         if asym > CUT_PSD_ATOL:
             raise ValueError(f"cut matrices must be symmetric, max asymmetry {asym:.3e}")
-        # a new array: the caller's stack is read, never stored or written
-        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        eig = np.linalg.eigvalsh(mats)
-        bad = np.flatnonzero(eig[:, 0] < -CUT_PSD_ATOL)
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"cut {k} is not PSD: smallest eigenvalue {eig[k, 0]:.3e}")
-        high = eig[:, -1].copy()
+
+        def symmetrize() -> None:
+            np.add(given, given.transpose(0, 2, 1), out=mats)
+            np.divide(mats, 2.0, out=mats)
+
+        symmetrize()
+        K, n = mats.shape[:2]
+        scale = np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2)))
+        rounding = n * np.finfo(float).eps * scale
+        # the screen overwrites the stack, which is then symmetrized again
+        # by the same steps
+        mats.reshape(K, -1)[:, :: n + 1] += CUT_PSD_ATOL / 2.0
+        cleared = _factor_in_place(mats)
+        symmetrize()
+        tested = np.flatnonzero(~cleared | (rounding > CUT_PSD_ATOL / 2.0))
+        if tested.size:
+            low = np.linalg.eigvalsh(mats[tested])[:, 0]
+            bad = np.flatnonzero(low < -CUT_PSD_ATOL)
+            if bad.size:
+                k = bad[0]
+                raise ValueError(f"cut {tested[k]} is not PSD: smallest eigenvalue {low[k]:.3e}")
         diag = np.einsum("kii->ki", mats).copy()
-        for name, arr in (("constants", cons), ("matrices", mats),
-                          ("lambda_max", high), ("diagonals", diag)):
+        for name, arr in (("constants", cons), ("matrices", mats), ("diagonals", diag)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def lambda_max(self) -> np.ndarray:
+        # the branch-and-bound step size is its only reader
+        high = np.linalg.eigvalsh(self.matrices)[:, -1].copy()
+        high.flags.writeable = False
+        return high
 
     @property
     def n(self) -> int:
@@ -173,24 +235,15 @@ def _canonical(x: np.ndarray) -> np.ndarray:
 # heuristic: multi-start steepest descent over balance-preserving moves
 
 
-def _descent(
+def _descent_one(
     c: np.ndarray, A: np.ndarray, diag: np.ndarray, x0: np.ndarray, deadline: float
 ) -> tuple[np.ndarray, float]:
-    """Steepest descent until no swap (or odd-n flip) strictly improves.
+    """``_descent`` of one start, a move at a time.
 
-    Swap candidates live in a slot-indexed block: P and M hold the +1 and
-    -1 coordinates in slot order, and S8[k, a, b] = 8 A_k[P[a], M[b]].
-    A swap trades the two coordinates' slots, so one row and one column
-    of S8 are rewritten (O(Kn)) rather than the block re-gathered
-    (O(Kn^2)).  An odd-n single flip resizes the block and rebuilds it.
-    S8 is a quarter of the (K, n, n) cut stack; the one or two (n/2)^2
-    work buffers are reused across moves.
-
-    Every candidate value is computed in the same order as a plain
-    re-gather would, ((f_k + u_a) + v_b) - 8 a_ab, so values are bit for
-    bit those of the reference descent in the tests.  Exact ties, common
-    when covariate rows repeat, go to the smallest (plus index, minus
-    index) pair whatever the slot order.
+    A stack of one runs here: scalar indices cost less than a stack's
+    array indexing, and at n = 600 the stacked rounds were 8-13% slower
+    per move.  The moves, tie rule and arithmetic are the stack's.  The
+    block is sized to the two sides, so an odd-n single flip rebuilds it.
     """
     K = A.shape[0]
     x = x0.astype(float)
@@ -261,19 +314,199 @@ def _descent(
     return x, float(_exact_cut_values(c, A, x).max())
 
 
+def _descent(
+    c: np.ndarray, A: np.ndarray, diag: np.ndarray, X0: np.ndarray, deadline: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steepest descent from each row of X0 until no swap (or odd-n flip)
+    strictly improves; returns the final rows and their values.
+
+    The rows descend together: each round makes one move in every running
+    row with one set of array operations, and rows that cannot improve
+    leave the stack.  Each row's state is a slice of stacked arrays, kept
+    in no particular order: moving rows come first, so most writes hit a
+    leading slice.  A is exactly symmetric (as ``CutSet`` makes it), so
+    rows of A serve where columns are meant.
+
+    Swap candidates live in a slot-indexed block per row: PM[r, 0] and
+    PM[r, 1] hold the +1 and -1 coordinates in slot order, and
+    S8[r, k, a, b] = 8 A_k[P[a], M[b]].  A swap trades the two
+    coordinates' slots, so one row and one column of S8[r] are rewritten
+    (O(Kn)) rather than the block re-gathered (O(Kn^2)).  Every block is
+    ceil(n/2) square: at odd n the short side's last slot is padding,
+    whose S8 entries are -inf so its candidates are +inf, and a single
+    flip re-sorts and rebuilds that row's block.
+
+    Every candidate value is computed in the same order as a plain
+    re-gather would, ((f_k + u_a) + v_b) - 8 a_ab, so each row ends bit
+    for bit where the reference descent in the tests ends from it.  Exact
+    ties, common when covariate rows repeat, go to the smallest (plus
+    index, minus index) pair whatever the slot order.  The deadline is
+    read once per round, so the running rows stop together.
+    """
+    if len(X0) == 1:
+        x, value = _descent_one(c, A, diag, X0[0], deadline)
+        return x[None], np.array([value])
+    K, n = A.shape[0], A.shape[1]
+    m = (n + 1) // 2
+    X = np.array(X0, dtype=float)
+    R = X.shape[0]
+    # g and 4 diag share one buffer, so one take gathers both at the slots
+    GD = np.empty((R + 1) * K * n)
+    G = GD[: R * K * n].reshape(R, K, n)
+    np.multiply(diag, 4.0, out=GD[R * K * n :].reshape(K, n))
+    np.matmul(A, X[:, None, :, None], out=G[..., None])
+    F = c + np.matmul(G, X[:, :, None])[..., 0]
+    PM = np.empty((R, 2, m), dtype=np.intp)
+    S8 = np.empty((R, K, m, m))
+    # the short side at odd n: 1 when the minus side is short
+    short = np.zeros(R, dtype=np.intp)
+
+    def fill(r: int) -> None:
+        # sorted slots and a fresh block
+        for s, coords in enumerate((np.flatnonzero(X[r] > 0), np.flatnonzero(X[r] < 0))):
+            PM[r, s, : coords.size] = coords
+            PM[r, s, coords.size :] = 0
+        # rows then columns gathers faster than one 2-d fancy index
+        np.multiply(A[:, PM[r, 0]][:, :, PM[r, 1]], 8.0, out=S8[r])
+        if n % 2:
+            short[r] = X[r].sum() > 0
+            if short[r]:
+                S8[r, :, :, -1] = -np.inf
+            else:
+                S8[r, :, -1, :] = -np.inf
+
+    for r in range(R):
+        fill(r)
+    # the chosen slots (a, b), odd-n flips and their coordinates
+    AB = np.empty((R, 2), dtype=np.intp)
+    flip = np.zeros(R, dtype=bool)
+    flip_at = np.zeros(R, dtype=np.intp)
+    ids = np.arange(R)
+    state = (X, G, F, PM, S8, short, AB, flip, flip_at, ids)
+
+    def to_front(keep: np.ndarray) -> int:
+        # exchange rows so the kept ones lead; returns how many lead
+        k = np.count_nonzero(keep)
+        holes = np.flatnonzero(~keep[:k])
+        if holes.size:
+            donors = k + np.flatnonzero(keep[k:])
+            for arr in state:
+                arr[holes], arr[donors] = arr[donors], arr[holes]
+        return k
+
+    # Q[r, k] = (f_k + u, 1, v): lhs = Q[:2]^T and rhs = Q[1:] give
+    # blk[a, b] = (f_k + u_a) * 1 + 1 * v_b; both products are exact, so
+    # each entry is rounded once, as by np.add, while BLAS avoids numpy's
+    # per-row broadcast cost
+    Q = np.ones((R, K, 3, m))
+    blk = np.empty((R, K, m, m))
+    sign4 = np.array([[-4.0], [4.0]])
+    pair = np.arange(2)
+    # flat offsets of g_k (first) and 4 d_k (second) for each row and cut
+    offGD = np.empty((R, K, 2, 1, 1), dtype=np.intp)
+    offGD[:, :, 0] = (np.arange(R * K) * n).reshape(R, K, 1, 1)
+    offGD[:, :, 1] = ((R * K + np.arange(K)) * n).reshape(K, 1, 1)
+    offV = (np.arange(R * 2 * K) * n).reshape(R, 2, K, 1)
+    At = A.transpose(1, 0, 2)
+    rows = np.arange(R)
+    X_out = np.empty_like(X)
+    live = R
+    while live and time.monotonic() <= deadline:
+        r = rows[:live]
+        # [-4 g_P; 4 g_M] and [4 d_P; 4 d_M] per row and cut
+        TD = np.take(GD, PM[:live, None, None] + offGD[:live])
+        T, D = TD[:, :, 0], TD[:, :, 1]
+        np.multiply(T, sign4, out=T)
+        cur = F[:live].max(axis=1)
+        floor = cur - MOVE_RTOL * (1.0 + np.abs(cur))
+        if n % 2:
+            # single flips from the long side: (f_k - 4 x_i g_ki) + 4 d_ki
+            side = 1 - short[:live]
+            single = (F[:live, :, None] + T[r, :, side]) + D[r, :, side]
+            single = single.max(axis=1)
+            smin = single.min(axis=1)
+            coords = PM[r, side]
+            flip_at[:live] = coords[r, np.where(single == smin[:, None], coords, n).argmin(axis=1)]
+        q = Q[:live]
+        np.add(T, D, out=q[:, :, ::2])
+        np.add(q[:, :, 0], F[:live, :, None], out=q[:, :, 0])
+        b_ = blk[:live]
+        np.matmul(q[:, :, :2].swapaxes(2, 3), q[:, :, 1:], out=b_)
+        np.subtract(b_, S8[:live], out=b_)
+        # the worst cut of each candidate, gathered in the first cut's block
+        w = b_[:, 0]
+        for k in range(1, K):
+            np.maximum(w, b_[:, k], out=w)
+        flat = w.reshape(live, -1)
+        best = flat.min(axis=1)
+        # every entry at its row's minimum, in row order; per row the one
+        # of smallest (plus index, minus index) wins
+        hit = np.flatnonzero(flat == best[:, None])
+        at, slot = np.divmod(hit, m * m)
+        a, b = np.divmod(slot, m)
+        order = np.lexsort((PM[at, 1, b], PM[at, 0, a], at))
+        win = order[np.searchsorted(at, r)]
+        AB[:live, 0] = a[win]
+        AB[:live, 1] = b[win]
+        if n % 2:
+            np.less(smin, best, out=flip[:live])
+            best = np.minimum(best, smin)
+        move = best < floor
+        if np.count_nonzero(move) < live:
+            k = to_front(move)
+            X_out[ids[k:live]] = X[k:live]
+            live = k
+        swaps = to_front(~flip[:live]) if n % 2 else live
+        s, rs = slice(0, swaps), rows[:swaps]
+        if swaps:
+            # i leaves the plus side, j the minus side
+            IJ = PM[rs[:, None], pair, AB[:swaps]]
+            A2 = At[IJ]
+            A2 *= 2.0
+            G[s] -= A2[:, 0]
+            G[s] += A2[:, 1]
+            X[rs[:, None], IJ] = (-1.0, 1.0)
+            np.add(c, np.matmul(G[s], X[s, :, None])[..., 0], out=F[s])
+            PM[rs[:, None], pair, AB[:swaps]] = IJ[:, ::-1]
+            # 8 A[i, P] is S8's column b, 8 A[j, M] its row a
+            V = np.take(A2, offV[:swaps] + PM[s, :, None])
+            V *= 4.0
+            if n % 2:
+                V[rs, short[s], :, -1] = -np.inf
+            S8[rs, :, AB[s, 0]] = V[:, 1]
+            S8[rs, :, :, AB[s, 1]] = V[:, 0]
+        for f in range(swaps, live):
+            t = flip_at[f]
+            G[f] -= 2.0 * X[f, t] * A[:, t]
+            X[f, t] = -X[f, t]
+            F[f] = c + G[f] @ X[f]
+            fill(f)
+    X_out[ids[:live]] = X[:live]
+    values = np.array([_exact_cut_values(c, A, x).max() for x in X_out])
+    return X_out, values
+
+
 def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     """Multi-start descent and the root test: optimal when the best value
-    is within epsilon of the root bound, which is then the lower bound."""
+    is within epsilon of the root bound, which is then the lower bound.
+
+    The starts descend in order, in stacks whose swap blocks hold about
+    BLOCK_ENTRIES entries."""
     deadline = time.monotonic() + limits.time_limit
     rng = np.random.default_rng(limits.seed)
     starts = [] if warm_start is None else [allocation_vector(warm_start)]
-    starts.extend(random_balanced_signs(cuts.n, rng).astype(float) for _ in range(RESTARTS))
+    starts.extend(random_balanced_signs(cuts.n, rng) for _ in range(RESTARTS))
+    starts = np.array(starts, dtype=float)
+    size = max(1, BLOCK_ENTRIES // (cuts.k * ((cuts.n + 1) // 2) ** 2))
     best_x, best_val = None, np.inf
-    for x0 in starts:
-        xv, val = _descent(cuts.constants, cuts.matrices, cuts.diagonals, x0, deadline)
-        xc = _canonical(xv)
-        if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
-            best_x, best_val = xc, val
+    for s in range(0, len(starts), size):
+        X, values = _descent(
+            cuts.constants, cuts.matrices, cuts.diagonals, starts[s : s + size], deadline
+        )
+        for xv, val in zip(X, values.tolist()):
+            xc = _canonical(xv)
+            if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
+                best_x, best_val = xc, val
     root_bound = _root_bound(cuts)
     status = "optimal" if best_val <= root_bound + limits.epsilon else "incumbent"
     lower = min(best_val, root_bound)

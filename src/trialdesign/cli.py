@@ -215,7 +215,11 @@ def cmd_evaluate(args) -> int:
         "lb_value": float(lb_value(F, allocation)),
     }
     _, _, doc["rand"] = _rand_block(F, args, space)
-    if not args.skip_variance:
+    if not args.skip_variance and orig is None:
+        # the variance reduction compares Sigma_beta, which a confounded
+        # design does not have (original_value just found that)
+        doc["variance_reduction"] = None
+    elif not args.skip_variance:
         vr = variance_reduction(
             F, allocation, z0_count=args.z0_count,
             rand_designs=args.rand_designs, seed=args.seed,

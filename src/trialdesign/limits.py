@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 MODES = ("auto", "exact", "heuristic")
@@ -11,7 +12,8 @@ MODES = ("auto", "exact", "heuristic")
 class SolveLimits:
     """Budget and reproducibility knobs passed to every solver entry point.
 
-    epsilon      convergence / pruning tolerance on objective values
+    epsilon      convergence / pruning tolerance on objective values;
+                 positive and finite
     time_limit   wall-clock budget in seconds for the whole call
     node_limit   branch-and-bound node budget.  In EXACT it budgets each
                  master's branch and bound, and the separations get only
@@ -32,8 +34,9 @@ class SolveLimits:
     mode: str = "auto"
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        # an infinite epsilon would certify any value as optimal
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.node_limit < 1:

@@ -118,6 +118,84 @@ class TestCutSet:
             assert not np.shares_memory(stored, given)
 
 
+@pytest.mark.blas_bits
+class TestCutSetScreen:
+    """The Cholesky screen clears PSD stacks without a spectrum; the
+    eigenvalue test still decides every cut it does not clear."""
+
+    @staticmethod
+    def spy_eigvalsh(monkeypatch) -> list:
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            calls.append(np.array(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    def test_psd_stack_needs_no_spectrum_until_lambda_max_is_read(self, monkeypatch):
+        calls = self.spy_eigvalsh(monkeypatch)
+        rng = np.random.default_rng(11)
+        B = rng.normal(size=(3, 50, 4))
+        cuts = CutSet(constants=np.zeros(3), matrices=B @ B.transpose(0, 2, 1))
+        assert calls == []
+        top = cuts.lambda_max
+        assert len(calls) == 1 and cuts.lambda_max is top
+        assert not top.flags.writeable
+        assert top.tolist() == [np.linalg.eigvalsh(A)[-1] for A in cuts.matrices]
+
+    @pytest.mark.parametrize("low, accepted", [(-0.6, True), (-0.999, True), (-1.5, False)])
+    def test_shallow_negative_eigenvalues_go_to_the_eigenvalue_test(
+        self, low, accepted, monkeypatch
+    ):
+        # an eigenvalue in (-CUT_PSD_ATOL, -CUT_PSD_ATOL / 2) fails the screen
+        # but passes the test; below -CUT_PSD_ATOL both reject
+        calls = self.spy_eigvalsh(monkeypatch)
+        Q, _ = np.linalg.qr(np.random.default_rng(13).normal(size=(6, 6)))
+        spectrum = np.array([low * bqp.CUT_PSD_ATOL, 0.0, 1.0, 1.0, 2.0, 3.0])
+        bad = (Q * spectrum) @ Q.T
+        mats = np.stack([np.eye(6), bad])
+        if accepted:
+            CutSet(constants=np.zeros(2), matrices=mats)
+        else:
+            with pytest.raises(ValueError, match=r"cut 1 is not PSD: smallest eigenvalue -1\.5"):
+                CutSet(constants=np.zeros(2), matrices=mats)
+        # only the cut the screen did not clear was tested
+        assert len(calls) == 1 and calls[0].shape == (1, 6, 6)
+
+    @pytest.mark.parametrize("block_entries", [64, 1 << 17])
+    def test_blocked_factor_agrees_with_numpy(self, block_entries, monkeypatch):
+        # 64 entries make blocks of two columns at n = 30
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(19)
+        n = 30
+        mats = []
+        for shift in (1e-9, 0.5, -1e-6, -0.5):
+            B = rng.normal(size=(n, 8))
+            mats.append(B @ B.T + shift * np.eye(n))
+        mats = np.stack(mats)
+        numpy_cleared = []
+        for A in mats:
+            try:
+                np.linalg.cholesky(A)
+                numpy_cleared.append(True)
+            except np.linalg.LinAlgError:
+                numpy_cleared.append(False)
+        assert numpy_cleared == [True, True, False, False]
+        assert bqp._factor_in_place(mats.copy()).tolist() == numpy_cleared
+
+    def test_large_entries_skip_the_screen(self, monkeypatch):
+        # with n eps max|A| above CUT_PSD_ATOL / 2 the factor proves too
+        # little, so the eigenvalue test decides
+        calls = self.spy_eigvalsh(monkeypatch)
+        mats = np.stack([np.eye(4), 1e8 * np.eye(4)])
+        CutSet(constants=np.zeros(2), matrices=mats)
+        assert len(calls) == 1 and calls[0].shape == (1, 4, 4)
+        assert calls[0][0, 0, 0] == 1e8
+
+
 class TestResult:
     def test_rejects_value_below_bound(self):
         alloc = Allocation(np.array([1, -1]))
@@ -502,9 +580,9 @@ class TestRestarts:
     def test_count_does_not_grow_with_n(self, n, monkeypatch):
         starts = []
 
-        def stub(c, A, diag, x0, deadline):
-            starts.append(x0)
-            return x0, float(bqp._exact_cut_values(c, A, x0).max())
+        def stub(c, A, diag, X0, deadline):
+            starts.extend(X0)
+            return X0, np.array([bqp._exact_cut_values(c, A, x).max() for x in X0])
 
         monkeypatch.setattr(bqp, "_descent", stub)
         cuts = CutSet(constants=np.zeros(1), matrices=np.eye(n)[None])
@@ -515,6 +593,32 @@ class TestRestarts:
         res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"), warm_start=warm)
         assert res.restarts == len(starts) == 33
         assert np.array_equal(starts[0], warm)
+
+    @pytest.mark.parametrize("n, k, sizes", [
+        (200, 1, [13, 13, 7]),
+        (100, 4, [13, 13, 7]),
+        (401, 1, [3] * 11),
+        (600, 1, [1] * 33),
+    ])
+    def test_starts_run_in_order_in_block_sized_stacks(self, n, k, sizes, monkeypatch):
+        # a stack's swap blocks hold about BLOCK_ENTRIES entries
+        stacks = []
+        descent = bqp._descent
+
+        def spy(c, A, diag, X0, deadline):
+            stacks.append(np.array(X0))
+            return descent(c, A, diag, X0, deadline)
+
+        monkeypatch.setattr(bqp, "_descent", spy)
+        rng = np.random.default_rng(n + k)
+        B = rng.normal(size=(k, n, 3))
+        cuts = CutSet(constants=np.zeros(k), matrices=B @ B.transpose(0, 2, 1))
+        warm = random_balanced_signs(n, rng)
+        minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=5), warm_start=warm)
+        assert [len(X) for X in stacks] == sizes
+        seeded = np.random.default_rng(5)
+        expected = [warm] + [random_balanced_signs(n, seeded) for _ in range(bqp.RESTARTS)]
+        assert np.array_equal(np.concatenate(stacks), expected)
 
 
 @pytest.mark.blas_bits
@@ -580,17 +684,24 @@ class TestIncumbentContinuation:
 
 @pytest.mark.blas_bits
 class TestDescentOracle:
-    """The slot-indexed descent must match the gather-based one bit for bit."""
+    """Each row of a descent stack must end where the gather-based
+    reference descent ends from it, bit for bit."""
 
     @staticmethod
-    def run_both(cuts: CutSet, x0: np.ndarray) -> np.ndarray:
+    def run_stack(cuts: CutSet, X0: np.ndarray) -> np.ndarray:
         c, A = cuts.constants, cuts.matrices
         diag = np.einsum("kii->ki", A).copy()
-        x_new, v_new = _descent(c, A, diag, x0, np.inf)
-        x_old, v_old = naive_descent(c, A, diag, x0, np.inf)
-        assert np.array_equal(x_new, x_old)
-        assert v_new == v_old
-        return x_new
+        X, values = _descent(c, A, diag, X0, np.inf)
+        assert X.shape == X0.shape and values.shape == (len(X0),)
+        for x0, x, value in zip(X0, X, values):
+            x_ref, v_ref = naive_descent(c, A, diag, x0, np.inf)
+            assert np.array_equal(x, x_ref)
+            assert value == v_ref
+        return X
+
+    @staticmethod
+    def starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        return np.array([random_balanced_signs(n, rng) for _ in range(count)], dtype=float)
 
     def test_lb_matrix_with_exact_ties(self):
         # iid +/-1 covariates at p=4 give at most 8 distinct rows, so the
@@ -602,37 +713,81 @@ class TestDescentOracle:
         H = random_design(200, 4, rng)
         assert np.unique(H, axis=0).shape[0] <= 8
         cuts = CutSet(constants=np.zeros(1), matrices=oracle_lb_matrix(H)[None])
-        for _ in range(4):
-            self.run_both(cuts, random_balanced_signs(200, rng).astype(float))
+        self.run_stack(cuts, self.starts(200, 13, rng))
 
-    @pytest.mark.parametrize("k", [3, 5, 8])
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
     def test_random_psd_cuts(self, k):
         rng = np.random.default_rng(103 + k)
         cuts = random_cuts(40, k, rng)
-        for _ in range(3):
-            self.run_both(cuts, random_balanced_signs(40, rng).astype(float))
+        self.run_stack(cuts, self.starts(40, 6, rng))
 
     def test_odd_n_single_flips(self):
         # swaps keep the sum; a final sum of the other sign proves that a
         # single flip (and so a block rebuild) happened
         rng = np.random.default_rng(107)
-        flipped = 0
-        for n, k in [(31, 1), (31, 2), (45, 3), (61, 1)]:
-            cuts = random_cuts(n, k, rng)
-            for _ in range(4):
-                x0 = random_balanced_signs(n, rng).astype(float)
-                x = self.run_both(cuts, x0)
-                flipped += int(x.sum() != x0.sum())
-        assert flipped > 0
+        for k in (1, 3, 5):
+            flipped = 0
+            for n in (31, 45, 61):
+                cuts = random_cuts(n, k, rng)
+                X0 = self.starts(n, 8, rng)
+                X = self.run_stack(cuts, X0)
+                flipped += int(np.count_nonzero(X.sum(axis=1) != X0.sum(axis=1)))
+            assert flipped > 0
+
+    def test_rows_stop_in_different_rounds(self, monkeypatch):
+        # the stack runs until its longest descent stops; one start sits at
+        # its own fixed point, so it leaves in the first round
+        rng = np.random.default_rng(113)
+        cuts = random_cuts(60, 2, rng)
+        X0 = self.starts(60, 7, rng)
+        X0[3] = self.run_stack(cuts, X0[3:4])[0]
+        reads = []
+
+        class Clock:
+            @staticmethod
+            def monotonic():
+                reads.append(1)
+                return 0.0
+
+        monkeypatch.setattr(bqp, "time", Clock)
+        rounds = []
+        for x0 in X0:
+            reads.clear()
+            self.run_stack(cuts, x0[None])
+            rounds.append(len(reads))
+        reads.clear()
+        self.run_stack(cuts, X0)
+        assert rounds[3] == 1
+        assert len(set(rounds)) > 2
+        # the deadline is read once per round
+        assert len(reads) == max(rounds)
 
     def test_warm_start(self):
         rng = np.random.default_rng(109)
         H = random_design(120, 5, rng)
         cuts = CutSet(constants=np.zeros(1), matrices=oracle_lb_matrix(H)[None])
-        warm = np.tile([1.0, -1.0], 60)
-        x = self.run_both(cuts, warm)
-        # a descent from its own fixed point makes no move
-        assert np.array_equal(self.run_both(cuts, x), x)
+        X0 = np.vstack([np.tile([1.0, -1.0], 60), self.starts(120, 4, rng)])
+        X = self.run_stack(cuts, X0)
+        # a descent from its own fixed point makes no move, alone or stacked
+        assert np.array_equal(self.run_stack(cuts, X), X)
+        assert np.array_equal(self.run_stack(cuts, X[:1]), X[:1])
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_stack_of_one(self, n):
+        rng = np.random.default_rng(127 + n)
+        cuts = random_cuts(n, 2, rng)
+        for _ in range(3):
+            self.run_stack(cuts, self.starts(n, 1, rng))
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_expired_deadline_returns_every_start_unmoved(self, count):
+        rng = np.random.default_rng(131)
+        cuts = random_cuts(41, 3, rng)
+        c, A = cuts.constants, cuts.matrices
+        X0 = self.starts(41, count, rng)
+        X, values = _descent(c, A, cuts.diagonals, X0, time.monotonic() - 1.0)
+        assert np.array_equal(X, X0)
+        assert values.tolist() == [float(bqp._exact_cut_values(c, A, x).max()) for x in X0]
 
 
 class TestNodeBounds:

@@ -213,9 +213,9 @@ class TestLowerBound:
         descents = []
         real_descent = bqp._descent
 
-        def count(*args):
-            descents[-1] += 1
-            return real_descent(*args)
+        def count(c, A, diag, X0, deadline):
+            descents[-1] += len(X0)
+            return real_descent(c, A, diag, X0, deadline)
 
         masters = []
 

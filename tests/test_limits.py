@@ -12,7 +12,14 @@ def test_defaults():
 
 @pytest.mark.parametrize(
     "name, value",
-    [("epsilon", 0.0), ("time_limit", -1.0), ("node_limit", 0), ("mode", "annealing")],
+    [
+        ("epsilon", 0.0),
+        ("epsilon", float("inf")),
+        ("epsilon", float("nan")),
+        ("time_limit", -1.0),
+        ("node_limit", 0),
+        ("mode", "annealing"),
+    ],
 )
 def test_rejects_invalid_setting(name, value):
     with pytest.raises(ValueError, match=name):
