@@ -2,12 +2,14 @@
 
 The problem is min_x max_k (c_k + x'A_k x) over x in {-1,+1}^n with
 |sum x| <= 1.  Heuristic mode runs seeded multi-start steepest descent
-over balance-preserving moves: opposite-sign pair swaps, plus single
-flips when n is odd.  Each descent scores all swaps from a block
-8 A_k[plus, minus] kept in slot order, rewriting one row and one column
-per swap instead of gathering the block again; the block costs a
-quarter of the cut stack.  Exact ties go to the smallest (plus index,
-minus index) pair, so results depend only on the seed.
+over balance-preserving moves, opposite-sign pair swaps.  Odd n descends
+as n + 1 with a phantom subject, zero in every cut and starting at minus
+the sum, so a swap with it is a single flip from the larger arm.  Each
+descent scores all swaps from a block 8 A_k[plus, minus] kept in slot
+order, rewriting one row and one column per swap instead of gathering
+the block again; the block costs a quarter of the cut stack.  Exact ties
+go to the smallest (plus index, minus index) pair, the phantom's index
+being n, so results depend only on the seed.
 
 The descent runs from RESTARTS = 32 seeded starts at every n, plus the
 warm start when one is given.  The count comes from a curve of value
@@ -235,106 +237,97 @@ def _canonical(x: np.ndarray) -> np.ndarray:
 # heuristic: multi-start steepest descent over balance-preserving moves
 
 
+def _with_phantom(A: np.ndarray, diag: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The descent's problem at even size: (A, diag, X) unchanged at even n.
+
+    At odd n a phantom subject n joins with a zero row, column and
+    diagonal entry in every cut, so it changes no value, and starts at
+    minus each row's sum: the padded rows sum to 0, and a swap with the
+    phantom is a single flip from the larger arm.
+    """
+    if A.shape[1] % 2 == 0:
+        return A, diag, X
+    X_even = np.column_stack([X, -X.sum(axis=1)])
+    return np.pad(A, ((0, 0), (0, 1), (0, 1))), np.pad(diag, ((0, 0), (0, 1))), X_even
+
+
 def _descent_one(
     c: np.ndarray, A: np.ndarray, diag: np.ndarray, x0: np.ndarray, deadline: float
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """``_descent`` of one start, a move at a time.
 
     A stack of one runs here: scalar indices cost less than a stack's
     array indexing, and at n = 600 the stacked rounds were 8-13% slower
-    per move.  The moves, tie rule and arithmetic are the stack's.  The
-    block is sized to the two sides, so an odd-n single flip rebuilds it.
+    per move.  The moves, tie rule and arithmetic are the stack's.
     """
     K = A.shape[0]
     x = x0.astype(float)
     g = A @ x
     f = c + g @ x
-    S8 = None
+    P = np.flatnonzero(x > 0)
+    M = np.flatnonzero(x < 0)
+    # rows then columns gathers faster than one 2-d fancy index, and the
+    # C-ordered output keeps each S8[k] contiguous for the moves
+    S8 = np.multiply(A[:, P][:, :, M], 8.0, out=np.empty((K, P.size, M.size)))
+    blk = np.empty(S8.shape[1:])
+    buf = np.empty_like(blk) if K > 1 else blk
+    # blk[a, b] = lhs[a] . rhs[:, b] = (f_k + u_a) * 1 + 1 * v_b: both
+    # products are exact, so each entry is rounded once, as by np.add,
+    # while BLAS avoids numpy's per-row broadcast cost
+    lhs = np.ones((2, P.size)).T
+    rhs = np.ones((2, M.size))
     while time.monotonic() <= deadline:
         cur = float(f.max())
-        tol = MOVE_RTOL * (1.0 + abs(cur))
-        if S8 is None:
-            P = np.flatnonzero(x > 0)
-            M = np.flatnonzero(x < 0)
-            total = P.size - M.size  # swaps keep the sum
-            # rows then columns gathers faster than one 2-d fancy index, and
-            # the C-ordered output keeps each S8[k] contiguous for the moves
-            S8 = np.multiply(A[:, P][:, :, M], 8.0, out=np.empty((K, P.size, M.size)))
-            blk = np.empty(S8.shape[1:])
-            buf = np.empty_like(blk) if K > 1 else blk
-            # blk[a, b] = lhs[a] . rhs[:, b] = (f_k + u_a) * 1 + 1 * v_b:
-            # both products are exact, so each entry is rounded once, as
-            # by np.add, while BLAS avoids numpy's per-row broadcast cost
-            lhs = np.ones((2, P.size)).T
-            rhs = np.ones((2, M.size))
-        best_val = np.inf
-        best_move: tuple[int, ...] | None = None
-        if P.size and M.size:
-            gP, gM = g[:, P], g[:, M]
-            dP, dM = diag[:, P], diag[:, M]
-            for k in range(K):
-                u = -4.0 * gP[k] + 4.0 * dP[k]
-                lhs[:, 0] = f[k] + u
-                rhs[1] = 4.0 * gM[k] + 4.0 * dM[k]
-                out = blk if k == 0 else buf
-                np.matmul(lhs, rhs, out=out)
-                np.subtract(out, S8[k], out=out)
-                if k:
-                    np.maximum(blk, buf, out=blk)
-            rowmin = blk.min(axis=1)
-            best_val = float(rowmin.min())
-            rows = np.flatnonzero(rowmin == best_val)
-            a = int(rows[np.argmin(P[rows])])
-            cols = np.flatnonzero(blk[a] == best_val)
-            b = int(cols[np.argmin(M[cols])])
-            best_move = (int(P[a]), int(M[b]))
-        if total != 0:
-            side = np.flatnonzero(x == float(np.sign(total)))
-            single = None
-            for k in range(K):
-                cand = f[k] - 4.0 * x[side] * g[k, side] + 4.0 * diag[k, side]
-                single = cand if single is None else np.maximum(single, cand)
-            t = int(np.argmin(single))
-            if float(single[t]) < best_val:
-                best_val = float(single[t])
-                best_move = (int(side[t]),)
-        if best_move is None or best_val >= cur - tol:
+        gP, gM = g[:, P], g[:, M]
+        dP, dM = diag[:, P], diag[:, M]
+        for k in range(K):
+            u = -4.0 * gP[k] + 4.0 * dP[k]
+            lhs[:, 0] = f[k] + u
+            rhs[1] = 4.0 * gM[k] + 4.0 * dM[k]
+            out = blk if k == 0 else buf
+            np.matmul(lhs, rhs, out=out)
+            np.subtract(out, S8[k], out=out)
+            if k:
+                np.maximum(blk, buf, out=blk)
+        rowmin = blk.min(axis=1)
+        best_val = float(rowmin.min())
+        if best_val >= cur - MOVE_RTOL * (1.0 + abs(cur)):
             break
-        for idx in best_move:
-            g -= 2.0 * x[idx] * A[:, :, idx]
-        for idx in best_move:
-            x[idx] = -x[idx]
+        rows = np.flatnonzero(rowmin == best_val)
+        a = int(rows[np.argmin(P[rows])])
+        cols = np.flatnonzero(blk[a] == best_val)
+        b = int(cols[np.argmin(M[cols])])
+        # i leaves the plus side, j the minus side
+        i, j = int(P[a]), int(M[b])
+        g -= 2.0 * A[:, :, i]
+        g += 2.0 * A[:, :, j]
+        x[i], x[j] = -1.0, 1.0
         f = c + g @ x
-        if len(best_move) == 1:
-            S8 = None
-        else:
-            P[a], M[b] = best_move[1], best_move[0]
-            np.multiply(A[:, P[a], M], 8.0, out=S8[:, a, :])
-            np.multiply(A[:, P, M[b]], 8.0, out=S8[:, :, b])
-    return x, float(_exact_cut_values(c, A, x).max())
+        P[a], M[b] = j, i
+        np.multiply(A[:, j, M], 8.0, out=S8[:, a, :])
+        np.multiply(A[:, P, i], 8.0, out=S8[:, :, b])
+    return x
 
 
 def _descent(
     c: np.ndarray, A: np.ndarray, diag: np.ndarray, X0: np.ndarray, deadline: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest descent from each row of X0 until no swap (or odd-n flip)
-    strictly improves; returns the final rows and their values.
+) -> np.ndarray:
+    """Steepest descent from each row of X0 until no swap strictly
+    improves; returns the final rows.
 
-    The rows descend together: each round makes one move in every running
-    row with one set of array operations, and rows that cannot improve
-    leave the stack.  Each row's state is a slice of stacked arrays, kept
-    in no particular order: moving rows come first, so most writes hit a
-    leading slice.  A is exactly symmetric (as ``CutSet`` makes it), so
-    rows of A serve where columns are meant.
+    n is even and every row sums to 0 (odd n comes padded by
+    ``_with_phantom``).  The rows descend together: each round makes one
+    move in every running row with one set of array operations, and rows
+    that cannot improve leave the stack.  Each row's state is a slice of
+    stacked arrays, kept in no particular order: moving rows come first,
+    so most writes hit a leading slice.  A is exactly symmetric (as
+    ``CutSet`` makes it), so rows of A serve where columns are meant.
 
     Swap candidates live in a slot-indexed block per row: PM[r, 0] and
     PM[r, 1] hold the +1 and -1 coordinates in slot order, and
     S8[r, k, a, b] = 8 A_k[P[a], M[b]].  A swap trades the two
     coordinates' slots, so one row and one column of S8[r] are rewritten
-    (O(Kn)) rather than the block re-gathered (O(Kn^2)).  Every block is
-    ceil(n/2) square: at odd n the short side's last slot is padding,
-    whose S8 entries are -inf so its candidates are +inf, and a single
-    flip re-sorts and rebuilds that row's block.
+    (O(Kn)) rather than the block re-gathered (O(Kn^2)).
 
     Every candidate value is computed in the same order as a plain
     re-gather would, ((f_k + u_a) + v_b) - 8 a_ab, so each row ends bit
@@ -344,10 +337,9 @@ def _descent(
     read once per round, so the running rows stop together.
     """
     if len(X0) == 1:
-        x, value = _descent_one(c, A, diag, X0[0], deadline)
-        return x[None], np.array([value])
+        return _descent_one(c, A, diag, X0[0], deadline)[None]
     K, n = A.shape[0], A.shape[1]
-    m = (n + 1) // 2
+    m = n // 2
     X = np.array(X0, dtype=float)
     R = X.shape[0]
     # g and 4 diag share one buffer, so one take gathers both at the slots
@@ -358,31 +350,16 @@ def _descent(
     F = c + np.matmul(G, X[:, :, None])[..., 0]
     PM = np.empty((R, 2, m), dtype=np.intp)
     S8 = np.empty((R, K, m, m))
-    # the short side at odd n: 1 when the minus side is short
-    short = np.zeros(R, dtype=np.intp)
-
-    def fill(r: int) -> None:
-        # sorted slots and a fresh block
-        for s, coords in enumerate((np.flatnonzero(X[r] > 0), np.flatnonzero(X[r] < 0))):
-            PM[r, s, : coords.size] = coords
-            PM[r, s, coords.size :] = 0
-        # rows then columns gathers faster than one 2-d fancy index
-        np.multiply(A[:, PM[r, 0]][:, :, PM[r, 1]], 8.0, out=S8[r])
-        if n % 2:
-            short[r] = X[r].sum() > 0
-            if short[r]:
-                S8[r, :, :, -1] = -np.inf
-            else:
-                S8[r, :, -1, :] = -np.inf
-
     for r in range(R):
-        fill(r)
-    # the chosen slots (a, b), odd-n flips and their coordinates
+        # sorted slots; rows then columns gathers faster than one 2-d
+        # fancy index
+        PM[r, 0] = np.flatnonzero(X[r] > 0)
+        PM[r, 1] = np.flatnonzero(X[r] < 0)
+        np.multiply(A[:, PM[r, 0]][:, :, PM[r, 1]], 8.0, out=S8[r])
+    # the chosen slots (a, b)
     AB = np.empty((R, 2), dtype=np.intp)
-    flip = np.zeros(R, dtype=bool)
-    flip_at = np.zeros(R, dtype=np.intp)
     ids = np.arange(R)
-    state = (X, G, F, PM, S8, short, AB, flip, flip_at, ids)
+    state = (X, G, F, PM, S8, AB, ids)
 
     def to_front(keep: np.ndarray) -> int:
         # exchange rows so the kept ones lead; returns how many lead
@@ -419,14 +396,6 @@ def _descent(
         np.multiply(T, sign4, out=T)
         cur = F[:live].max(axis=1)
         floor = cur - MOVE_RTOL * (1.0 + np.abs(cur))
-        if n % 2:
-            # single flips from the long side: (f_k - 4 x_i g_ki) + 4 d_ki
-            side = 1 - short[:live]
-            single = (F[:live, :, None] + T[r, :, side]) + D[r, :, side]
-            single = single.max(axis=1)
-            smin = single.min(axis=1)
-            coords = PM[r, side]
-            flip_at[:live] = coords[r, np.where(single == smin[:, None], coords, n).argmin(axis=1)]
         q = Q[:live]
         np.add(T, D, out=q[:, :, ::2])
         np.add(q[:, :, 0], F[:live, :, None], out=q[:, :, 0])
@@ -448,42 +417,30 @@ def _descent(
         win = order[np.searchsorted(at, r)]
         AB[:live, 0] = a[win]
         AB[:live, 1] = b[win]
-        if n % 2:
-            np.less(smin, best, out=flip[:live])
-            best = np.minimum(best, smin)
         move = best < floor
         if np.count_nonzero(move) < live:
             k = to_front(move)
             X_out[ids[k:live]] = X[k:live]
             live = k
-        swaps = to_front(~flip[:live]) if n % 2 else live
-        s, rs = slice(0, swaps), rows[:swaps]
-        if swaps:
-            # i leaves the plus side, j the minus side
-            IJ = PM[rs[:, None], pair, AB[:swaps]]
-            A2 = At[IJ]
-            A2 *= 2.0
-            G[s] -= A2[:, 0]
-            G[s] += A2[:, 1]
-            X[rs[:, None], IJ] = (-1.0, 1.0)
-            np.add(c, np.matmul(G[s], X[s, :, None])[..., 0], out=F[s])
-            PM[rs[:, None], pair, AB[:swaps]] = IJ[:, ::-1]
-            # 8 A[i, P] is S8's column b, 8 A[j, M] its row a
-            V = np.take(A2, offV[:swaps] + PM[s, :, None])
-            V *= 4.0
-            if n % 2:
-                V[rs, short[s], :, -1] = -np.inf
-            S8[rs, :, AB[s, 0]] = V[:, 1]
-            S8[rs, :, :, AB[s, 1]] = V[:, 0]
-        for f in range(swaps, live):
-            t = flip_at[f]
-            G[f] -= 2.0 * X[f, t] * A[:, t]
-            X[f, t] = -X[f, t]
-            F[f] = c + G[f] @ X[f]
-            fill(f)
+            if not live:
+                break
+        s, rs = slice(0, live), rows[:live]
+        # i leaves the plus side, j the minus side
+        IJ = PM[rs[:, None], pair, AB[s]]
+        A2 = At[IJ]
+        A2 *= 2.0
+        G[s] -= A2[:, 0]
+        G[s] += A2[:, 1]
+        X[rs[:, None], IJ] = (-1.0, 1.0)
+        np.add(c, np.matmul(G[s], X[s, :, None])[..., 0], out=F[s])
+        PM[rs[:, None], pair, AB[s]] = IJ[:, ::-1]
+        # 8 A[i, P] is S8's column b, 8 A[j, M] its row a
+        V = np.take(A2, offV[s] + PM[s, :, None])
+        V *= 4.0
+        S8[rs, :, AB[s, 0]] = V[:, 1]
+        S8[rs, :, :, AB[s, 1]] = V[:, 0]
     X_out[ids[:live]] = X[:live]
-    values = np.array([_exact_cut_values(c, A, x).max() for x in X_out])
-    return X_out, values
+    return X_out
 
 
 def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
@@ -491,19 +448,19 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     is within epsilon of the root bound, which is then the lower bound.
 
     The starts descend in order, in stacks whose swap blocks hold about
-    BLOCK_ENTRIES entries."""
+    BLOCK_ENTRIES entries.  Each final row is valued here, on the real
+    cuts, by ``_exact_cut_values``."""
     deadline = time.monotonic() + limits.time_limit
     rng = np.random.default_rng(limits.seed)
     starts = [] if warm_start is None else [allocation_vector(warm_start)]
     starts.extend(random_balanced_signs(cuts.n, rng) for _ in range(RESTARTS))
-    starts = np.array(starts, dtype=float)
-    size = max(1, BLOCK_ENTRIES // (cuts.k * ((cuts.n + 1) // 2) ** 2))
+    c, A, n = cuts.constants, cuts.matrices, cuts.n
+    A_even, diag_even, starts = _with_phantom(A, cuts.diagonals, np.array(starts, dtype=float))
+    size = max(1, BLOCK_ENTRIES // (cuts.k * ((n + 1) // 2) ** 2))
     best_x, best_val = None, np.inf
     for s in range(0, len(starts), size):
-        X, values = _descent(
-            cuts.constants, cuts.matrices, cuts.diagonals, starts[s : s + size], deadline
-        )
-        for xv, val in zip(X, values.tolist()):
+        for xv in _descent(c, A_even, diag_even, starts[s : s + size], deadline)[:, :n]:
+            val = float(_exact_cut_values(c, A, xv).max())
             xc = _canonical(xv)
             if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
                 best_x, best_val = xc, val

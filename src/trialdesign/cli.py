@@ -127,24 +127,28 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _rand_block(F, args, space):
+def _rand_block(F, args, space, limits=None):
     """Both RAND benchmarks on one draw of args.replicates allocations: the
-    allocations, replicate 0's value per objective, and a summary per objective."""
+    allocations, replicate 0's value per objective, and a summary per objective.
+
+    ``limits`` budgets each objective's separations (default SolveLimits)."""
     allocations = random_balanced_allocations(F.n, args.replicates, args.seed)
     keys = ("quantiles", "confounded", "unfinished", "separation_nodes")
     first, summary = {}, {}
     for name in ("surrogate", "original"):
-        doc = rand_benchmark(F, objective=name, space=space, allocations=allocations).to_dict()
+        doc = rand_benchmark(
+            F, objective=name, space=space, allocations=allocations, limits=limits
+        ).to_dict()
         first[name] = doc["values"][0]  # None where it confounds
         summary[name] = {key: doc[key] for key in keys}
     return allocations, first, summary
 
 
-def _rand_design_report(A, args, space) -> DesignReport:
+def _rand_design_report(A, limits, args, space) -> DesignReport:
     t0 = time.monotonic()
     F = spectral_cache(A)
     # the report shows replicate 0, whose values the benchmarks hold
-    allocations, first, summary = _rand_block(F, args, space)
+    allocations, first, summary = _rand_block(F, args, space, limits)
     diagnostics = {
         "replicates": args.replicates,
         # the design report groups the summaries by field, not by objective
@@ -154,20 +158,23 @@ def _rand_design_report(A, args, space) -> DesignReport:
     return DesignReport.from_run(
         "RAND", F, t0, allocation=allocations[0], surrogate_value=first["surrogate"],
         original_value=first["original"], status="sampled", seed=args.seed,
-        diagnostics=diagnostics, parameters={"replicates": args.replicates, "space": space.kind},
+        diagnostics=diagnostics,
+        # the separations read only these two limits
+        parameters={"replicates": args.replicates, "space": space.kind,
+                    "time_limit": limits.time_limit, "node_limit": limits.node_limit},
     )
 
 
 def cmd_design(args) -> int:
     A = _load_matrix(args.matrix)
     space = _space(args.space)
-    # RAND reads no solver limits, so it validates none
+    limits = _limits(args)
     if args.method == "exact":
-        report = solve_exact(A, _limits(args), report_space=space, verbose=args.verbose)
+        report = solve_exact(A, limits, report_space=space, verbose=args.verbose)
     elif args.method == "lb":
-        report = solve_lb(A, _limits(args), report_space=space)
+        report = solve_lb(A, limits, report_space=space)
     else:
-        report = _rand_design_report(A, args, space)
+        report = _rand_design_report(A, limits, args, space)
     report.parameters.update(
         {
             "matrix": str(args.matrix),

@@ -582,7 +582,7 @@ class TestRestarts:
 
         def stub(c, A, diag, X0, deadline):
             starts.extend(X0)
-            return X0, np.array([bqp._exact_cut_values(c, A, x).max() for x in X0])
+            return X0
 
         monkeypatch.setattr(bqp, "_descent", stub)
         cuts = CutSet(constants=np.zeros(1), matrices=np.eye(n)[None])
@@ -618,7 +618,11 @@ class TestRestarts:
         assert [len(X) for X in stacks] == sizes
         seeded = np.random.default_rng(5)
         expected = [warm] + [random_balanced_signs(n, seeded) for _ in range(bqp.RESTARTS)]
-        assert np.array_equal(np.concatenate(stacks), expected)
+        # an odd-n stack carries the phantom subject last, at minus the sum
+        padded = np.concatenate(stacks)
+        assert np.array_equal(padded[:, :n], expected)
+        if n % 2:
+            assert np.array_equal(padded[:, n], -padded[:, :n].sum(axis=1))
 
 
 @pytest.mark.blas_bits
@@ -689,9 +693,11 @@ class TestDescentOracle:
 
     @staticmethod
     def run_stack(cuts: CutSet, X0: np.ndarray) -> np.ndarray:
+        # odd n descends with the phantom subject, which is then stripped
         c, A = cuts.constants, cuts.matrices
         diag = np.einsum("kii->ki", A).copy()
-        X, values = _descent(c, A, diag, X0, np.inf)
+        X = _descent(c, *bqp._with_phantom(A, diag, X0), np.inf)[:, : cuts.n]
+        values = np.array([float(bqp._exact_cut_values(c, A, x).max()) for x in X])
         assert X.shape == X0.shape and values.shape == (len(X0),)
         for x0, x, value in zip(X0, X, values):
             x_ref, v_ref = naive_descent(c, A, diag, x0, np.inf)
@@ -722,8 +728,8 @@ class TestDescentOracle:
         self.run_stack(cuts, self.starts(40, 6, rng))
 
     def test_odd_n_single_flips(self):
-        # swaps keep the sum; a final sum of the other sign proves that a
-        # single flip (and so a block rebuild) happened
+        # swaps of real subjects keep the sum; a final sum of the other
+        # sign proves that a swap with the phantom, a single flip, happened
         rng = np.random.default_rng(107)
         for k in (1, 3, 5):
             flipped = 0
@@ -785,10 +791,80 @@ class TestDescentOracle:
         cuts = random_cuts(41, 3, rng)
         c, A = cuts.constants, cuts.matrices
         X0 = self.starts(41, count, rng)
-        X, values = _descent(c, A, cuts.diagonals, X0, time.monotonic() - 1.0)
+        padded = bqp._with_phantom(A, cuts.diagonals, X0)
+        X = _descent(c, *padded, time.monotonic() - 1.0)
+        assert np.array_equal(X, padded[2])
+        X = X[:, :41]
+        values = np.array([float(bqp._exact_cut_values(c, A, x).max()) for x in X])
         assert np.array_equal(X, X0)
         assert values.tolist() == [float(bqp._exact_cut_values(c, A, x).max()) for x in X0]
 
+
+
+@pytest.mark.blas_bits
+class TestPhantom:
+    """Odd n descends on n + 1 subjects, and the heuristic reports the
+    real problem's allocation and value."""
+
+    @pytest.mark.parametrize("n", [31, 40, 45, 61])
+    def test_value_is_the_allocations_exact_value(self, n):
+        rng = np.random.default_rng(137 + n)
+        for k in (1, 3):
+            cuts = random_cuts(n, k, rng)
+            res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"))
+            x = res.x_star.x.astype(float)
+            assert res.value == float(
+                bqp._exact_cut_values(cuts.constants, cuts.matrices, x).max()
+            )
+
+    @pytest.mark.parametrize("n", [15, 21, 31])
+    def test_tied_cuts_end_balanced_with_no_improving_move(self, n):
+        # integer values: every improvement is at least 1, far above the
+        # descent's tolerance, and every tie is exact
+        rng = np.random.default_rng(139 + n)
+        for k in (1, 2, 4):
+            cuts = integer_cuts(n, k, rng)
+            c, A = cuts.constants, cuts.matrices
+            res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=k))
+            again = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=k))
+            assert again.x_star.x.tolist() == res.x_star.x.tolist()
+            assert again.value == res.value
+            x = res.x_star.x.astype(float)
+            assert abs(x.sum()) == 1
+            # every swap, and every flip from the larger arm
+            moves = [(i, j) for i in np.flatnonzero(x > 0) for j in np.flatnonzero(x < 0)]
+            moves += [(i,) for i in np.flatnonzero(x == np.sign(x.sum()))]
+            Y = np.tile(x, (len(moves), 1))
+            for y, move in zip(Y, moves):
+                y[list(move)] *= -1.0
+            assert np.all(np.abs(Y.sum(axis=1)) == 1)
+            values = (c + np.einsum("mi,kij,mj->mk", Y, A, Y)).max(axis=1)
+            assert values.min() >= res.value
+
+    @pytest.mark.parametrize("n", [31, 45])
+    def test_stacks_of_one_match_the_reference(self, n, monkeypatch):
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", 1)
+        descent = bqp._descent
+        runs = []
+
+        def spy(c, A, diag, X0, deadline):
+            X = descent(c, A, diag, X0, deadline)
+            runs.append((np.array(X0), X))
+            return X
+
+        monkeypatch.setattr(bqp, "_descent", spy)
+        rng = np.random.default_rng(149 + n)
+        cuts = random_cuts(n, 2, rng)
+        c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
+        res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=3))
+        assert len(runs) == bqp.RESTARTS
+        ref_values = []
+        for X0, X in runs:
+            assert X0.shape == X.shape == (1, n + 1)
+            x_ref, v_ref = naive_descent(c, A, diag, X0[0, :n], np.inf)
+            assert np.array_equal(X[0, :n], x_ref)
+            ref_values.append(v_ref)
+        assert res.value == min(ref_values)
 
 class TestNodeBounds:
     def test_relaxation_bounds_stay_below_subcube_minimum(self):

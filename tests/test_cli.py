@@ -171,7 +171,7 @@ class TestDesign:
         [
             ("exact", {"epsilon", "time_limit", "node_limit", "mode", "space"}),
             ("lb", {"epsilon", "time_limit", "node_limit", "mode", "space"}),
-            ("rand", {"replicates", "space"}),
+            ("rand", {"replicates", "space", "time_limit", "node_limit"}),
         ],
     )
     def test_parameters_echo_what_the_method_reads(self, method, keys, toy_csv, capsys):
@@ -246,15 +246,21 @@ class TestDesign:
             assert set(doc["diagnostics"][key]) == {"surrogate", "original"}
         assert doc["diagnostics"]["unfinished"] == {"surrogate": 0, "original": 0}
 
-    def test_rand_reads_no_solver_limits(self, toy_csv, capsys):
+    def test_rand_separations_stop_at_the_limits(self, tmp_path, capsys):
+        # without the limits, these separations explored 26,759 nodes and
+        # every one finished
+        matrix = tmp_path / "m.csv"
+        run_cli(capsys, "synth", "--n", "60", "--p", "25", "--seed", "1", "--out", str(matrix))
         code, doc, err = run_cli(
-            capsys, "design", "--matrix", str(toy_csv), "--method", "rand",
-            "--replicates", "5", "--time-limit", "0",
+            capsys, "design", "--matrix", str(matrix), "--method", "rand",
+            "--replicates", "3", "--node-limit", "1", "--time-limit", "0.001",
         )
         assert code == 0, err
-        assert doc["method"] == "RAND"
+        assert doc["parameters"]["node_limit"] == 1
+        assert doc["parameters"]["time_limit"] == 0.001
+        assert sum(doc["diagnostics"]["unfinished"].values()) > 0
 
-    @pytest.mark.parametrize("method", ["exact", "lb"])
+    @pytest.mark.parametrize("method", ["exact", "lb", "rand"])
     def test_solver_methods_reject_a_zero_time_limit(self, method, toy_csv, capsys):
         code, doc, err = run_cli(
             capsys, "design", "--matrix", str(toy_csv), "--method", method,
