@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .limits import SolveLimits
-from .objective import Allocation, allocation_vector, random_balanced_signs
+from .objective import Allocation, allocation_vector, random_balanced_stack
 
 # cut matrices must be symmetric PSD up to this slack
 CUT_PSD_ATOL = 1e-8
@@ -299,13 +299,14 @@ def _descent_one(
         b = int(cols[np.argmin(M[cols])])
         # i leaves the plus side, j the minus side
         i, j = int(P[a]), int(M[b])
-        g -= 2.0 * A[:, :, i]
-        g += 2.0 * A[:, :, j]
+        # A is exactly symmetric: contiguous rows stand in for columns
+        g -= 2.0 * A[:, i]
+        g += 2.0 * A[:, j]
         x[i], x[j] = -1.0, 1.0
         f = c + g @ x
         P[a], M[b] = j, i
         np.multiply(A[:, j, M], 8.0, out=S8[:, a, :])
-        np.multiply(A[:, P, i], 8.0, out=S8[:, :, b])
+        np.multiply(A[:, i, P], 8.0, out=S8[:, :, b])
     return x
 
 
@@ -453,7 +454,7 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
     deadline = time.monotonic() + limits.time_limit
     rng = np.random.default_rng(limits.seed)
     starts = [] if warm_start is None else [allocation_vector(warm_start)]
-    starts.extend(random_balanced_signs(cuts.n, rng) for _ in range(RESTARTS))
+    starts.extend(random_balanced_stack(cuts.n, RESTARTS, rng))
     c, A, n = cuts.constants, cuts.matrices, cuts.n
     A_even, diag_even, starts = _with_phantom(A, cuts.diagonals, np.array(starts, dtype=float))
     size = max(1, BLOCK_ENTRIES // (cuts.k * ((n + 1) // 2) ** 2))

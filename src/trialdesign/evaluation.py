@@ -29,7 +29,7 @@ from .objective import (
     SpectralCache,
     allocation_vector,
     objective_stack,
-    random_balanced_signs,
+    random_balanced_stack,
     sigma_beta,
     sigma_beta_stack,
     spectral_cache,
@@ -188,10 +188,7 @@ def variance_reduction(
     budget = REDRAW_FACTOR * rand_designs
     step = stack_size(F)
     while accepted < rand_designs:
-        X = np.array(
-            [random_balanced_signs(n, rng) for _ in range(min(step, rand_designs - accepted))],
-            dtype=float,
-        )
+        X = random_balanced_stack(n, min(step, rand_designs - accepted), rng).astype(float)
         sigma, reasons = sigma_beta_stack(F, X)
         sigma = np.delete(sigma, list(reasons), axis=0)
         mean_sigma += sigma.sum(axis=0)

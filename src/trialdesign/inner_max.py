@@ -10,11 +10,12 @@ static order, so the relaxed part of a bound depends only on the depth
 and is tabulated once; a child's bound then follows from its parent's
 fixed-part value and one product N y in O(p), as does its greedy
 completion.  That node arithmetic is batched: up to EXPAND_MAX heap-top
-nodes are expanded in one set of array operations, while the pop order
-and every decision (limits, pruning, incumbents, pushes) stay one node
-at a time, as in an unbatched search.  Both paths break ties toward the
-lexicographically smallest z only where values are computed exactly
-(integer or dyadic entries).  Otherwise rounding can decide: branch and
+nodes are expanded in one set of array operations, which hand back each
+child's value, bound and approximate completion value as flat lists read
+by position, while the pop order and every decision (limits, pruning,
+incumbents, pushes) stay one node at a time, as in an unbatched search.
+Both paths break ties toward the lexicographically smallest z only where
+values are computed exactly (integer or dyadic entries).  Otherwise rounding can decide: branch and
 bound prunes and pushes on bounds summed in one order, and enumeration
 judges ties on its block values.
 
@@ -166,15 +167,17 @@ class _Tables:
         return float(tail[0]), margin, order.tolist()
 
 
-def _expand(tables: _Tables, requests: list) -> list[list]:
+def _expand(tables: _Tables, requests: list) -> list[tuple]:
     """Expand the fresh entries of every search of a round in one pass.
 
-    requests holds (slot, entries) per search.  Returns, per request and
-    entry, its children in sign order (-1, +1): values, bounds,
-    approximate values of their completions, and the completions.  The
-    products with a search's own matrices run over its own entries alone,
-    the operands a search expanded alone would have, so they give the
-    same bits; every other operation is elementwise or rowwise.
+    requests holds (slot, entries) per search.  Returns, per request, the
+    children of its entries by position: flat lists of values, bounds and
+    approximate completion values, child 2i being sign -1 of entry i and
+    child 2i + 1 sign +1, and the completions as one (2k, q) block in the
+    same order.  The products with a search's own matrices run over its
+    own entries alone, the operands a search expanded alone would have,
+    so they give the same bits; every other operation is elementwise or
+    rowwise.
     """
     q = tables.q
     entries = [entry for _, batch in requests for entry in batch]
@@ -189,20 +192,28 @@ def _expand(tables: _Tables, requests: list) -> list[list]:
         spans.append((slot, start, start + len(batch)))
         key[start : start + len(batch)] += slot * q
         start += len(batch)
+
+    def by_search(product) -> np.ndarray:
+        parts = [product(j, a, b) for j, a, b in spans]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     # lin = w + 2 N yf at each parent; setting y_b = s moves it by
     # 2s N[:, b] and the value of the fixed part by s lin_b + N_bb
-    lin = np.concatenate([tables.w[j] + fixed[a:b] @ tables.N2[j] for j, a, b in spans])
+    lin = by_search(lambda j, a, b: tables.w[j] + fixed[a:b] @ tables.N2[j])
     val = np.array(vals_fixed) + _SIGN * lin[np.arange(k), tables.branch[key]] + tables.diag_at[key]
     bound = val + tables.tail_at[key]
     y = np.where(lin[:, None, :] >= tables.thr_at[key], 1.0, -1.0)
     np.copyto(y, fixed[:, None, :], where=fixed[:, None, :] != 0)
     flat = y.reshape(2 * k, q)
-    Nyw = np.concatenate([flat[2 * a : 2 * b] @ tables.N[j] + tables.w[j] for j, a, b in spans])
-    approx = np.einsum("ij,ij->i", Nyw, flat).reshape(k, 2)
-    vals, bounds, approxs = val.T.tolist(), bound.T.tolist(), approx.tolist()
+    Nyw = by_search(lambda j, a, b: flat[2 * a : 2 * b] @ tables.N[j] + tables.w[j])
+    approx = np.einsum("ij,ij->i", Nyw, flat)
+    vals, bounds, approxs = val.T.ravel().tolist(), bound.T.ravel().tolist(), approx.tolist()
     # the completions are views of one block; a search copies the rows of
     # an entry it keeps past the round (_branch_and_bound)
-    return [list(zip(vals[a:b], bounds[a:b], approxs[a:b], y[a:b])) for _, a, b in spans]
+    return [
+        (vals[2 * a : 2 * b], bounds[2 * a : 2 * b], approxs[2 * a : 2 * b], flat[2 * a : 2 * b])
+        for _, a, b in spans
+    ]
 
 
 def _branch_and_bound(
@@ -223,14 +234,20 @@ def _branch_and_bound(
     Up to EXPAND_MAX heap-top entries are popped and expanded together:
     one (k, q) @ 2N product, then the children's values, bounds, greedy
     completions and approximate completion values as array operations.
-    Every decision then follows one node at a time, in pop order.  Should
-    a child pushed meanwhile outrank the next popped entry, the rest go
-    back on the heap with their keys and keep their expansions for their
-    turn, so nodes are expanded in the order, and with the outcome, of a
-    search that pops them one at a time.  The batch doubles, up to
+    Every decision then follows one node at a time, in pop order, reading
+    the expansions of a fresh batch by position: the children of its i-th
+    fresh entry are 2i and 2i + 1.  Should a child pushed meanwhile
+    outrank the next popped entry, the rest go back on the heap with their
+    keys and keep their expansions, by tie counter, for their turn, so
+    nodes are expanded in the order, and with the outcome, of a search
+    that pops them one at a time.  The batch doubles, up to
     EXPAND_MAX, while batches are used up, and shrinks to the number used
     when one is cut short: diving searches run batches of mostly one to
     four nodes, flat frontiers mostly full ones.
+
+    The node loop writes out both children, tests the leaf depth once per
+    node and keeps best_val - margin in a local, cut, that an offer
+    refreshes; a child's signs are its parent's bytes with one replaced.
 
     A generator: it loads its tables into the given slot, yields the
     fresh entries of each batch and is sent their expansions by _expand;
@@ -239,70 +256,91 @@ def _branch_and_bound(
     q = tables.q
     root_bound, margin, branch_at = tables.load(slot, M)
     w, N = tables.w[slot], tables.N[slot]
+    node_limit = limits.node_limit
+    # bound here rather than at import, so that stand-ins for heapq and
+    # time installed on this module before a search apply to it
+    heappop, heappush, monotonic = heapq.heappop, heapq.heappush, time.monotonic
 
     def exact_value(y: np.ndarray) -> float:
         return float(w @ y + y @ N @ y)
 
     best_y = _polish(np.where(w >= 0.0, 1.0, -1.0), w, N)
     best_val = exact_value(best_y)
+    # a child bounded, or a completion valued, under cut cannot win an offer
+    cut = best_val - margin
 
     def offer(y: np.ndarray) -> None:
-        nonlocal best_y, best_val
+        nonlocal best_y, best_val, cut
         val = exact_value(y)
         if val > best_val or (val == best_val and tuple(y) < tuple(best_y)):
-            best_y, best_val = y.copy(), val
+            best_y, best_val, cut = y.copy(), val, val - margin
 
     # heap entry: (-bound, tie counter, depth, value of the fixed part,
     # int8 signs as bytes, which take less memory than an array object)
     heap: list[tuple[float, int, int, float, bytes]] = [(-root_bound, 0, 0, 0.0, bytes(q))]
     counter = 1
     nodes = 0
-    optimal = True
-    gap = 0.0
     size = 1
-    # expansions of popped entries, by tie counter, until their turn
+    # expansions of entries pushed back after a cut, by tie counter
     expanded: dict[int, tuple] = {}
-    done = False
-    while heap and not done:
-        batch = [heapq.heappop(heap) for _ in range(min(size, len(heap)))]
+    while heap:
+        batch = [heappop(heap) for _ in range(min(size, len(heap)))]
         fresh = [entry for entry in batch if entry[1] not in expanded]
         if fresh:
-            expanded.update(zip([entry[1] for entry in fresh], (yield fresh)))
-        used = 0
+            vals, bounds, approxs, ys = yield fresh
+        at = 0  # position of the next fresh entry's first child
         for i, entry in enumerate(batch):
             if heap and heap[0] < entry:
                 # a child pushed in this batch comes first; the rest wait
                 # their turn, each keeping a copy of its own rows only
                 for later in batch[i:]:
-                    vals, bounds, approx, ys = expanded[later[1]]
-                    expanded[later[1]] = (vals, bounds, approx, ys.copy())
-                    heapq.heappush(heap, later)
+                    if later[1] not in expanded:
+                        two = slice(at, at + 2)
+                        expanded[later[1]] = (vals[two], bounds[two], approxs[two], ys[two].copy())
+                        at += 2
+                    heappush(heap, later)
+                size = max(1, i)
                 break
-            neg_bound, _, depth, _, signs = entry
-            if nodes >= limits.node_limit or time.monotonic() > deadline:
-                optimal = False
-                gap = max(0.0, -neg_bound - best_val)
-                done = True
-                break
+            neg_bound, tie, depth, _, signs = entry
+            if nodes >= node_limit or monotonic() > deadline:
+                return best_y, nodes, False, max(0.0, -neg_bound - best_val)
             nodes += 1
-            used += 1
             if -neg_bound < best_val:
-                done = True
-                break  # every open node is dominated by the incumbent
+                return best_y, nodes, True, 0.0  # every open node is dominated by the incumbent
+            if tie in expanded:
+                c_vals, c_bounds, c_approxs, c_ys = expanded.pop(tie)
+                c = 0
+            else:
+                c_vals, c_bounds, c_approxs, c_ys = vals, bounds, approxs, ys
+                c = at
+                at += 2
             b = branch_at[depth]
+            head, rest = signs[:b], signs[b + 1 :]
             depth += 1
-            child = bytearray(signs)
-            for s_b, val, bound, approx, y in zip((255, 1), *expanded.pop(entry[1])):
-                if depth < q and bound < best_val - margin:
-                    continue  # its greedy completion could not win the offer
-                if approx >= best_val - margin:
-                    offer(y)
-                if depth < q and bound >= best_val:
-                    child[b] = s_b  # int8 -1 or +1
-                    heapq.heappush(heap, (-bound, counter, depth, val, bytes(child)))
+            if depth == q:  # leaves: only their values count
+                if c_approxs[c] >= cut:
+                    offer(c_ys[c])
+                if c_approxs[c + 1] >= cut:
+                    offer(c_ys[c + 1])
+                continue
+            # child of sign -1 (int8 0xff), then of sign +1
+            bound = c_bounds[c]
+            if bound >= cut:
+                if c_approxs[c] >= cut:
+                    offer(c_ys[c])
+                if bound >= best_val:
+                    heappush(heap, (-bound, counter, depth, c_vals[c], head + b"\xff" + rest))
                     counter += 1
-        size = min(EXPAND_MAX, 2 * size) if used == len(batch) else max(1, used)
-    return best_y, nodes, optimal, gap
+            bound = c_bounds[c + 1]
+            if bound >= cut:
+                if c_approxs[c + 1] >= cut:
+                    offer(c_ys[c + 1])
+                if bound >= best_val:
+                    heappush(heap, (-bound, counter, depth, c_vals[c + 1], head + b"\x01" + rest))
+                    counter += 1
+        else:
+            size = min(EXPAND_MAX, 2 * size)
+    return best_y, nodes, True, 0.0
 
 
 def _multiplex(matrices: list, limits: SolveLimits, deadline: float) -> list[tuple]:

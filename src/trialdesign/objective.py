@@ -140,6 +140,25 @@ def random_balanced_signs(n: int, rng: np.random.Generator) -> np.ndarray:
     return signs
 
 
+def random_balanced_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count rows of random_balanced_signs(n, rng), drawn in order.
+
+    At even n one rng.permuted call shuffles every row: it gives the rows
+    of count successive rng.permutation(n) calls and leaves rng in the
+    same state.  At odd n each draw first picks its leaning, so the rows
+    are drawn one at a time.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n % 2 == 1:
+        rows = [random_balanced_signs(n, rng) for _ in range(count)]
+        return np.array(rows, dtype=np.int64).reshape(count, n)
+    order = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    signs = np.full((count, n), -1, dtype=np.int64)
+    np.put_along_axis(signs, order[:, : n // 2], 1, axis=1)
+    return signs
+
+
 @dataclass(frozen=True, eq=False)
 class CovariateSpace:
     """Inner maximization domain for z (first entry pinned to +1).

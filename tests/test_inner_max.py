@@ -450,3 +450,61 @@ class TestMultiplexedGroup:
         group = solve_inner_max_group(problems, SolveLimits(time_limit=90.0))
         assert not any(r.optimal for r in group)
         assert sum(r.nodes_explored for r in group) == 90
+
+
+class SearchHeapCalls(HeapCalls):
+    """HeapCalls that tells the searches of a group apart: tie counters
+    restart in every search, so a push is keyed by its heap, and each heap
+    is kept alive so that its id stays its own."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.heaps: dict[int, list] = {}
+
+    def heappush(self, heap: list, entry: tuple) -> None:
+        self.heaps[id(heap)] = heap
+        self.run = 0
+        key = (id(heap), entry[1])
+        self.pushed_back += key in self.seen
+        self.seen.add(key)
+        heapq.heappush(heap, entry)
+
+
+@pytest.mark.blas_bits
+class TestSearchSchedule:
+    """Each search uses the heap exactly as recorded: the same pops,
+    pushes, entries pushed back after a cut and longest run of pops.  How
+    a batch's expansions reach the node loop must move none of them."""
+
+    @staticmethod
+    def cohort_group() -> list:
+        rng = np.random.default_rng(907)
+        H = one_hot_design(200, (9, 3, 3, 4, 2, 2, 3, 6), rng)
+        return [r.nodes_explored for r in solve_inner_max_group(rand_separations(H, 4, rng))]
+
+    @pytest.mark.parametrize(
+        "case, nodes, pops, pushes, pushed_back, longest_run",
+        [
+            ("deep705", 5330, 5767, 5766, 437, 333),
+            ("deep601_integer_tied", 4382, 4705, 4704, 323, 64),
+            ("cohort_group", [64, 82, 48, 55, 62, 115, 46, 68], 693, 685, 153, 19),
+        ],
+    )
+    def test_recorded_heap_calls(self, case, nodes, pops, pushes, pushed_back, longest_run, monkeypatch):
+        deep = TestBranchAndBoundOracle.deep
+        run = {
+            "deep705": lambda: solve_inner_max(
+                InnerMaxProblem(deep(705)), method="branch_and_bound"
+            ).nodes_explored,
+            "deep601_integer_tied": lambda: solve_inner_max(
+                InnerMaxProblem(deep(601, integer_tied)), method="branch_and_bound"
+            ).nodes_explored,
+            "cohort_group": self.cohort_group,
+        }[case]
+        calls = SearchHeapCalls()
+        monkeypatch.setattr(inner_max, "heapq", calls)
+        assert run() == nodes
+        assert calls.pops == pops
+        assert len(calls.seen) + calls.pushed_back == pushes
+        assert calls.pushed_back == pushed_back
+        assert calls.longest_run == longest_run

@@ -31,6 +31,7 @@ from trialdesign.objective import (
     psi,
     psi_stack,
     random_balanced_signs,
+    random_balanced_stack,
     sigma_beta,
     sigma_beta_stack,
     spectral_cache,
@@ -78,6 +79,27 @@ class TestAllocation:
         a = random_balanced_signs(12, np.random.default_rng(5))
         b = random_balanced_signs(12, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+
+class TestRandomBalancedStack:
+    """The batched draw gives the sequential draws' rows and leaves the
+    generator where they leave it, so every later draw is unchanged."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 61, 200])
+    @pytest.mark.parametrize("count", [1, 7, 250])
+    def test_equals_sequential_draws(self, n, count):
+        for seed in range(3):
+            batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+            X = random_balanced_stack(n, count, batched)
+            expected = [random_balanced_signs(n, sequential) for _ in range(count)]
+            assert X.shape == (count, n) and X.dtype == np.int64
+            assert np.array_equal(X, expected)
+            assert batched.bit_generator.state == sequential.bit_generator.state
+            assert batched.random() == sequential.random()
+
+    def test_rejects_empty_allocations(self):
+        with pytest.raises(ValueError, match="positive"):
+            random_balanced_stack(0, 3, np.random.default_rng(0))
 
 
 class TestSpectralCache:
