@@ -22,7 +22,7 @@ from .objective import (
     CovariateSpace,
     SpectralCache,
     objective_stack,
-    random_balanced_signs,
+    random_balanced_stack,
     spectral_cache,
     worst_case_stack,
 )
@@ -47,8 +47,8 @@ def random_balanced_allocations(n: int, replicates: int = 100, seed: int = 0) ->
     """Seeded list of balanced allocations; one generator drives them all."""
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    rng = np.random.default_rng(seed)
-    return [Allocation(random_balanced_signs(n, rng)) for _ in range(replicates)]
+    rows = random_balanced_stack(n, replicates, np.random.default_rng(seed))
+    return [Allocation(x) for x in rows]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,18 @@
 """Minimize the worst of several PSD quadratic forms over balanced signs.
 
 The problem is min_x max_k (c_k + x'A_k x) over x in {-1,+1}^n with
-|sum x| <= 1.  Heuristic mode runs seeded multi-start steepest descent
-over balance-preserving moves, opposite-sign pair swaps.  Odd n descends
-as n + 1 with a phantom subject, zero in every cut and starting at minus
-the sum, so a swap with it is a single flip from the larger arm.  Each
-descent scores all swaps from a block 8 A_k[plus, minus] kept in slot
-order, rewriting one row and one column per swap instead of gathering
-the block again; the block costs a quarter of the cut stack.  Exact ties
-go to the smallest (plus index, minus index) pair, the phantom's index
-being n, so results depend only on the seed.
+|sum x| <= 1.  Every method solves it at even n, with sum x = 0: the
+entry point solves odd n as n + 1 subjects, the last a phantom that is
+zero in every cut and takes minus the real sum, then drops the phantom
+and values the allocation on the real cuts.  The method follows the
+real n.  Heuristic mode runs seeded multi-start steepest descent over
+balance-preserving moves, opposite-sign pair swaps (with the phantom, a
+single flip from the larger arm).  Each descent scores all swaps from a
+block 8 A_k[plus, minus] kept in slot order, rewriting one row and one
+column per swap instead of gathering the block again; the block costs a
+quarter of the cut stack.  Exact ties go to the smallest (plus index,
+minus index) pair, the phantom's index being n, so results depend only
+on the seed.
 
 The descent runs from RESTARTS = 32 seeded starts at every n, plus the
 warm start when one is given.  The count comes from a curve of value
@@ -125,7 +128,7 @@ class CutSet:
     exceed CUT_PSD_ATOL / 2, get the eigenvalue test instead.  The
     diagonals (``diagonals``, (K, n)) are kept, and the largest
     eigenvalues (``lambda_max``, (K,)) are computed on first read; both
-    are read-only.
+    are read-only.  So is ``root_bound``, computed on first read.
     """
 
     constants: np.ndarray
@@ -181,6 +184,19 @@ class CutSet:
         high.flags.writeable = False
         return high
 
+    @functools.cached_property
+    def root_bound(self) -> float:
+        """max(max c, interval bound at the root), which every allocation meets.
+
+        y = 0 meets the box and the balance and every cut is PSD, so the
+        root relaxation is max(c) exactly.  The interval bound relaxes
+        every off-diagonal product x_i x_j to -|A_ij|, and may beat it.
+        """
+        c, diag = self.constants, self.diagonals
+        offdiag = np.abs(self.matrices).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
+        corner = c + diag.sum(axis=1) - offdiag
+        return max(float(c.max()), float(corner.max()))
+
     @property
     def n(self) -> int:
         return self.matrices.shape[1]
@@ -200,6 +216,26 @@ class CutSet:
         )
 
 
+def _with_phantom(cuts: CutSet) -> CutSet:
+    """The cuts with a phantom subject n: a zero row, column and diagonal
+    entry in every cut.
+
+    Zero entries keep every cut symmetric PSD, so the screen does not run
+    again.  They change no bound either, but the sums of the padded
+    arrays could round differently, so the cuts' own root bound is kept.
+    """
+    mats = np.pad(cuts.matrices, ((0, 0), (0, 1), (0, 1)))
+    diag = np.pad(cuts.diagonals, ((0, 0), (0, 1)))
+    mats.flags.writeable = diag.flags.writeable = False
+    padded = object.__new__(CutSet)
+    for name, value in zip(
+        ("constants", "matrices", "diagonals", "root_bound"),
+        (cuts.constants, mats, diag, cuts.root_bound),
+    ):
+        object.__setattr__(padded, name, value)
+    return padded
+
+
 @dataclass(frozen=True, eq=False)
 class BqpResult:
     """Best allocation found, its value, and the certificate state."""
@@ -210,7 +246,6 @@ class BqpResult:
     status: str
     nodes: int
     restarts: int
-    gap: float
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -218,15 +253,14 @@ class BqpResult:
         if self.value < self.lower_bound - 1e-8:
             raise ValueError("value sits below its own lower bound")
 
+    @property
+    def gap(self) -> float:
+        return self.value - self.lower_bound
+
 
 def _exact_cut_values(c: np.ndarray, A: np.ndarray, x: np.ndarray) -> np.ndarray:
     # one batched matrix-vector product, then a row dot: both BLAS
     return c + (A @ x) @ x
-
-
-def _sum_interval(n: int) -> tuple[int, int]:
-    # reachable balanced sums: exactly 0 for even n, +/-1 for odd n
-    return (0, 0) if n % 2 == 0 else (-1, 1)
 
 
 def _canonical(x: np.ndarray) -> np.ndarray:
@@ -235,20 +269,6 @@ def _canonical(x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # heuristic: multi-start steepest descent over balance-preserving moves
-
-
-def _with_phantom(A: np.ndarray, diag: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The descent's problem at even size: (A, diag, X) unchanged at even n.
-
-    At odd n a phantom subject n joins with a zero row, column and
-    diagonal entry in every cut, so it changes no value, and starts at
-    minus each row's sum: the padded rows sum to 0, and a swap with the
-    phantom is a single flip from the larger arm.
-    """
-    if A.shape[1] % 2 == 0:
-        return A, diag, X
-    X_even = np.column_stack([X, -X.sum(axis=1)])
-    return np.pad(A, ((0, 0), (0, 1), (0, 1))), np.pad(diag, ((0, 0), (0, 1))), X_even
 
 
 def _descent_one(
@@ -316,8 +336,7 @@ def _descent(
     """Steepest descent from each row of X0 until no swap strictly
     improves; returns the final rows.
 
-    n is even and every row sums to 0 (odd n comes padded by
-    ``_with_phantom``).  The rows descend together: each round makes one
+    n is even and every row sums to 0.  The rows descend together: each round makes one
     move in every running row with one set of array operations, and rows
     that cannot improve leave the stack.  Each row's state is a slice of
     stacked arrays, kept in no particular order: moving rows come first,
@@ -444,38 +463,34 @@ def _descent(
     return X_out
 
 
-def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
+def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start: np.ndarray | None) -> BqpResult:
     """Multi-start descent and the root test: optimal when the best value
     is within epsilon of the root bound, which is then the lower bound.
 
     The starts descend in order, in stacks whose swap blocks hold about
-    BLOCK_ENTRIES entries.  Each final row is valued here, on the real
-    cuts, by ``_exact_cut_values``."""
+    BLOCK_ENTRIES entries.  Each final row is valued here by
+    ``_exact_cut_values``."""
     deadline = time.monotonic() + limits.time_limit
     rng = np.random.default_rng(limits.seed)
-    starts = [] if warm_start is None else [allocation_vector(warm_start)]
+    starts = [] if warm_start is None else [warm_start]
     starts.extend(random_balanced_stack(cuts.n, RESTARTS, rng))
+    starts = np.array(starts, dtype=float)
     c, A, n = cuts.constants, cuts.matrices, cuts.n
-    A_even, diag_even, starts = _with_phantom(A, cuts.diagonals, np.array(starts, dtype=float))
-    size = max(1, BLOCK_ENTRIES // (cuts.k * ((n + 1) // 2) ** 2))
+    size = max(1, BLOCK_ENTRIES // (cuts.k * (n // 2) ** 2))
     best_x, best_val = None, np.inf
     for s in range(0, len(starts), size):
-        for xv in _descent(c, A_even, diag_even, starts[s : s + size], deadline)[:, :n]:
+        for xv in _descent(c, A, cuts.diagonals, starts[s : s + size], deadline):
             val = float(_exact_cut_values(c, A, xv).max())
             xc = _canonical(xv)
             if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
                 best_x, best_val = xc, val
-    root_bound = _root_bound(cuts)
-    status = "optimal" if best_val <= root_bound + limits.epsilon else "incumbent"
-    lower = min(best_val, root_bound)
     return BqpResult(
         x_star=Allocation(best_x.astype(np.int64)),
         value=best_val,
-        lower_bound=lower,
-        status=status,
+        lower_bound=min(best_val, cuts.root_bound),
+        status="optimal" if best_val <= cuts.root_bound + limits.epsilon else "incumbent",
         nodes=0,
         restarts=len(starts),
-        gap=best_val - lower,
     )
 
 
@@ -484,7 +499,7 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start) -> BqpResult:
 
 
 class _BoxSumProjector:
-    """Row-wise projection onto {w : l <= w <= u, lo <= sum w <= hi}.
+    """Row-wise projection onto {w : l <= w <= u, sum w = 0}.
 
     The projection is clip(V + lambda, l, u) for a per-row shift lambda;
     the row sum is piecewise linear in lambda with knots at l - V and
@@ -495,12 +510,11 @@ class _BoxSumProjector:
     index or take_along_axis on rows this short.
     """
 
-    def __init__(self, l: np.ndarray, u: np.ndarray, lo: float, hi: float, nrows: int):
+    def __init__(self, l: np.ndarray, u: np.ndarray, nrows: int):
         n = np.shape(l)[-1]
         self.L = np.ascontiguousarray(np.broadcast_to(l, (nrows, n)), dtype=float)
         self.U = np.ascontiguousarray(np.broadcast_to(u, (nrows, n)), dtype=float)
         self.L_sum = np.add.reduce(self.L, axis=1)
-        self.lo, self.hi = float(lo), float(hi)
         # sum(clip(V + lam)) = sum(l) + psi(lam); psi gains slope 1 at each
         # lower knot (index < n in the event table) and loses it at the
         # matching upper knot
@@ -512,13 +526,11 @@ class _BoxSumProjector:
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
         W = np.minimum(np.maximum(V, self.L), self.U)
-        sums = np.add.reduce(W, axis=1)
-        need_up = sums < self.lo
-        active = need_up | (sums > self.hi)
+        active = np.add.reduce(W, axis=1) != 0.0
         m = np.count_nonzero(active)
         if m == 0:
             return W
-        # balanced rows (lo = hi = 0) are almost always all active
+        # almost always every row is active
         rows = slice(None) if m == active.size else np.flatnonzero(active)
         Va, la, ua = V[rows], self.L[rows], self.U[rows]
         n = V.shape[1]
@@ -532,7 +544,7 @@ class _BoxSumProjector:
         np.add.accumulate(
             slope[:, :-1] * (ev[:, 1:] - ev[:, :-1]), axis=1, out=psi[:, 1:]
         )
-        T = np.where(need_up[rows], self.lo, self.hi) - self.L_sum[rows]
+        T = 0.0 - self.L_sum[rows]
         # last knot with psi <= T, or the first when T < 0 (an infeasible
         # row): psi starts at 0 and never decreases
         j = (psi[:, 1:] <= T[:, None]).sum(axis=1)
@@ -546,13 +558,11 @@ class _BoxSumProjector:
         return W
 
 
-def _linear_min_rows(
-    G: np.ndarray, l: np.ndarray, u: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
+def _linear_min_rows(G: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Exact row-wise min of g'w over the box-and-sum polytope.
 
     Greedy exchange: start at the box minimizer, then push the row sum
-    into [lo, hi] through the coordinates that cost least per unit.
+    to 0 through the coordinates that cost least per unit.
     """
     L = np.broadcast_to(l, G.shape)
     U = np.broadcast_to(u, G.shape)
@@ -560,8 +570,8 @@ def _linear_min_rows(
     vals = np.einsum("ri,ri->r", G, W)
     sums = W.sum(axis=1)
     span = U - L
-    need_up = np.maximum(lo - sums, 0.0)
-    need_dn = np.maximum(sums - hi, 0.0)
+    need_up = np.maximum(0.0 - sums, 0.0)
+    need_dn = np.maximum(sums, 0.0)
     ridx = np.arange(G.shape[0])[:, None]
     # raise through positive gradients ascending (coords sitting at l)
     order = np.argsort(G, axis=1)
@@ -586,8 +596,6 @@ def _batched_pg(
     Y0: np.ndarray,
     l: np.ndarray,
     u: np.ndarray,
-    lo: float,
-    hi: float,
     step: float,
     deadline: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -610,7 +618,7 @@ def _batched_pg(
     once, at the final iterate.
     """
     c = np.tile(c, Y0.shape[0] // c.size)
-    project = _BoxSumProjector(l, u, lo, hi, Y0.shape[0])
+    project = _BoxSumProjector(l, u, Y0.shape[0])
     Y = project(Y0)
     AY = np.matmul(A, Y.reshape(-1, *A.shape[:2], 1)).reshape(Y.shape)
     f = c + np.einsum("ki,ki->k", Y, AY)
@@ -634,20 +642,7 @@ def _batched_pg(
     # f(y) + min gradient step over the feasible box-and-sum set; valid
     # for any iterate by convexity, regardless of how converged Y is
     G = 2.0 * AY
-    return Y, f + _linear_min_rows(G, l, u, lo, hi) - np.einsum("ki,ki->k", G, Y)
-
-
-def _root_bound(cuts: CutSet) -> float:
-    """max(max c, interval bound at the root), which every allocation meets.
-
-    y = 0 meets the box and the balance and every cut is PSD, so the
-    root relaxation is max(c) exactly.  The interval bound relaxes every
-    off-diagonal product x_i x_j to -|A_ij|, and may beat it.
-    """
-    c, diag = cuts.constants, cuts.diagonals
-    offdiag = np.abs(cuts.matrices).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
-    corner = c + diag.sum(axis=1) - offdiag
-    return max(float(c.max()), float(corner.max()))
+    return Y, f + _linear_min_rows(G, l, u) - np.einsum("ki,ki->k", G, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -678,16 +673,16 @@ def _enumerate(
 ) -> tuple[np.ndarray, bool]:
     """Minimize max_k c_k + x'A_k x over x_0 = +1, one block at a time.
 
-    x ranges over all signs, or over the balanced ones (|sum x| <= 1)
-    when ``balanced``.  x = (+1, prefix, suffix): the leading sign is
-    pinned and the last m <= SUFFIX_BITS signs form the suffix.  With
+    x ranges over all signs, or over the balanced ones (sum x = 0, n
+    even) when ``balanced``.  x = (+1, prefix, suffix): the leading sign
+    is pinned and the last m <= SUFFIX_BITS signs form the suffix.  With
     h = (+1, prefix) each cut splits as c + h'A_hh h + 2 h'A_hs s + s'A_ss s,
     so a block of heads meets its suffixes in one product
     [2 A_sh h, c + h'A_hh h, 1] . [s; 1; s'A_ss s] per cut, the suffix
     values being tabulated once; a running max over the cuts follows.
     A balanced search groups heads by plus count, and each group meets
-    only the suffixes that balance it; an unconstrained one is a single
-    group of every head and suffix.  Heads and suffixes are both in
+    only the suffixes whose plus count balances it; an unconstrained one
+    is a single group of every head and suffix.  Heads and suffixes are both in
     lexicographic order, so the first minimum of a block is its
     lexicographically smallest, and equal minima of two blocks go the same
     way.  Ties are judged on these block values, so two vectors whose
@@ -707,16 +702,14 @@ def _enumerate(
     )
     head_ids = np.arange(1 << (h - 1))
     if balanced:
-        lo, hi = _sum_interval(n)
-        # plus counts t among the n - 1 free signs with a balanced sum 2t + 2 - n
-        totals = np.array([t for t in range(n) if lo <= 2 * t + 2 - n <= hi])
         suffix_plus = np.count_nonzero(suffixes > 0, axis=1)
         head_plus = np.zeros_like(head_ids)
         for bit in range(h - 1):
             head_plus += (head_ids >> bit) & 1
-        # (heads with j plus signs, the suffixes that balance them)
+        # (heads with j plus signs, the suffixes that balance them): the
+        # n - 1 free signs hold n / 2 - 1 plus signs
         groups = [
-            (head_ids[head_plus == j], np.flatnonzero(np.isin(suffix_plus, totals - j)))
+            (head_ids[head_plus == j], np.flatnonzero(suffix_plus == n // 2 - 1 - j))
             for j in range(h)
         ]
     else:
@@ -768,15 +761,13 @@ def _enumerate_master(cuts: CutSet, deadline: float) -> BqpResult:
     c, A = cuts.constants, cuts.matrices
     x, finished = _enumerate(c, A, True, deadline)
     value = float(_exact_cut_values(c, A, x).max())
-    lower = value if finished else min(_root_bound(cuts), value)
     return BqpResult(
         x_star=Allocation(x.astype(np.int64)),
         value=value,
-        lower_bound=lower,
+        lower_bound=value if finished else min(cuts.root_bound, value),
         status="optimal" if finished else "incumbent",
         nodes=0,
         restarts=0,
-        gap=value - lower,
     )
 
 
@@ -784,27 +775,14 @@ def _enumerate_master(cuts: CutSet, deadline: float) -> BqpResult:
 # exact branch-and-bound
 
 
-def _completion_counts(n: int, s: int, nf: int) -> list[int]:
-    # +1 counts among the free coordinates that land the sum in balance
-    lo, hi = _sum_interval(n)
-    options = set()
-    for target in range(lo, hi + 1):
-        t = target - s
-        if abs(t) <= nf and (t + nf) % 2 == 0:
-            options.add((t + nf) // 2)
-    return sorted(options)
-
-
-def _completions(fixed: np.ndarray, ytilde: np.ndarray, m_options: list[int]) -> list[np.ndarray]:
+def _completion(fixed: np.ndarray, ytilde: np.ndarray, m: int) -> np.ndarray:
+    # the m free coordinates with the largest ytilde go to +1
     free_idx = np.flatnonzero(fixed == 0)
     order = np.argsort(-ytilde[free_idx], kind="stable")
-    out = []
-    for m in m_options:
-        x = fixed.astype(float)
-        x[free_idx] = -1.0
-        x[free_idx[order[:m]]] = 1.0
-        out.append(x)
-    return out
+    x = fixed.astype(float)
+    x[free_idx] = -1.0
+    x[free_idx[order[:m]]] = 1.0
+    return x
 
 
 def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) -> BqpResult:
@@ -815,7 +793,6 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
     """
     c, A = cuts.constants, cuts.matrices
     n, K = cuts.n, cuts.k
-    lo, hi = _sum_interval(n)
     eps = limits.epsilon
     best_x, best_val = seed.x_star.x.astype(float), seed.value
 
@@ -839,17 +816,7 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
             free = fixed == 0
             L[g * K : (g + 1) * K] = np.where(free, -1.0, xf)
             U[g * K : (g + 1) * K] = np.where(free, 1.0, xf)
-        Y, pg = _batched_pg(
-            c,
-            A,
-            np.concatenate([warm] * r, axis=0),
-            L,
-            U,
-            lo,
-            hi,
-            step,
-            deadline,
-        )
+        Y, pg = _batched_pg(c, A, np.concatenate([warm] * r, axis=0), L, U, step, deadline)
         # per node: its bound, the binding cut's iterate, and every iterate
         bounds, Y = pg.reshape(r, K), Y.reshape(r, K, n)
         return [
@@ -884,38 +851,32 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
             child[branch] = sign
             s = int(child.sum())
             nf = n - int(np.count_nonzero(child))
-            m_options = _completion_counts(n, s, nf)
-            if not m_options:
+            if abs(s) > nf:
                 continue
-            if nf == 0:
-                offer(child.astype(float))
+            # the free coordinates' plus count that brings the sum to 0
+            m = (nf - s) // 2
+            if m in (0, nf):
+                offer(_completion(child, np.zeros(n), m))
                 continue
-            if all(m in (0, nf) for m in m_options):
-                for xv in _completions(child, np.zeros(n), m_options):
-                    offer(xv)
-                continue
-            pending.append((child, m_options))
+            pending.append((child, m))
         if not pending:
             continue
         evals = relax_nodes([child for child, _ in pending], ywarm)
-        for (child, m_options), (child_bound, ybind, yfull) in zip(pending, evals):
-            for xv in _completions(child, ybind, m_options):
-                offer(xv)
+        for (child, m), (child_bound, ybind, yfull) in zip(pending, evals):
+            offer(_completion(child, ybind, m))
             if child_bound >= best_val - eps:
                 prune_lb = min(prune_lb, child_bound)
                 continue
             heapq.heappush(heap, (child_bound, next(counter), child, ybind, yfull))
     # the heap keys stay unfloored, so the tree is the same; only the
     # reported bound takes the root bound as its floor
-    lower = min(best_val, max(seed.lower_bound, min(open_bound, prune_lb)))
     return BqpResult(
         x_star=Allocation(best_x.astype(np.int64)),
         value=best_val,
-        lower_bound=lower,
+        lower_bound=min(best_val, max(seed.lower_bound, min(open_bound, prune_lb))),
         status=status,
         nodes=nodes,
         restarts=seed.restarts,
-        gap=best_val - lower,
     )
 
 
@@ -937,32 +898,10 @@ def resolve_mode(n: int, mode: str) -> str:
     return "exact" if n <= ENUM_MAX_N else "heuristic"
 
 
-def minimize_max_quadratic(
-    cuts: CutSet,
-    limits: SolveLimits | None = None,
-    warm_start=None,
-    incumbent: BqpResult | None = None,
+def _solve(
+    method: str, cuts: CutSet, limits: SolveLimits, warm_start, incumbent
 ) -> BqpResult:
-    """Entry point; the method follows limits.mode and n (see ``resolve_mode``).
-
-    ``incumbent`` is a heuristic-mode result on these cuts under the same
-    epsilon; only the branch and bound takes one, and then continues from
-    it instead of running the descent again, reporting no restarts.
-    """
-    if limits is None:
-        limits = SolveLimits()
-    n = cuts.n
-    if n < 2:
-        raise ValueError("need at least two subjects")
-    if warm_start is not None:
-        wv = allocation_vector(warm_start)
-        if wv.size != n:
-            raise ValueError(f"warm start length {wv.size} != n = {n}")
-        if abs(wv.sum()) > 1:
-            raise ValueError("warm start must be balanced")
-    method = solver_method(n, resolve_mode(n, limits.mode))
-    if incumbent is not None and (method != "branch_and_bound" or incumbent.x_star.n != n):
-        raise ValueError(f"an incumbent continues only an n = {n} branch and bound")
+    """``minimize_max_quadratic`` by the given method, at even n."""
     if method == "descent":
         return _heuristic(cuts, limits, warm_start)
     if method == "enumeration":
@@ -977,3 +916,49 @@ def minimize_max_quadratic(
     if seed.status == "optimal":
         return seed
     return _exact(cuts, limits, seed, deadline)
+
+
+def minimize_max_quadratic(
+    cuts: CutSet,
+    limits: SolveLimits | None = None,
+    warm_start=None,
+    incumbent: BqpResult | None = None,
+) -> BqpResult:
+    """Entry point; the method follows limits.mode and n (see ``resolve_mode``).
+
+    ``incumbent`` is a heuristic-mode result on these cuts under the same
+    epsilon; only the branch and bound takes one, and then continues from
+    it instead of running the descent again, reporting no restarts.
+
+    At odd n the cuts gain the phantom of the module docstring, and a
+    warm start or incumbent its entry -sum x.
+    """
+    if limits is None:
+        limits = SolveLimits()
+    n = cuts.n
+    if n < 2:
+        raise ValueError("need at least two subjects")
+    wv = None
+    if warm_start is not None:
+        wv = allocation_vector(warm_start)
+        if wv.size != n:
+            raise ValueError(f"warm start length {wv.size} != n = {n}")
+        if abs(wv.sum()) > 1:
+            raise ValueError("warm start must be balanced")
+    method = solver_method(n, resolve_mode(n, limits.mode))
+    if incumbent is not None and (method != "branch_and_bound" or incumbent.x_star.n != n):
+        raise ValueError(f"an incumbent continues only an n = {n} branch and bound")
+    if n % 2 == 0:
+        return _solve(method, cuts, limits, wv, incumbent)
+    if wv is not None:
+        wv = np.append(wv, -wv.sum())
+    if incumbent is not None:
+        x = incumbent.x_star.x
+        incumbent = replace(incumbent, x_star=Allocation(np.append(x, -x.sum())))
+    result = _solve(method, _with_phantom(cuts), limits, wv, incumbent)
+    x = result.x_star.x[:n]
+    value = float(_exact_cut_values(cuts.constants, cuts.matrices, x.astype(float)).max())
+    # the real cuts may round the value differently; a bound that met the
+    # padded value meets this one
+    lower = value if result.gap == 0.0 else min(result.lower_bound, value)
+    return replace(result, x_star=Allocation(x), value=value, lower_bound=lower)

@@ -20,7 +20,6 @@ from trialdesign.bqp import (
     _batched_pg,
     _BoxSumProjector,
     _descent,
-    _root_bound,
     minimize_max_quadratic,
 )
 from trialdesign.inner_max import InnerMaxProblem, solve_inner_max
@@ -202,7 +201,7 @@ class TestResult:
         with pytest.raises(ValueError, match="below"):
             BqpResult(
                 x_star=alloc, value=0.0, lower_bound=1.0,
-                status="optimal", nodes=0, restarts=0, gap=0.0,
+                status="optimal", nodes=0, restarts=0,
             )
 
     def test_rejects_unknown_status(self):
@@ -210,7 +209,7 @@ class TestResult:
         with pytest.raises(ValueError, match="status"):
             BqpResult(
                 x_star=alloc, value=1.0, lower_bound=0.0,
-                status="done", nodes=0, restarts=0, gap=1.0,
+                status="done", nodes=0, restarts=0,
             )
 
 
@@ -344,7 +343,7 @@ class TestMasterContract:
         ]
         for cuts in self.cut_sets():
             ref = brute_value(cuts)
-            root = _root_bound(cuts)
+            root = cuts.root_bound
             assert root <= ref
             for solve in solves:
                 res = solve(cuts)
@@ -616,13 +615,13 @@ class TestRestarts:
         warm = random_balanced_signs(n, rng)
         minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=5), warm_start=warm)
         assert [len(X) for X in stacks] == sizes
+        # odd n descends on m = n + 1 subjects: the phantom comes last, at
+        # minus the warm start's sum, and the starts are drawn at m
+        m = n + n % 2
         seeded = np.random.default_rng(5)
-        expected = [warm] + [random_balanced_signs(n, seeded) for _ in range(bqp.RESTARTS)]
-        # an odd-n stack carries the phantom subject last, at minus the sum
-        padded = np.concatenate(stacks)
-        assert np.array_equal(padded[:, :n], expected)
-        if n % 2:
-            assert np.array_equal(padded[:, n], -padded[:, :n].sum(axis=1))
+        expected = [np.append(warm, -warm.sum())[:m]]
+        expected += [random_balanced_signs(m, seeded) for _ in range(bqp.RESTARTS)]
+        assert np.array_equal(np.concatenate(stacks), expected)
 
 
 @pytest.mark.blas_bits
@@ -692,11 +691,17 @@ class TestDescentOracle:
     reference descent ends from it, bit for bit."""
 
     @staticmethod
-    def run_stack(cuts: CutSet, X0: np.ndarray) -> np.ndarray:
-        # odd n descends with the phantom subject, which is then stripped
+    def padded(cuts: CutSet, X0: np.ndarray) -> tuple[np.ndarray, ...]:
+        # odd n descends with the phantom subject last, at minus the sum
+        if cuts.n % 2:
+            cuts, X0 = bqp._with_phantom(cuts), np.column_stack([X0, -X0.sum(axis=1)])
+        return cuts.matrices, cuts.diagonals, X0
+
+    def run_stack(self, cuts: CutSet, X0: np.ndarray) -> np.ndarray:
+        # the phantom is stripped before the rows are valued
         c, A = cuts.constants, cuts.matrices
         diag = np.einsum("kii->ki", A).copy()
-        X = _descent(c, *bqp._with_phantom(A, diag, X0), np.inf)[:, : cuts.n]
+        X = _descent(c, *self.padded(cuts, X0), np.inf)[:, : cuts.n]
         values = np.array([float(bqp._exact_cut_values(c, A, x).max()) for x in X])
         assert X.shape == X0.shape and values.shape == (len(X0),)
         for x0, x, value in zip(X0, X, values):
@@ -791,7 +796,7 @@ class TestDescentOracle:
         cuts = random_cuts(41, 3, rng)
         c, A = cuts.constants, cuts.matrices
         X0 = self.starts(41, count, rng)
-        padded = bqp._with_phantom(A, cuts.diagonals, X0)
+        padded = self.padded(cuts, X0)
         X = _descent(c, *padded, time.monotonic() - 1.0)
         assert np.array_equal(X, padded[2])
         X = X[:, :41]
@@ -866,6 +871,46 @@ class TestPhantom:
             ref_values.append(v_ref)
         assert res.value == min(ref_values)
 
+    @pytest.mark.parametrize("n", [5, 7, 9, 11])
+    def test_every_method_solves_the_real_problem(self, n, monkeypatch):
+        # the masters run on n + 1 subjects; integer cuts make every value
+        # exact and put every other allocation at least 1 from the optimum
+        rng = np.random.default_rng(157 + n)
+        eps = SolveLimits().epsilon
+        nodes = 0
+        for cuts in (integer_cuts(n, 2, rng), random_cuts(n, 1, rng), random_cuts(n, 3, rng)):
+            c, A = cuts.constants, cuts.matrices
+            opt = brute_value(cuts)
+            integer = float(opt).is_integer()
+            enum = minimize_max_quadratic(cuts, SolveLimits(mode="exact"))
+            heur = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"))
+            bnb = exact_branch_and_bound(cuts, SolveLimits(mode="exact"))
+            for res in (enum, heur, bnb):
+                x = res.x_star.x
+                assert x.size == n and abs(int(x.sum())) == 1
+                assert res.value == float(bqp._exact_cut_values(c, A, x.astype(float)).max())
+                assert res.lower_bound <= opt + 1e-9
+            assert enum.status == bnb.status == "optimal"
+            if integer:
+                assert enum.value == bnb.value == opt
+            else:
+                assert enum.value == pytest.approx(opt, rel=1e-12)
+                assert opt - 1e-12 <= bnb.value <= opt + eps
+            nodes += bnb.nodes
+            # an odd-n incumbent gains the phantom as a warm start does
+            limits = SolveLimits(mode="exact")
+            with monkeypatch.context() as m:
+                m.setattr(bqp, "ENUM_MAX_N", 1)
+                fresh = minimize_max_quadratic(cuts, limits, warm_start=heur.x_star)
+                cont = minimize_max_quadratic(cuts, limits, warm_start=heur.x_star, incumbent=heur)
+            assert cont.x_star.x.tolist() == fresh.x_star.x.tolist()
+            assert (cont.value, cont.lower_bound, cont.status, cont.nodes) == (
+                fresh.value, fresh.lower_bound, fresh.status, fresh.nodes,
+            )
+        # the padded tree was searched, not only certified at its root
+        assert nodes > 0
+
+
 class TestNodeBounds:
     def test_relaxation_bounds_stay_below_subcube_minimum(self):
         # the node bound must under-estimate the best balanced completion
@@ -890,9 +935,7 @@ class TestNodeBounds:
             L = np.tile(np.where(free, -1.0, xf), (k, 1))
             U = np.tile(np.where(free, 1.0, xf), (k, 1))
             step = 1.0 / (2.0 * max(np.linalg.eigvalsh(A[j])[-1] for j in range(k)))
-            _, pg = _batched_pg(
-                c, A, np.tile(source, (k, 1)), L, U, 0, 0, step, deadline
-            )
+            _, pg = _batched_pg(c, A, np.tile(source, (k, 1)), L, U, step, deadline)
             assert float(pg.max()) <= true_min + 1e-8
 
 
@@ -906,30 +949,29 @@ def pinned_box(n: int, k: int, nfix: int, rng: np.random.Generator):
 
 
 class TestProjectionOracle:
-    """The set-up-once projector must match the plain sorted sweep bit for bit."""
+    """The set-up-once projector must match the plain sorted sweep, with
+    its sum bounds at 0, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "rows, n, lo, hi",
-        [(4, 12, 0, 0), (6, 13, -1, 1), (1, 2, 0, 0), (3, 600, 0, 0), (2, 601, -1, 1)],
-    )
-    def test_random_rows(self, rows, n, lo, hi):
+    # odd widths too: the sum-0 set is a polytope at any n
+    @pytest.mark.parametrize("rows, n", [(4, 12), (6, 13), (1, 2), (3, 600), (2, 601)])
+    def test_random_rows(self, rows, n):
         rng = np.random.default_rng(1000 * rows + n)
         for trial in range(40):
             L, U, _, _ = pinned_box(n, rows, int(rng.integers(0, n // 2 + 1)), rng)
-            proj = _BoxSumProjector(L, U, lo, hi, rows)
+            proj = _BoxSumProjector(L, U, rows)
             # one projector serves many calls, as in a gradient run
             for scale in (0.3, 1.0, 4.0):
                 V = rng.normal(scale=scale, size=(rows, n))
                 if trial % 4 == 1:
                     # some rows already feasible, so only the rest are swept
-                    V[::2] = naive_project_rows(V[::2], L[::2], U[::2], lo, hi)
-                assert np.array_equal(proj(V), naive_project_rows(V, L, U, lo, hi))
+                    V[::2] = naive_project_rows(V[::2], L[::2], U[::2], 0, 0)
+                assert np.array_equal(proj(V), naive_project_rows(V, L, U, 0, 0))
 
     def test_feasible_rows_pass_through(self):
         rng = np.random.default_rng(7)
         L, U = np.full((3, 10), -1.0), np.full((3, 10), 1.0)
         V = naive_project_rows(rng.normal(size=(3, 10)), L, U, 0, 0)
-        out = _BoxSumProjector(L, U, 0, 0, 3)(V)
+        out = _BoxSumProjector(L, U, 3)(V)
         assert np.array_equal(out, V)
 
     def test_infeasible_rows_match(self):
@@ -939,7 +981,7 @@ class TestProjectionOracle:
         L, U = np.full((2, 8), -1.0), np.full((2, 8), 1.0)
         L[:, :5] = U[:, :5] = 1.0
         V = rng.normal(size=(2, 8))
-        out = _BoxSumProjector(L, U, 0, 0, 2)(V)
+        out = _BoxSumProjector(L, U, 2)(V)
         assert np.array_equal(out, naive_project_rows(V, L, U, 0, 0))
 
     def test_shared_bounds_broadcast(self):
@@ -947,8 +989,8 @@ class TestProjectionOracle:
         rng = np.random.default_rng(11)
         l, u = np.full(9, -1.0), np.full(9, 1.0)
         V = rng.normal(scale=2.0, size=(4, 9))
-        out = _BoxSumProjector(l, u, -1, 1, 4)(V)
-        assert np.array_equal(out, naive_project_rows(V, l, u, -1, 1))
+        out = _BoxSumProjector(l, u, 4)(V)
+        assert np.array_equal(out, naive_project_rows(V, l, u, 0, 0))
 
 
 class TestRelaxationOracle:
@@ -961,35 +1003,42 @@ class TestRelaxationOracle:
             n, k = int(rng.integers(6, 13)), int(rng.integers(1, 5))
             cuts = random_cuts(n, k, rng)
             L, U, source, pinned = pinned_box(n, k, int(rng.integers(0, n // 2)), rng)
-            lo, hi = (0, 0) if n % 2 == 0 else (-1, 1)
-            step = 1.0 / (2.0 * max(np.linalg.eigvalsh(A)[-1] for A in cuts.matrices))
             Y0 = np.tile(source, (k, 1)) if case % 2 else rng.uniform(-1, 1, size=(k, n))
-            yield cuts, L, U, lo, hi, step, Y0, source, pinned
+            if n % 2:
+                # an odd-n node is relaxed with the phantom subject last:
+                # free, zero in every cut, and at minus the sum in source
+                cuts = bqp._with_phantom(cuts)
+                L = np.pad(L, ((0, 0), (0, 1)), constant_values=-1.0)
+                U = np.pad(U, ((0, 0), (0, 1)), constant_values=1.0)
+                source = np.append(source, -source.sum())
+                Y0 = np.tile(source, (k, 1)) if case % 2 else np.pad(Y0, ((0, 0), (0, 1)))
+            step = 1.0 / (2.0 * max(np.linalg.eigvalsh(A)[-1] for A in cuts.matrices))
+            yield cuts, L, U, step, Y0, source, pinned
 
     def test_bounds_valid_and_no_looser_than_plain_gradient(self, monkeypatch):
         short_new, short_old = [], []
-        for cuts, L, U, lo, hi, step, Y0, source, pinned in self.cases():
+        for cuts, L, U, step, Y0, source, pinned in self.cases():
             c, A = cuts.constants, cuts.matrices
             corners = balanced_corners(cuts.n)
             sub = corners[np.all(corners[:, pinned] == source[pinned], axis=1)]
             # per-cut minimum over the node's balanced completions
             true_min = (c[None, :] + np.einsum("mi,kij,mj->mk", sub, A, sub)).min(axis=0)
-            _, new = _batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
-            Y_old, old = naive_batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
+            _, new = _batched_pg(c, A, Y0, L, U, step, np.inf)
+            Y_old, old = naive_batched_pg(c, A, Y0, L, U, 0, 0, step, np.inf)
             old_value = c + np.einsum("kij,ki,kj->k", A, Y_old, Y_old)
             assert np.all(new <= true_min + 1e-9)
             assert np.all(new <= old_value + 1e-9)
             with monkeypatch.context() as m:
                 m.setattr(bqp, "PG_MAX_ITER", 1000)
                 m.setattr(bqp, "PG_RTOL", 0.0)
-                _, ref = _batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
+                _, ref = _batched_pg(c, A, Y0, L, U, step, np.inf)
             ref = np.maximum.reduce([ref, new, old])
             short_new.extend(ref - new)
             short_old.extend(ref - old)
         assert np.median(short_new) <= np.median(short_old)
 
     def test_stacked_node_bounds_are_valid(self):
-        for cuts, L, U, lo, hi, step, Y0, source, pinned in self.cases(12):
+        for cuts, L, U, step, Y0, source, pinned in self.cases(12):
             c, A = cuts.constants, cuts.matrices
             corners = balanced_corners(cuts.n)
             sub = corners[np.all(corners[:, pinned] == source[pinned], axis=1)]
@@ -998,7 +1047,7 @@ class TestRelaxationOracle:
             k = cuts.k
             _, bounds = _batched_pg(
                 np.tile(c, 2), np.concatenate([A, A]), np.tile(Y0, (2, 1)),
-                np.tile(L, (2, 1)), np.tile(U, (2, 1)), lo, hi, step, np.inf,
+                np.tile(L, (2, 1)), np.tile(U, (2, 1)), step, np.inf,
             )
             assert np.all(bounds.reshape(2, k) <= true_min + 1e-9)
 
@@ -1006,13 +1055,13 @@ class TestRelaxationOracle:
     def test_one_stack_serves_stacked_groups(self):
         # one (K, n, n) stack over two groups of K rows gives the bits of
         # the stack repeated once per group
-        for cuts, L, U, lo, hi, step, Y0, _, _ in self.cases(12):
+        for cuts, L, U, step, Y0, _, _ in self.cases(12):
             c, A = cuts.constants, cuts.matrices
             Y0 = np.concatenate([Y0, -Y0])
             L2, U2 = np.tile(L, (2, 1)), np.tile(U, (2, 1))
-            shared = _batched_pg(c, A, Y0, L2, U2, lo, hi, step, np.inf)
+            shared = _batched_pg(c, A, Y0, L2, U2, step, np.inf)
             repeated = _batched_pg(
-                np.tile(c, 2), np.concatenate([A, A]), Y0, L2, U2, lo, hi, step, np.inf
+                np.tile(c, 2), np.concatenate([A, A]), Y0, L2, U2, step, np.inf
             )
             for got, want in zip(shared, repeated):
                 assert np.array_equal(got, want)
@@ -1021,7 +1070,7 @@ class TestRelaxationOracle:
         # rebuild each extrapolated point from the recorded iterates with
         # the restart rule, and check the next projection input against it
         restarts = 0
-        for cuts, L, U, lo, hi, step, Y0, _, _ in self.cases():
+        for cuts, L, U, step, Y0, _, _ in self.cases():
             c, A = cuts.constants, cuts.matrices
             seen: list[tuple[np.ndarray, np.ndarray]] = []
             call = _BoxSumProjector.__call__
@@ -1033,7 +1082,7 @@ class TestRelaxationOracle:
 
             with monkeypatch.context() as m:
                 m.setattr(_BoxSumProjector, "__call__", spy)
-                _batched_pg(c, A, Y0, L, U, lo, hi, step, np.inf)
+                _batched_pg(c, A, Y0, L, U, step, np.inf)
             X = [w for _, w in seen]
             Z, t = X[0], np.ones(cuts.k)
             for it in range(1, len(seen)):

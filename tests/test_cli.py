@@ -429,20 +429,21 @@ class TestEvaluate:
         run_cli(capsys, "synth", "--n", "20", "--p", "4", "--seed", "1", "--out", str(matrix))
         write_allocation_csv(alloc_path, Allocation(np.resize([1, -1], 20)))
         draws = []
-        draw = baselines.random_balanced_signs
+        draw = baselines.random_balanced_stack
 
         def counted(*args, **kwargs):
-            draws.append(1)
-            return draw(*args, **kwargs)
+            rows = draw(*args, **kwargs)
+            draws.append(len(rows))
+            return rows
 
         with monkeypatch.context() as m:
-            m.setattr(baselines, "random_balanced_signs", counted)
+            m.setattr(baselines, "random_balanced_stack", counted)
             code, doc, _ = run_cli(
                 capsys, "evaluate", "--matrix", str(matrix), "--allocation", str(alloc_path),
                 "--replicates", "5", "--seed", "3", "--skip-variance",
             )
         assert code == 0
-        assert len(draws) == 5
+        assert sum(draws) == 5
         H = read_matrix_csv(matrix)
         for name, block in doc["rand"].items():
             ref = rand_benchmark(H, objective=name, replicates=5, seed=3)
