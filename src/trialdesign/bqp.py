@@ -35,16 +35,15 @@ trailing signs in one matrix product per block and cut.  The same
 engine, run without the balance constraint, enumerates the separation
 max z'Mz for inner_max as min z'(-M)z.  Past that, exact mode first
 runs the descent and its root test, and when that fails continues with
-best-first branch-and-bound from the descent's incumbent.  Given a
+depth-first branch and bound from the descent's incumbent.  Given a
 heuristic result on the same cuts as ``incumbent``, it continues from
-that result instead of running the descent again.  Each node has
-one bound, certified once its relaxation ends: accelerated projected
-gradient with restart (FISTA) on each cut's quadratic over the
-box-and-balance polytope, after which the gradient linearization at the
-final iterate is minimized exactly over that polytope, so the bound is
-valid even before the gradient iteration converges.  An iteration costs
-one batched matrix-vector product and one projection for every node and
-cut in the batch.
+that result instead of running the descent again.  Its node bound is
+the interval bound of inner_max, flipped for minimization: every
+product x_i x_j that touches a free subject is relaxed to -|A_ij|.
+Subjects are fixed in one static order, so the relaxed part of each
+cut's bound depends on the depth alone and is tabulated once; a child's
+bound follows from its parent's in O(Kn).  The lower-bound child is
+expanded first, so the open stack holds at most one sibling per depth.
 
 Every method returns one contract.  lower_bound is a valid bound on the
 optimum and is never below min(value, root bound), where the root bound
@@ -55,8 +54,6 @@ exactly when value is certified to within epsilon of the optimum.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -67,10 +64,6 @@ from .objective import Allocation, allocation_vector, random_balanced_stack
 
 # cut matrices must be symmetric PSD up to this slack
 CUT_PSD_ATOL = 1e-8
-
-# projected-gradient settings for the convex node bound
-PG_MAX_ITER = 500
-PG_RTOL = 1e-7
 
 # strict-decrease guard for the descent heuristic
 MOVE_RTOL = 1e-12
@@ -126,9 +119,8 @@ class CutSet:
     above -CUT_PSD_ATOL / 2, less a rounding error of about n eps max|A_k|.
     Cuts the screen does not clear, and cuts whose rounding error could
     exceed CUT_PSD_ATOL / 2, get the eigenvalue test instead.  The
-    diagonals (``diagonals``, (K, n)) are kept, and the largest
-    eigenvalues (``lambda_max``, (K,)) are computed on first read; both
-    are read-only.  So is ``root_bound``, computed on first read.
+    diagonals (``diagonals``, (K, n)) are kept read-only.  So is
+    ``root_bound``, computed on first read.
     """
 
     constants: np.ndarray
@@ -178,19 +170,12 @@ class CutSet:
             object.__setattr__(self, name, arr)
 
     @functools.cached_property
-    def lambda_max(self) -> np.ndarray:
-        # the branch-and-bound step size is its only reader
-        high = np.linalg.eigvalsh(self.matrices)[:, -1].copy()
-        high.flags.writeable = False
-        return high
-
-    @functools.cached_property
     def root_bound(self) -> float:
         """max(max c, interval bound at the root), which every allocation meets.
 
-        y = 0 meets the box and the balance and every cut is PSD, so the
-        root relaxation is max(c) exactly.  The interval bound relaxes
-        every off-diagonal product x_i x_j to -|A_ij|, and may beat it.
+        Every cut is PSD, so no allocation puts cut k below c_k.  The
+        interval bound relaxes every off-diagonal product x_i x_j to
+        -|A_ij|, and may beat it.
         """
         c, diag = self.constants, self.diagonals
         offdiag = np.abs(self.matrices).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
@@ -495,157 +480,6 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start: np.ndarray | None)
 
 
 # ---------------------------------------------------------------------------
-# convex relaxation machinery shared by both modes
-
-
-class _BoxSumProjector:
-    """Row-wise projection onto {w : l <= w <= u, sum w = 0}.
-
-    The projection is clip(V + lambda, l, u) for a per-row shift lambda;
-    the row sum is piecewise linear in lambda with knots at l - V and
-    u - V, so the right shift falls out of one sorted sweep.  The bounds
-    stay fixed for a whole projected-gradient run, so they are laid out
-    contiguously once, with their row sums and the sweep's buffers.
-    Gathers index the flattened rows, which costs less than a 2-d fancy
-    index or take_along_axis on rows this short.
-    """
-
-    def __init__(self, l: np.ndarray, u: np.ndarray, nrows: int):
-        n = np.shape(l)[-1]
-        self.L = np.ascontiguousarray(np.broadcast_to(l, (nrows, n)), dtype=float)
-        self.U = np.ascontiguousarray(np.broadcast_to(u, (nrows, n)), dtype=float)
-        self.L_sum = np.add.reduce(self.L, axis=1)
-        # sum(clip(V + lam)) = sum(l) + psi(lam); psi gains slope 1 at each
-        # lower knot (index < n in the event table) and loses it at the
-        # matching upper knot
-        self.knot_slope = np.concatenate([np.ones(n), -np.ones(n)])
-        self.offsets = np.arange(nrows)[:, None] * (2 * n)
-        self.events = np.empty((nrows, 2 * n))
-        self.psi = np.empty((nrows, 2 * n))
-        self.psi[:, 0] = 0.0
-
-    def __call__(self, V: np.ndarray) -> np.ndarray:
-        W = np.minimum(np.maximum(V, self.L), self.U)
-        active = np.add.reduce(W, axis=1) != 0.0
-        m = np.count_nonzero(active)
-        if m == 0:
-            return W
-        # almost always every row is active
-        rows = slice(None) if m == active.size else np.flatnonzero(active)
-        Va, la, ua = V[rows], self.L[rows], self.U[rows]
-        n = V.shape[1]
-        events, psi, offsets = self.events[:m], self.psi[:m], self.offsets[:m]
-        np.subtract(la, Va, out=events[:, :n])
-        np.subtract(ua, Va, out=events[:, n:])
-        order = np.argsort(events, axis=1)
-        slope = np.add.accumulate(self.knot_slope[order], axis=1)
-        order += offsets
-        ev = events.ravel()[order]
-        np.add.accumulate(
-            slope[:, :-1] * (ev[:, 1:] - ev[:, :-1]), axis=1, out=psi[:, 1:]
-        )
-        T = 0.0 - self.L_sum[rows]
-        # last knot with psi <= T, or the first when T < 0 (an infeasible
-        # row): psi starts at 0 and never decreases
-        j = (psi[:, 1:] <= T[:, None]).sum(axis=1)
-        j += offsets[:, 0]
-        slope_j = np.maximum(slope.ravel()[j], 1e-300)
-        lam = ev.ravel()[j] + (T - psi.ravel()[j]) / slope_j
-        Wa = np.minimum(np.maximum(Va + lam[:, None], la), ua)
-        if m == active.size:
-            return Wa
-        W[rows] = Wa
-        return W
-
-
-def _linear_min_rows(G: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exact row-wise min of g'w over the box-and-sum polytope.
-
-    Greedy exchange: start at the box minimizer, then push the row sum
-    to 0 through the coordinates that cost least per unit.
-    """
-    L = np.broadcast_to(l, G.shape)
-    U = np.broadcast_to(u, G.shape)
-    W = np.where(G > 0, L, U)
-    vals = np.einsum("ri,ri->r", G, W)
-    sums = W.sum(axis=1)
-    span = U - L
-    need_up = np.maximum(0.0 - sums, 0.0)
-    need_dn = np.maximum(sums, 0.0)
-    ridx = np.arange(G.shape[0])[:, None]
-    # raise through positive gradients ascending (coords sitting at l)
-    order = np.argsort(G, axis=1)
-    g_ord = G[ridx, order]
-    s_ord = (span * (G > 0))[ridx, order]
-    cum = np.cumsum(s_ord, axis=1)
-    take = np.clip(need_up[:, None] - (cum - s_ord), 0.0, s_ord)
-    vals = vals + np.einsum("ri,ri->r", g_ord, take)
-    # lower through nonpositive gradients descending (coords sitting at u)
-    order = order[:, ::-1]
-    g_ord = G[ridx, order]
-    s_ord = (span * (G <= 0))[ridx, order]
-    cum = np.cumsum(s_ord, axis=1)
-    take = np.clip(need_dn[:, None] - (cum - s_ord), 0.0, s_ord)
-    vals = vals - np.einsum("ri,ri->r", g_ord, take)
-    return vals
-
-
-def _batched_pg(
-    c: np.ndarray,
-    A: np.ndarray,
-    Y0: np.ndarray,
-    l: np.ndarray,
-    u: np.ndarray,
-    step: float,
-    deadline: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run accelerated projected gradient per cut; return iterates and certified bounds.
-
-    c and A hold K cuts, and the rows of Y0 (with those of the bounds l
-    and u) come in groups of K: row g K + k relaxes cut k.  So one
-    (K, n, n) stack serves any number of stacked groups, and a stack with
-    one cut per row is the case of a single group.
-
-    FISTA with gradient restart: a row steps from its extrapolated point
-    Z to the new iterate X = proj(Z - step * 2 A Z), then extrapolates
-    Z = X + beta (X - Y) from its previous iterate Y.  A row whose step
-    ran against its momentum, (Z - X).(X - Y) > 0, restarts with t = 1
-    and beta = 0.  Each iteration costs one batched product A X and one
-    projection: the value c + X.AX, the next gradient and the product at
-    the next Z (AX + beta (AX - AY)) all follow from it.  The loop stops
-    when the relative change of every value falls below PG_RTOL, after
-    PG_MAX_ITER iterations or at the deadline; the bounds are certified
-    once, at the final iterate.
-    """
-    c = np.tile(c, Y0.shape[0] // c.size)
-    project = _BoxSumProjector(l, u, Y0.shape[0])
-    Y = project(Y0)
-    AY = np.matmul(A, Y.reshape(-1, *A.shape[:2], 1)).reshape(Y.shape)
-    f = c + np.einsum("ki,ki->k", Y, AY)
-    Z, AZ = Y, AY
-    t = np.ones(Y.shape[0])
-    for _ in range(PG_MAX_ITER):
-        X = project(Z - (2.0 * step) * AZ)
-        AX = np.matmul(A, X.reshape(-1, *A.shape[:2], 1)).reshape(X.shape)
-        f_new = c + np.einsum("ki,ki->k", X, AX)
-        change = float(np.max(np.abs(f - f_new) / np.maximum(1.0, np.abs(f))))
-        D = X - Y
-        t[np.einsum("ki,ki->k", Z - X, D) > 0.0] = 1.0
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        beta = ((t - 1.0) / t_next)[:, None]
-        t = t_next
-        Z = X + beta * D
-        AZ = AX + beta * (AX - AY)
-        Y, AY, f = X, AX, f_new
-        if change < PG_RTOL or time.monotonic() > deadline:
-            break
-    # f(y) + min gradient step over the feasible box-and-sum set; valid
-    # for any iterate by convexity, regardless of how converged Y is
-    G = 2.0 * AY
-    return Y, f + _linear_min_rows(G, l, u) - np.einsum("ki,ki->k", G, Y)
-
-
-# ---------------------------------------------------------------------------
 # exact enumeration for small problems
 
 
@@ -775,105 +609,106 @@ def _enumerate_master(cuts: CutSet, deadline: float) -> BqpResult:
 # exact branch-and-bound
 
 
-def _completion(fixed: np.ndarray, ytilde: np.ndarray, m: int) -> np.ndarray:
-    # the m free coordinates with the largest ytilde go to +1
-    free_idx = np.flatnonzero(fixed == 0)
-    order = np.argsort(-ytilde[free_idx], kind="stable")
-    x = fixed.astype(float)
-    x[free_idx] = -1.0
-    x[free_idx[order[:m]]] = 1.0
-    return x
+def _interval_tables(cuts: CutSet) -> tuple[np.ndarray, np.ndarray]:
+    """The branch order and, per cut and depth, the relaxed free part.
+
+    Subject 0 comes first (x_0 = +1 by the x -> -x symmetry), then the
+    others by their total |A| over every cut, heaviest first.  A node at
+    depth d has fixed x on order[:d].  Relaxing each product x_i x_j that
+    touches a free subject to -|A_ij| leaves each free subject i with
+    A_ii - 2 sum |A_ij| over the j before it in the order, so the sum of
+    these over order[d:], tail[k, d], depends on the depth alone.
+    """
+    A, diag = cuts.matrices, cuts.diagonals
+    weight = sum(np.abs(Ak).sum(axis=0) for Ak in A)
+    order = np.concatenate([[0], 1 + np.argsort(-weight[1:], kind="stable")])
+    tail = np.zeros((cuts.k, cuts.n + 1))
+    for k, Ak in enumerate(A):
+        before = np.tril(np.abs(Ak[np.ix_(order, order)]), -1).sum(axis=1)
+        tail[k, :-1] = np.cumsum((diag[k, order] - 2.0 * before)[::-1])[::-1]
+    return order, tail
 
 
 def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) -> BqpResult:
-    """Branch and bound from ``seed``, a descent that failed its root test.
+    """Depth-first branch and bound from ``seed``, a descent that failed its
+    root test.
 
     The descent's allocation is the first incumbent, and its lower bound,
-    the root bound, floors the reported bound.
+    the root bound, floors the reported bound.  A node at depth d has
+    fixed x on order[:d] (``_interval_tables``) and carries each cut's
+    fixed-part value v_k and g = A x, its free entries at 0; its bound is
+    max(max c, max_k c_k + v_k + tail[k, d]), and a child updates v and g
+    in O(Kn).  Each child that is neither pruned nor fully fixed offers a
+    completion: the free subjects with the smallest gradient of its
+    binding cut go to +1, as many as balance needs, and the descent
+    improves it.  The lower-bound child is expanded first, so the stack
+    holds at most one sibling per depth.  At a limit, the open bound is
+    the least bound on the stack or pruned.
     """
-    c, A = cuts.constants, cuts.matrices
-    n, K = cuts.n, cuts.k
+    c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
     eps = limits.epsilon
+    order, tail = _interval_tables(cuts)
+    c_max = float(c.max())
     best_x, best_val = seed.x_star.x.astype(float), seed.value
 
-    step = 1.0 / (2.0 * max(float(cuts.lambda_max.max()), 1e-12))
-
     def offer(xv: np.ndarray) -> None:
+        # only a lower value replaces the incumbent: a tie keeps the
+        # descent's allocation, whose separation a cutting-plane loop reuses
         nonlocal best_x, best_val
         val = float(_exact_cut_values(c, A, xv).max())
-        xc = _canonical(xv)
-        if val < best_val or (val == best_val and tuple(xc) < tuple(best_x)):
-            best_x, best_val = xc.copy(), val
+        if val < best_val:
+            best_x, best_val = _canonical(xv).copy(), val
 
-    def relax_nodes(pending: list, warm: np.ndarray) -> list:
-        # pending: fixings per node; warm: parent iterates (K, n); the
-        # nodes share one projected-gradient call, stacked K rows apiece
-        r = len(pending)
-        L = np.empty((r * K, n))
-        U = np.empty((r * K, n))
-        for g, fixed in enumerate(pending):
-            xf = fixed.astype(float)
-            free = fixed == 0
-            L[g * K : (g + 1) * K] = np.where(free, -1.0, xf)
-            U[g * K : (g + 1) * K] = np.where(free, 1.0, xf)
-        Y, pg = _batched_pg(c, A, np.concatenate([warm] * r, axis=0), L, U, step, deadline)
-        # per node: its bound, the binding cut's iterate, and every iterate
-        bounds, Y = pg.reshape(r, K), Y.reshape(r, K, n)
-        return [
-            (float(bounds[g, b]), Y[g, b].copy(), Y[g].copy())
-            for g, b in enumerate(np.argmax(bounds, axis=1))
-        ]
-
-    counter = itertools.count()
-    root = np.zeros(n, dtype=np.int8)
-    root[0] = 1  # x -> -x symmetry
-    warm0 = np.tile(best_x, (K, 1))
-    bound0, ybind0, yfull0 = relax_nodes([root], warm0)[0]
-    heap = [(bound0, next(counter), root, ybind0, yfull0)]
-    prune_lb = open_bound = np.inf
+    x = np.zeros(cuts.n)
+    x[0] = 1.0
+    v, g = diag[:, 0].copy(), A[:, 0].copy()
+    stack = [(max(c_max, float((c + v + tail[:, 1]).max())), 1, x, v, g)]
+    pruned = np.inf
     nodes = 0
     status = "optimal"
-    while heap:
+    while stack:
         if nodes >= limits.node_limit or time.monotonic() > deadline:
             status = "incumbent"
-            open_bound = heap[0][0]
             break
-        bound, _, fixed, ytilde, ywarm = heapq.heappop(heap)
+        bound, d, x, v, g = stack.pop()
         if bound >= best_val - eps:
-            open_bound = bound
-            break  # best-first: every open node is at or above this bound
-        nodes += 1
-        free_idx = np.flatnonzero(fixed == 0)
-        branch = int(free_idx[int(np.argmin(np.abs(ytilde[free_idx])))])
-        pending = []
-        for sign in (-1, 1):
-            child = fixed.copy()
-            child[branch] = sign
-            s = int(child.sum())
-            nf = n - int(np.count_nonzero(child))
-            if abs(s) > nf:
-                continue
-            # the free coordinates' plus count that brings the sum to 0
-            m = (nf - s) // 2
-            if m in (0, nf):
-                offer(_completion(child, np.zeros(n), m))
-                continue
-            pending.append((child, m))
-        if not pending:
+            pruned = min(pruned, bound)
             continue
-        evals = relax_nodes([child for child, _ in pending], ywarm)
-        for (child, m), (child_bound, ybind, yfull) in zip(pending, evals):
-            offer(_completion(child, ybind, m))
-            if child_bound >= best_val - eps:
-                prune_lb = min(prune_lb, child_bound)
+        nodes += 1
+        b, free = order[d], order[d + 1 :]
+        children = []
+        for s in (-1.0, 1.0):
+            # the free subjects' plus count that brings the sum to 0
+            m = (free.size - int(x.sum() + s)) // 2
+            if not 0 <= m <= free.size:
                 continue
-            heapq.heappush(heap, (child_bound, next(counter), child, ybind, yfull))
-    # the heap keys stay unfloored, so the tree is the same; only the
-    # reported bound takes the root bound as its floor
+            child = x.copy()
+            child[b] = s
+            child_v = v + 2.0 * s * g[:, b] + diag[:, b]
+            if m in (0, free.size):
+                child[free] = 1.0 if m else -1.0
+                offer(child)
+                continue
+            cut_bounds = c + child_v + tail[:, d + 1]
+            k = int(np.argmax(cut_bounds))
+            child_bound = max(c_max, float(cut_bounds[k]))
+            if child_bound >= best_val - eps:
+                pruned = min(pruned, child_bound)
+                continue
+            child_g = g + s * A[:, b]
+            y = child.copy()
+            y[free] = -1.0
+            y[free[np.argsort(child_g[k, free], kind="stable")[:m]]] = 1.0
+            offer(_descent(c, A, diag, y[None], deadline)[0])
+            children.append((child_bound, d + 1, child, child_v, child_g))
+        # the stack's top is expanded next: the lower bound goes last
+        children.sort(key=lambda entry: entry[0], reverse=True)
+        stack.extend(children)
+    open_bound = min([pruned] + [entry[0] for entry in stack])
     return BqpResult(
         x_star=Allocation(best_x.astype(np.int64)),
         value=best_val,
-        lower_bound=min(best_val, max(seed.lower_bound, min(open_bound, prune_lb))),
+        lower_bound=min(best_val, max(seed.lower_bound, open_bound)),
         status=status,
         nodes=nodes,
         restarts=seed.restarts,

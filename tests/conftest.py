@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from trialdesign.bqp import MOVE_RTOL, PG_MAX_ITER, PG_RTOL, _exact_cut_values
+from trialdesign.bqp import MOVE_RTOL, _exact_cut_values
 
 # HYPOTHESIS_PROFILE=ci runs the property tests on a fixed example
 # sequence, so a failure replays with the same examples; other runs keep
@@ -158,101 +158,6 @@ def naive_descent(
             x[idx] = -x[idx]
         f = c + g @ x
     return x, float(_exact_cut_values(c, A, x).max())
-
-
-def naive_project_rows(
-    V: np.ndarray, l: np.ndarray, u: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Project each row onto {w : l <= w <= u, lo <= sum w <= hi}.
-
-    Reference for the solver's projector: the same sorted sweep over the
-    knots l - V and u - V, with the bounds broadcast and gathered afresh
-    on every call.
-    """
-    l = np.broadcast_to(l, V.shape)
-    u = np.broadcast_to(u, V.shape)
-    W = np.clip(V, l, u)
-    sums = W.sum(axis=1)
-    need_up = sums < lo
-    need_dn = sums > hi
-    active = need_up | need_dn
-    if not active.any():
-        return W
-    rows = np.flatnonzero(active)
-    Va, la, ua = V[rows], l[rows], u[rows]
-    target = np.where(need_up[rows], float(lo), float(hi))
-    ncol = V.shape[1]
-    events = np.concatenate([la - Va, ua - Va], axis=1)
-    order = np.argsort(events, axis=1)
-    ridx = np.arange(rows.shape[0])[:, None]
-    ev = events[ridx, order]
-    slope = np.cumsum(np.where(order < ncol, 1.0, -1.0), axis=1)
-    psi = np.empty_like(ev)
-    psi[:, 0] = 0.0
-    np.cumsum(slope[:, :-1] * (ev[:, 1:] - ev[:, :-1]), axis=1, out=psi[:, 1:])
-    T = target - la.sum(axis=1)
-    j = np.clip(np.sum(psi <= T[:, None], axis=1) - 1, 0, ev.shape[1] - 1)
-    rsel = ridx[:, 0]
-    slope_j = np.maximum(slope[rsel, j], 1e-300)
-    lam = ev[rsel, j] + (T - psi[rsel, j]) / slope_j
-    W[rows] = np.clip(Va + lam[:, None], la, ua)
-    return W
-
-
-def naive_linear_min(g: np.ndarray, l: np.ndarray, u: np.ndarray, lo: float, hi: float) -> float:
-    """Min of g'w over {l <= w <= u, lo <= sum w <= hi}, one coordinate at a time.
-
-    Start at the box minimizer, then move the sum into [lo, hi] through
-    the coordinates in order of cost per unit (a continuous knapsack).
-    """
-    w = np.where(g > 0, l, u).astype(float)
-    s = float(w.sum())
-    if s < lo:
-        for i in np.argsort(g):
-            d = min(u[i] - w[i], lo - s)
-            w[i] += d
-            s += d
-    elif s > hi:
-        for i in np.argsort(-g):
-            d = min(w[i] - l[i], s - hi)
-            w[i] -= d
-            s -= d
-    return float(g @ w)
-
-
-def naive_batched_pg(
-    c: np.ndarray,
-    A: np.ndarray,
-    Y0: np.ndarray,
-    l: np.ndarray,
-    u: np.ndarray,
-    lo: float,
-    hi: float,
-    step: float,
-    deadline: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain projected gradient per cut, with dense products on every step.
-
-    Reference for the solver's accelerated loop: the same stop rules
-    (relative decrease below PG_RTOL, the deadline) and the same
-    certificate, f(y) plus the exact minimum of the gradient step over
-    the feasible set, at the final iterate.
-    """
-    Y = naive_project_rows(Y0, l, u, lo, hi)
-    f = c + np.einsum("kij,ki,kj->k", A, Y, Y)
-    for _ in range(PG_MAX_ITER):
-        G = 2.0 * np.einsum("kij,kj->ki", A, Y)
-        Y = naive_project_rows(Y - step * G, l, u, lo, hi)
-        f_new = c + np.einsum("kij,ki,kj->k", A, Y, Y)
-        improvement = float(np.max((f - f_new) / np.maximum(1.0, np.abs(f))))
-        f = f_new
-        if improvement < PG_RTOL or time.monotonic() > deadline:
-            break
-    L = np.broadcast_to(l, Y0.shape)
-    U = np.broadcast_to(u, Y0.shape)
-    G = 2.0 * np.einsum("kij,kj->ki", A, Y)
-    linmin = np.array([naive_linear_min(G[r], L[r], U[r], lo, hi) for r in range(len(G))])
-    return Y, f + linmin - np.einsum("ki,ki->k", G, Y)
 
 
 def naive_branch_and_bound(

@@ -1,15 +1,16 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     balanced_corners,
     brute_max_quadratic,
     brute_min_max_cuts,
-    naive_batched_pg,
     naive_descent,
-    naive_project_rows,
     oracle_lb_matrix,
     random_design,
 )
@@ -17,8 +18,6 @@ from trialdesign import bqp
 from trialdesign.bqp import (
     BqpResult,
     CutSet,
-    _batched_pg,
-    _BoxSumProjector,
     _descent,
     minimize_max_quadratic,
 )
@@ -48,15 +47,13 @@ class TestCutSet:
         with pytest.raises(ValueError):
             cuts.matrices[0, 0, 0] = 2.0
 
-    def test_keeps_spectrum_top_and_diagonals(self):
+    def test_keeps_read_only_diagonals(self):
         rng = np.random.default_rng(3)
         cuts = random_cuts(9, 3, rng)
         for k, A in enumerate(cuts.matrices):
-            assert cuts.lambda_max[k] == np.linalg.eigvalsh(A)[-1]
             assert cuts.diagonals[k].tolist() == np.diag(A).tolist()
-        for arr in (cuts.lambda_max, cuts.diagonals):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        with pytest.raises(ValueError):
+            cuts.diagonals[0, 0] = 0.0
 
     def test_from_pairs(self):
         cuts = CutSet.from_pairs([(0.5, np.eye(2)), (1.0, 2.0 * np.eye(2))])
@@ -88,11 +85,24 @@ class TestCutSet:
             CutSet(constants=np.zeros(3), matrices=mats)
 
     @pytest.mark.parametrize("n, k", [(5, 8), (60, 3), (200, 2)])
-    def test_stacked_spectrum_matches_each_cut(self, n, k):
-        # the check runs one stacked eigvalsh; each cut alone gives the same bits
-        cuts = random_cuts(n, k, np.random.default_rng(n))
-        for A, top in zip(cuts.matrices, cuts.lambda_max):
-            assert top == np.linalg.eigvalsh(A)[-1]
+    def test_stacked_spectrum_matches_each_cut(self, monkeypatch, n, k):
+        # entries this large skip the screen, so every cut goes to one
+        # stacked eigvalsh; each cut alone gives the same bits
+        source = random_cuts(n, k, np.random.default_rng(n))
+        mats = 1e8 * source.matrices
+        stacked = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            stacked.append(eigvalsh(a))
+            return stacked[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", spy)
+            CutSet(constants=source.constants, matrices=mats)
+        assert len(stacked) == 1 and stacked[0].shape == (k, n)
+        for A, spectrum in zip(mats, stacked[0]):
+            assert np.array_equal(spectrum, np.linalg.eigvalsh(A))
 
     def test_rejects_non_finite(self):
         A = np.full((2, 2), np.inf)
@@ -134,16 +144,14 @@ class TestCutSetScreen:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         return calls
 
-    def test_psd_stack_needs_no_spectrum_until_lambda_max_is_read(self, monkeypatch):
+    def test_psd_stack_needs_no_spectrum(self, monkeypatch):
         calls = self.spy_eigvalsh(monkeypatch)
         rng = np.random.default_rng(11)
         B = rng.normal(size=(3, 50, 4))
         cuts = CutSet(constants=np.zeros(3), matrices=B @ B.transpose(0, 2, 1))
+        # nor does the root bound, read on demand
+        assert cuts.root_bound >= 0.0
         assert calls == []
-        top = cuts.lambda_max
-        assert len(calls) == 1 and cuts.lambda_max is top
-        assert not top.flags.writeable
-        assert top.tolist() == [np.linalg.eigvalsh(A)[-1] for A in cuts.matrices]
 
     @pytest.mark.parametrize("low, accepted", [(-0.6, True), (-0.999, True), (-1.5, False)])
     def test_shallow_negative_eigenvalues_go_to_the_eigenvalue_test(
@@ -649,7 +657,7 @@ class TestExactCutValues:
 class TestIncumbentContinuation:
     """An exact solve past the cutover can continue from a heuristic result."""
 
-    def test_continues_without_a_descent(self, monkeypatch):
+    def test_continues_without_a_multi_start_rerun(self, monkeypatch):
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
         rng = np.random.default_rng(257)
         cuts = random_cuts(14, 3, rng)
@@ -658,9 +666,10 @@ class TestIncumbentContinuation:
         fresh = minimize_max_quadratic(cuts, SolveLimits(mode="exact"), warm_start=heur.x_star)
 
         def forbidden(*args):
-            raise AssertionError("the continued solve ran a descent")
+            raise AssertionError("the continued solve reran the multi-start descent")
 
-        monkeypatch.setattr(bqp, "_descent", forbidden)
+        # the search's completions still descend, one start at a time
+        monkeypatch.setattr(bqp, "_heuristic", forbidden)
         cont = minimize_max_quadratic(
             cuts, SolveLimits(mode="exact"), warm_start=heur.x_star, incumbent=heur
         )
@@ -907,198 +916,62 @@ class TestPhantom:
             assert (cont.value, cont.lower_bound, cont.status, cont.nodes) == (
                 fresh.value, fresh.lower_bound, fresh.status, fresh.nodes,
             )
+            # no multi-start rerun
+            assert cont.restarts == 0
         # the padded tree was searched, not only certified at its root
         assert nodes > 0
 
 
 class TestNodeBounds:
-    def test_relaxation_bounds_stay_below_subcube_minimum(self):
-        # the node bound must under-estimate the best balanced completion
-        rng = np.random.default_rng(83)
-        deadline = time.monotonic() + 30.0
-        for _ in range(20):
-            n, k = 10, int(rng.integers(1, 4))
-            cuts = random_cuts(n, k, rng)
-            c, A = cuts.constants, cuts.matrices
-
-            source = rng.permutation(np.repeat([1.0, -1.0], n // 2))
-            fixed = np.zeros(n, dtype=np.int8)
-            nfix = int(rng.integers(2, 6))
-            fixed[:nfix] = source[:nfix].astype(np.int8)
-
-            corners = balanced_corners(n)
-            mask = np.all(corners[:, :nfix] == source[:nfix], axis=1)
-            true_min = brute_min_max_cuts(c, A, corners[mask])
-
-            xf = fixed.astype(float)
-            free = fixed == 0
-            L = np.tile(np.where(free, -1.0, xf), (k, 1))
-            U = np.tile(np.where(free, 1.0, xf), (k, 1))
-            step = 1.0 / (2.0 * max(np.linalg.eigvalsh(A[j])[-1] for j in range(k)))
-            _, pg = _batched_pg(c, A, np.tile(source, (k, 1)), L, U, step, deadline)
-            assert float(pg.max()) <= true_min + 1e-8
-
-
-def pinned_box(n: int, k: int, nfix: int, rng: np.random.Generator):
-    """Per-row bounds of a branch node: nfix coordinates pinned to balanced signs."""
-    source = rng.permutation(np.resize([1.0, -1.0], n))
-    pinned = rng.permutation(n)[:nfix]
-    l, u = np.full(n, -1.0), np.full(n, 1.0)
-    l[pinned] = u[pinned] = source[pinned]
-    return np.tile(l, (k, 1)), np.tile(u, (k, 1)), source, pinned
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(6, 13),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+        data=st.data(),
+    )
+    def test_relaxation_bounds_stay_below_subcube_minimum(self, n, k, seed, integer, data):
+        # a node's interval bound on each cut must not exceed that cut's
+        # minimum over the node's balanced completions; odd n is searched
+        # with the phantom subject
+        rng = np.random.default_rng(seed)
+        cuts = integer_cuts(n, k, rng) if integer else random_cuts(n, k, rng)
+        if n % 2:
+            cuts = bqp._with_phantom(cuts)
+        c, A = cuts.constants, cuts.matrices
+        order, tail = bqp._interval_tables(cuts)
+        assert order[0] == 0 and sorted(order) == list(range(cuts.n))
+        corners = balanced_corners(cuts.n)
+        corners = corners[corners[:, 0] > 0]
+        x = corners[data.draw(st.integers(0, len(corners) - 1))]
+        d = data.draw(st.integers(1, cuts.n))
+        prefix = order[:d]
+        sub = corners[np.all(corners[:, prefix] == x[prefix], axis=1)]
+        true_min = (c + np.einsum("mi,kij,mj->mk", sub, A, sub)).min(axis=0)
+        xf = np.zeros(cuts.n)
+        xf[prefix] = x[prefix]
+        bound = c + np.einsum("kij,i,j->k", A, xf, xf) + tail[:, d]
+        assert np.all(bound <= true_min + 1e-9 * (1.0 + np.abs(true_min)))
 
 
-class TestProjectionOracle:
-    """The set-up-once projector must match the plain sorted sweep, with
-    its sum bounds at 0, bit for bit."""
-
-    # odd widths too: the sum-0 set is a polytope at any n
-    @pytest.mark.parametrize("rows, n", [(4, 12), (6, 13), (1, 2), (3, 600), (2, 601)])
-    def test_random_rows(self, rows, n):
-        rng = np.random.default_rng(1000 * rows + n)
-        for trial in range(40):
-            L, U, _, _ = pinned_box(n, rows, int(rng.integers(0, n // 2 + 1)), rng)
-            proj = _BoxSumProjector(L, U, rows)
-            # one projector serves many calls, as in a gradient run
-            for scale in (0.3, 1.0, 4.0):
-                V = rng.normal(scale=scale, size=(rows, n))
-                if trial % 4 == 1:
-                    # some rows already feasible, so only the rest are swept
-                    V[::2] = naive_project_rows(V[::2], L[::2], U[::2], 0, 0)
-                assert np.array_equal(proj(V), naive_project_rows(V, L, U, 0, 0))
-
-    def test_feasible_rows_pass_through(self):
-        rng = np.random.default_rng(7)
-        L, U = np.full((3, 10), -1.0), np.full((3, 10), 1.0)
-        V = naive_project_rows(rng.normal(size=(3, 10)), L, U, 0, 0)
-        out = _BoxSumProjector(L, U, 3)(V)
-        assert np.array_equal(out, V)
-
-    def test_infeasible_rows_match(self):
-        # pins summing past hi leave no feasible point; the sweep then
-        # shifts from its first knot, and both versions must agree on it
-        rng = np.random.default_rng(13)
-        L, U = np.full((2, 8), -1.0), np.full((2, 8), 1.0)
-        L[:, :5] = U[:, :5] = 1.0
-        V = rng.normal(size=(2, 8))
-        out = _BoxSumProjector(L, U, 2)(V)
-        assert np.array_equal(out, naive_project_rows(V, L, U, 0, 0))
-
-    def test_shared_bounds_broadcast(self):
-        # one (n,) box serves every row
-        rng = np.random.default_rng(11)
-        l, u = np.full(9, -1.0), np.full(9, 1.0)
-        V = rng.normal(scale=2.0, size=(4, 9))
-        out = _BoxSumProjector(l, u, 4)(V)
-        assert np.array_equal(out, naive_project_rows(V, l, u, 0, 0))
-
-
-class TestRelaxationOracle:
-    """Accelerated node bounds against plain projected gradient and enumeration."""
-
-    @staticmethod
-    def cases(count: int = 50):
-        rng = np.random.default_rng(2024)
-        for case in range(count):
-            n, k = int(rng.integers(6, 13)), int(rng.integers(1, 5))
-            cuts = random_cuts(n, k, rng)
-            L, U, source, pinned = pinned_box(n, k, int(rng.integers(0, n // 2)), rng)
-            Y0 = np.tile(source, (k, 1)) if case % 2 else rng.uniform(-1, 1, size=(k, n))
-            if n % 2:
-                # an odd-n node is relaxed with the phantom subject last:
-                # free, zero in every cut, and at minus the sum in source
-                cuts = bqp._with_phantom(cuts)
-                L = np.pad(L, ((0, 0), (0, 1)), constant_values=-1.0)
-                U = np.pad(U, ((0, 0), (0, 1)), constant_values=1.0)
-                source = np.append(source, -source.sum())
-                Y0 = np.tile(source, (k, 1)) if case % 2 else np.pad(Y0, ((0, 0), (0, 1)))
-            step = 1.0 / (2.0 * max(np.linalg.eigvalsh(A)[-1] for A in cuts.matrices))
-            yield cuts, L, U, step, Y0, source, pinned
-
-    def test_bounds_valid_and_no_looser_than_plain_gradient(self, monkeypatch):
-        short_new, short_old = [], []
-        for cuts, L, U, step, Y0, source, pinned in self.cases():
-            c, A = cuts.constants, cuts.matrices
-            corners = balanced_corners(cuts.n)
-            sub = corners[np.all(corners[:, pinned] == source[pinned], axis=1)]
-            # per-cut minimum over the node's balanced completions
-            true_min = (c[None, :] + np.einsum("mi,kij,mj->mk", sub, A, sub)).min(axis=0)
-            _, new = _batched_pg(c, A, Y0, L, U, step, np.inf)
-            Y_old, old = naive_batched_pg(c, A, Y0, L, U, 0, 0, step, np.inf)
-            old_value = c + np.einsum("kij,ki,kj->k", A, Y_old, Y_old)
-            assert np.all(new <= true_min + 1e-9)
-            assert np.all(new <= old_value + 1e-9)
-            with monkeypatch.context() as m:
-                m.setattr(bqp, "PG_MAX_ITER", 1000)
-                m.setattr(bqp, "PG_RTOL", 0.0)
-                _, ref = _batched_pg(c, A, Y0, L, U, step, np.inf)
-            ref = np.maximum.reduce([ref, new, old])
-            short_new.extend(ref - new)
-            short_old.extend(ref - old)
-        assert np.median(short_new) <= np.median(short_old)
-
-    def test_stacked_node_bounds_are_valid(self):
-        for cuts, L, U, step, Y0, source, pinned in self.cases(12):
-            c, A = cuts.constants, cuts.matrices
-            corners = balanced_corners(cuts.n)
-            sub = corners[np.all(corners[:, pinned] == source[pinned], axis=1)]
-            true_min = (c[None, :] + np.einsum("mi,kij,mj->mk", sub, A, sub)).min(axis=0)
-            # two nodes stacked K rows apiece, as the branch and bound does
-            k = cuts.k
-            _, bounds = _batched_pg(
-                np.tile(c, 2), np.concatenate([A, A]), np.tile(Y0, (2, 1)),
-                np.tile(L, (2, 1)), np.tile(U, (2, 1)), step, np.inf,
-            )
-            assert np.all(bounds.reshape(2, k) <= true_min + 1e-9)
-
-    @pytest.mark.blas_bits
-    def test_one_stack_serves_stacked_groups(self):
-        # one (K, n, n) stack over two groups of K rows gives the bits of
-        # the stack repeated once per group
-        for cuts, L, U, step, Y0, _, _ in self.cases(12):
-            c, A = cuts.constants, cuts.matrices
-            Y0 = np.concatenate([Y0, -Y0])
-            L2, U2 = np.tile(L, (2, 1)), np.tile(U, (2, 1))
-            shared = _batched_pg(c, A, Y0, L2, U2, step, np.inf)
-            repeated = _batched_pg(
-                np.tile(c, 2), np.concatenate([A, A]), Y0, L2, U2, step, np.inf
-            )
-            for got, want in zip(shared, repeated):
-                assert np.array_equal(got, want)
-
-    def test_iterates_follow_fista_with_gradient_restart(self, monkeypatch):
-        # rebuild each extrapolated point from the recorded iterates with
-        # the restart rule, and check the next projection input against it
-        restarts = 0
-        for cuts, L, U, step, Y0, _, _ in self.cases():
-            c, A = cuts.constants, cuts.matrices
-            seen: list[tuple[np.ndarray, np.ndarray]] = []
-            call = _BoxSumProjector.__call__
-
-            def spy(self, V, call=call, seen=seen):
-                W = call(self, V)
-                seen.append((V.copy(), W.copy()))
-                return W
-
-            with monkeypatch.context() as m:
-                m.setattr(_BoxSumProjector, "__call__", spy)
-                _batched_pg(c, A, Y0, L, U, step, np.inf)
-            X = [w for _, w in seen]
-            Z, t = X[0], np.ones(cuts.k)
-            for it in range(1, len(seen)):
-                expected = Z - 2.0 * step * np.einsum("kij,kj->ki", A, Z)
-                np.testing.assert_allclose(seen[it][0], expected, rtol=1e-9, atol=1e-12)
-                D = X[it] - X[it - 1]
-                restart = np.einsum("ki,ki->k", Z - X[it], D) > 0.0
-                restarts += int(restart.sum())
-                t = np.where(restart, 1.0, t)
-                t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-                Z = X[it] + ((t - 1.0) / t_next)[:, None] * D
-                t = t_next
-            # accelerated values are not monotone: a rise must not stop the
-            # run, only a change below the tolerance or the iteration cap
-            if len(X) <= bqp.PG_MAX_ITER:
-                f = [c + np.einsum("kij,ki,kj->k", A, x, x) for x in X[-2:]]
-                change = np.abs(f[0] - f[1]) / np.maximum(1.0, np.abs(f[0]))
-                assert float(change.max()) < bqp.PG_RTOL
-        assert restarts > 0
+class TestOpenList:
+    def test_depth_first_memory_does_not_grow_with_nodes(self, monkeypatch):
+        # the stack holds at most one sibling per depth, each entry O(Kn),
+        # so 2,000 nodes at n = 60 peak near 0.1 MB; a best-first heap of
+        # the same nodes held about 5 MB
+        rng = np.random.default_rng(271)
+        cuts = random_cuts(60, 3, rng)
+        heur = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"))
+        assert heur.status == "incumbent"
+        # completions stay as built, which keeps the search fast
+        monkeypatch.setattr(bqp, "_descent", lambda c, A, diag, X0, deadline: X0)
+        limits = SolveLimits(mode="exact", node_limit=2000)
+        tracemalloc.start()
+        try:
+            res = minimize_max_quadratic(cuts, limits, incumbent=heur)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.status, res.nodes) == ("incumbent", 2000)
+        assert peak < 500_000

@@ -207,25 +207,32 @@ class TestLowerBound:
         )
 
     @pytest.mark.blas_bits
-    def test_verification_master_runs_no_descent(self, monkeypatch):
+    def test_verification_master_runs_no_multi_start(self, monkeypatch):
         # the first exact master solves the converged heuristic master's
-        # cut set again, so it continues from that master's result
-        descents = []
-        real_descent = bqp._descent
+        # cut set again, so it continues from that master's result; only
+        # its branch and bound's completions descend
+        descents, multi_starts = [], []
+        real_descent, real_heuristic = bqp._descent, bqp._heuristic
 
         def count(c, A, diag, X0, deadline):
             descents[-1] += len(X0)
             return real_descent(c, A, diag, X0, deadline)
 
+        def count_heuristic(*args):
+            multi_starts[-1] += 1
+            return real_heuristic(*args)
+
         masters = []
 
         def spy(cuts, limits, warm_start=None, incumbent=None):
             descents.append(0)
+            multi_starts.append(0)
             result = bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
             masters.append((limits.mode, incumbent, result))
             return result
 
         monkeypatch.setattr(bqp, "_descent", count)
+        monkeypatch.setattr(bqp, "_heuristic", count_heuristic)
         monkeypatch.setattr(cutting_plane, "minimize_max_quadratic", spy)
         rng = np.random.default_rng(17)
         H = random_design(60, 5, rng)
@@ -234,10 +241,11 @@ class TestLowerBound:
         first = [mode for mode, _, _ in masters].index("exact")
         assert first > 0
         # heuristic masters: the seeded descents, and the warm start after the first
+        assert multi_starts[:first] == [1] * first
         assert descents[:first] == [bqp.RESTARTS] + [bqp.RESTARTS + 1] * (first - 1)
         _, incumbent, verify = masters[first]
         assert incumbent is masters[first - 1][2]
-        assert descents[first] == 0 and verify.restarts == 0
+        assert multi_starts[first] == 0 and verify.restarts == 0
         assert verify.nodes > 0
         history = report.diagnostics["history"]
         assert history[first][:2] == history[first - 1][:2]
