@@ -44,6 +44,13 @@ Subjects are fixed in one static order, so the relaxed part of each
 cut's bound depends on the depth alone and is tabulated once; a child's
 bound follows from its parent's in O(Kn).  The lower-bound child is
 expanded first, so the open stack holds at most one sibling per depth.
+Every kept child's completion is descended, in look-ahead stacks: on a
+completion with no cached end, the search is walked forward with the
+incumbent frozen, and the next starts it meets that are not cached, up
+to a descent stack's worth, descend as one stack.  The cache holds only
+the latest stack and the cached starts its walk met.  The search makes
+the pops, prunes and offers of one descent per child, except that under
+an expiring time limit a stack's starts stop together.
 
 Every method returns one contract.  lower_bound is a valid bound on the
 optimum and is never below min(value, root bound), where the root bound
@@ -448,6 +455,12 @@ def _descent(
     return X_out
 
 
+def _stack_size(cuts: CutSet) -> int:
+    """Starts per descent stack: its swap blocks hold about BLOCK_ENTRIES
+    entries."""
+    return max(1, BLOCK_ENTRIES // (cuts.k * (cuts.n // 2) ** 2))
+
+
 def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start: np.ndarray | None) -> BqpResult:
     """Multi-start descent and the root test: optimal when the best value
     is within epsilon of the root bound, which is then the lower bound.
@@ -460,8 +473,8 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start: np.ndarray | None)
     starts = [] if warm_start is None else [warm_start]
     starts.extend(random_balanced_stack(cuts.n, RESTARTS, rng))
     starts = np.array(starts, dtype=float)
-    c, A, n = cuts.constants, cuts.matrices, cuts.n
-    size = max(1, BLOCK_ENTRIES // (cuts.k * (n // 2) ** 2))
+    c, A = cuts.constants, cuts.matrices
+    size = _stack_size(cuts)
     best_x, best_val = None, np.inf
     for s in range(0, len(starts), size):
         for xv in _descent(c, A, cuts.diagonals, starts[s : s + size], deadline):
@@ -644,11 +657,24 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
     improves it.  The lower-bound child is expanded first, so the stack
     holds at most one sibling per depth.  At a limit, the open bound is
     the least bound on the stack or pruned.
+
+    Completions descend in look-ahead stacks, and a cache maps each
+    start of the latest stack to its end.  On a miss, the search is
+    walked forward from the missing child on a copy of the open stack
+    with the incumbent frozen, so the walk keeps every child that the
+    search will keep, in the same order; the first R = ``_stack_size``
+    distinct starts it meets that the cache lacks descend as one
+    ``_descent`` stack.  The next cache holds them and at most R cached
+    starts met on the way, so it stays within 2R starts.  Every row of a
+    stack ends where it would alone, so the search makes the pops, prunes
+    and offers of one descent per kept child; under an expiring time
+    limit, though, a stack's rows stop together.
     """
     c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
     eps = limits.epsilon
     order, tail = _interval_tables(cuts)
     c_max = float(c.max())
+    size = _stack_size(cuts)
     best_x, best_val = seed.x_star.x.astype(float), seed.value
 
     def offer(xv: np.ndarray) -> None:
@@ -659,24 +685,16 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
         if val < best_val:
             best_x, best_val = _canonical(xv).copy(), val
 
-    x = np.zeros(cuts.n)
-    x[0] = 1.0
-    v, g = diag[:, 0].copy(), A[:, 0].copy()
-    stack = [(max(c_max, float((c + v + tail[:, 1]).max())), 1, x, v, g)]
-    pruned = np.inf
-    nodes = 0
-    status = "optimal"
-    while stack:
-        if nodes >= limits.node_limit or time.monotonic() > deadline:
-            status = "incumbent"
-            break
-        bound, d, x, v, g = stack.pop()
-        if bound >= best_val - eps:
-            pruned = min(pruned, bound)
-            continue
-        nodes += 1
+    def stopped(nodes: int) -> bool:
+        return nodes >= limits.node_limit or time.monotonic() > deadline
+
+    def expand(node: tuple) -> list:
+        """The children of an open node, in branching order: a fully
+        fixed child as (None, allocation), any other as (bound, node).
+        A node is (depth, x, v, g, k), k the cut binding its bound."""
+        d, x, v, g, _ = node
         b, free = order[d], order[d + 1 :]
-        children = []
+        kids = []
         for s in (-1.0, 1.0):
             # the free subjects' plus count that brings the sum to 0
             m = (free.size - int(x.sum() + s)) // 2
@@ -687,23 +705,95 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
             child_v = v + 2.0 * s * g[:, b] + diag[:, b]
             if m in (0, free.size):
                 child[free] = 1.0 if m else -1.0
-                offer(child)
+                kids.append((None, child))
                 continue
             cut_bounds = c + child_v + tail[:, d + 1]
             k = int(np.argmax(cut_bounds))
             child_bound = max(c_max, float(cut_bounds[k]))
-            if child_bound >= best_val - eps:
-                pruned = min(pruned, child_bound)
+            kids.append((child_bound, (d + 1, child, child_v, g + s * A[:, b], k)))
+        return kids
+
+    def completion(node: tuple) -> np.ndarray:
+        # the free subjects with the smallest gradient of the binding cut
+        # go to +1, as many as balance needs
+        d, x, _, g, k = node
+        free = order[d:]
+        m = (free.size - int(x.sum())) // 2
+        y = x.copy()
+        y[free] = -1.0
+        y[free[np.argsort(g[k, free], kind="stable")[:m]]] = 1.0
+        return y
+
+    def ahead(kids: list, kept: list, stack: list, nodes: int, level: float):
+        """Completion starts in the order the search descends them, from
+        kids (the rest of the node being expanded, whose kept children
+        are kept) on, with every bound at or above level pruned."""
+        stack = stack.copy()
+        while kids is not None:
+            for bound, child in kids:
+                if bound is not None and bound < level:
+                    yield completion(child)
+                    kept.append((bound, child))
+            kept.sort(key=lambda entry: entry[0], reverse=True)
+            stack.extend(kept)
+            kids, kept = None, []
+            while stack and not stopped(nodes):
+                bound, node = stack.pop()
+                if bound < level:
+                    nodes += 1
+                    kids = expand(node)
+                    break
+
+    def restock(starts, cache: dict) -> dict:
+        # the first `size` starts the cache lacks descend as one stack;
+        # the cached starts met on the way stay cached, up to `size`
+        ends, fresh = {}, {}
+        for y in starts:
+            key = y.tobytes()
+            if key in cache:
+                ends[key] = cache[key]
+            elif key not in fresh:
+                fresh[key] = y
+            if len(fresh) == size or len(ends) == size:
+                break
+        stacked = _descent(c, A, diag, np.array(list(fresh.values())), deadline)
+        ends.update(zip(fresh, stacked))
+        return ends
+
+    x = np.zeros(cuts.n)
+    x[0] = 1.0
+    v, g = diag[:, 0].copy(), A[:, 0].copy()
+    stack = [(max(c_max, float((c + v + tail[:, 1]).max())), (1, x, v, g, 0))]
+    cache: dict = {}
+    pruned = np.inf
+    nodes = 0
+    status = "optimal"
+    while stack:
+        if stopped(nodes):
+            status = "incumbent"
+            break
+        bound, node = stack.pop()
+        if bound >= best_val - eps:
+            pruned = min(pruned, bound)
+            continue
+        nodes += 1
+        kids = expand(node)
+        kept = []
+        for i, (bound, child) in enumerate(kids):
+            if bound is None:
+                offer(child)
                 continue
-            child_g = g + s * A[:, b]
-            y = child.copy()
-            y[free] = -1.0
-            y[free[np.argsort(child_g[k, free], kind="stable")[:m]]] = 1.0
-            offer(_descent(c, A, diag, y[None], deadline)[0])
-            children.append((child_bound, d + 1, child, child_v, child_g))
+            if bound >= best_val - eps:
+                pruned = min(pruned, bound)
+                continue
+            key = completion(child).tobytes()
+            if key not in cache:
+                cache = restock(ahead(kids[i:], kept.copy(), stack, nodes, best_val - eps), cache)
+            offer(cache[key])
+            kept.append((bound, child))
         # the stack's top is expanded next: the lower bound goes last
-        children.sort(key=lambda entry: entry[0], reverse=True)
-        stack.extend(children)
+        kept.sort(key=lambda entry: entry[0], reverse=True)
+        stack.extend(kept)
     open_bound = min([pruned] + [entry[0] for entry in stack])
     return BqpResult(
         x_star=Allocation(best_x.astype(np.int64)),

@@ -86,6 +86,11 @@ def _limits(args) -> SolveLimits:
     )
 
 
+def _separation_limits(args) -> SolveLimits:
+    # the separations read only the time and node limits
+    return SolveLimits(time_limit=args.time_limit, node_limit=args.node_limit)
+
+
 def cmd_synth(args) -> int:
     matrix = generate_synthetic(SyntheticSpec(n=args.n, p=args.p, seed=args.seed))
     columns = tuple(["intercept"] + [f"x{i}" for i in range(1, args.p)])
@@ -127,11 +132,11 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _rand_block(F, args, space, limits=None):
+def _rand_block(F, args, space, limits):
     """Both RAND benchmarks on one draw of args.replicates allocations: the
     allocations, replicate 0's value per objective, and a summary per objective.
 
-    ``limits`` budgets each objective's separations (default SolveLimits)."""
+    ``limits`` budgets each objective's separations."""
     allocations = random_balanced_allocations(F.n, args.replicates, args.seed)
     keys = ("quantiles", "confounded", "unfinished", "separation_nodes")
     first, summary = {}, {}
@@ -198,10 +203,11 @@ def cmd_evaluate(args) -> int:
             f"allocation length {allocation.n} != matrix rows {A.shape[0]}"
         )
     space = _space(args.space)
+    limits = _separation_limits(args)
     F = spectral_cache(A)
-    surr, surr_z = surrogate_value(F, allocation, space)
+    surr, surr_z = surrogate_value(F, allocation, space, limits)
     try:
-        orig, orig_z = original_value(F, allocation, space)
+        orig, orig_z = original_value(F, allocation, space, limits)
     except ConfoundedDesign:
         orig, orig_z = None, None
     doc = {
@@ -221,7 +227,7 @@ def cmd_evaluate(args) -> int:
         "original_worst_z": None if orig_z is None else [float(v) for v in orig_z],
         "lb_value": float(lb_value(F, allocation)),
     }
-    _, _, doc["rand"] = _rand_block(F, args, space)
+    _, _, doc["rand"] = _rand_block(F, args, space, limits)
     if not args.skip_variance and orig is None:
         # the variance reduction compares Sigma_beta, which a confounded
         # design does not have (original_value just found that)
@@ -253,7 +259,7 @@ def cmd_scan(args) -> int:
     A = _load_matrix(args.matrix)
     space = _space(args.space)
     allocations = random_balanced_allocations(A.shape[0], args.samples, args.seed)
-    pairs = surrogate_gap_scan(A, allocations, space=space)
+    pairs = surrogate_gap_scan(A, allocations, space=space, limits=_separation_limits(args))
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("original,surrogate\n")
         for pair in pairs:
@@ -282,10 +288,14 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _add_common_solver_args(sub) -> None:
-    sub.add_argument("--epsilon", type=float, default=1e-6)
+def _add_limit_args(sub) -> None:
     sub.add_argument("--time-limit", type=float, default=300.0)
     sub.add_argument("--node-limit", type=int, default=2_000_000)
+
+
+def _add_common_solver_args(sub) -> None:
+    sub.add_argument("--epsilon", type=float, default=1e-6)
+    _add_limit_args(sub)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -332,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--variance-out", default=None)
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--out", default=None)
+    _add_limit_args(evaluate)
     evaluate.set_defaults(fn=cmd_evaluate)
 
     scan = commands.add_parser("scan", help="original-vs-surrogate pairs on random allocations")
@@ -340,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--space", choices=SPACE_CHOICES, default="hypercube")
     scan.add_argument("--out", required=True)
+    _add_limit_args(scan)
     scan.set_defaults(fn=cmd_scan)
 
     return parser

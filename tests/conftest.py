@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from trialdesign.bqp import MOVE_RTOL, _exact_cut_values
+from trialdesign import bqp
+from trialdesign.bqp import MOVE_RTOL, BqpResult, _exact_cut_values
+from trialdesign.objective import Allocation
 
 # HYPOTHESIS_PROFILE=ci runs the property tests on a fixed example
 # sequence, so a failure replays with the same examples; other runs keep
@@ -250,6 +252,83 @@ def naive_branch_and_bound(
                 heapq.heappush(heap, (-child_bound, counter, child))
                 counter += 1
     return best_y, nodes, optimal, gap
+
+
+def naive_master_branch_and_bound(
+    cuts: "bqp.CutSet", limits, seed: BqpResult, deadline: float
+) -> BqpResult:
+    """Depth-first interval branch and bound that descends each kept
+    child's completion alone, when the child is kept.
+
+    Reference for ``bqp._exact``'s look-ahead stacks: the same branch
+    order and tail table (``bqp._interval_tables``), the same incremental
+    node values, pop order, completions and incumbent rule, with one
+    ``bqp._descent`` call on a single row per kept child.
+    """
+    c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
+    eps = limits.epsilon
+    order, tail = bqp._interval_tables(cuts)
+    c_max = float(c.max())
+    best_x, best_val = seed.x_star.x.astype(float), seed.value
+
+    def offer(xv: np.ndarray) -> None:
+        nonlocal best_x, best_val
+        val = float(_exact_cut_values(c, A, xv).max())
+        if val < best_val:
+            best_x, best_val = (xv if xv[0] > 0 else -xv).copy(), val
+
+    x = np.zeros(cuts.n)
+    x[0] = 1.0
+    v, g = diag[:, 0].copy(), A[:, 0].copy()
+    stack = [(max(c_max, float((c + v + tail[:, 1]).max())), 1, x, v, g)]
+    pruned = np.inf
+    nodes = 0
+    status = "optimal"
+    while stack:
+        if nodes >= limits.node_limit or time.monotonic() > deadline:
+            status = "incumbent"
+            break
+        bound, d, x, v, g = stack.pop()
+        if bound >= best_val - eps:
+            pruned = min(pruned, bound)
+            continue
+        nodes += 1
+        b, free = order[d], order[d + 1 :]
+        children = []
+        for s in (-1.0, 1.0):
+            m = (free.size - int(x.sum() + s)) // 2
+            if not 0 <= m <= free.size:
+                continue
+            child = x.copy()
+            child[b] = s
+            child_v = v + 2.0 * s * g[:, b] + diag[:, b]
+            if m in (0, free.size):
+                child[free] = 1.0 if m else -1.0
+                offer(child)
+                continue
+            cut_bounds = c + child_v + tail[:, d + 1]
+            k = int(np.argmax(cut_bounds))
+            child_bound = max(c_max, float(cut_bounds[k]))
+            if child_bound >= best_val - eps:
+                pruned = min(pruned, child_bound)
+                continue
+            child_g = g + s * A[:, b]
+            y = child.copy()
+            y[free] = -1.0
+            y[free[np.argsort(child_g[k, free], kind="stable")[:m]]] = 1.0
+            offer(bqp._descent(c, A, diag, y[None], deadline)[0])
+            children.append((child_bound, d + 1, child, child_v, child_g))
+        children.sort(key=lambda entry: entry[0], reverse=True)
+        stack.extend(children)
+    open_bound = min([pruned] + [entry[0] for entry in stack])
+    return BqpResult(
+        x_star=Allocation(best_x.astype(np.int64)),
+        value=best_val,
+        lower_bound=min(best_val, max(seed.lower_bound, open_bound)),
+        status=status,
+        nodes=nodes,
+        restarts=seed.restarts,
+    )
 
 
 @pytest.fixture

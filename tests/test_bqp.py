@@ -11,6 +11,7 @@ from conftest import (
     brute_max_quadratic,
     brute_min_max_cuts,
     naive_descent,
+    naive_master_branch_and_bound,
     oracle_lb_matrix,
     random_design,
 )
@@ -953,6 +954,88 @@ class TestNodeBounds:
         xf[prefix] = x[prefix]
         bound = c + np.einsum("kij,i,j->k", A, xf, xf) + tail[:, d]
         assert np.all(bound <= true_min + 1e-9 * (1.0 + np.abs(true_min)))
+
+
+@pytest.mark.blas_bits
+class TestLookAheadStacks:
+    """The branch and bound descends its completions in look-ahead
+    stacks, and must end where one descent per kept child ends."""
+
+    @staticmethod
+    def forced(n: int, k: int, seed: int, integer: bool, node_limit: int, weak: bool = False):
+        # the cuts and seed of an exact master past the cutover: the
+        # multi-start descent, or with weak, one random undescended
+        # allocation, which completions then improve often.  Odd n runs
+        # on the phantom-padded cuts, as in the solver
+        rng = np.random.default_rng(seed)
+        cuts = integer_cuts(n, k, rng) if integer else random_cuts(n, k, rng)
+        if n % 2:
+            cuts = bqp._with_phantom(cuts)
+        limits = SolveLimits(mode="exact", node_limit=node_limit)
+        if not weak:
+            return cuts, limits, bqp._heuristic(cuts, limits, None)
+        x = random_balanced_signs(cuts.n, rng)
+        value = float(bqp._exact_cut_values(cuts.constants, cuts.matrices, x).max())
+        start = BqpResult(
+            x_star=Allocation(x.astype(np.int64)), value=value,
+            lower_bound=min(value, cuts.root_bound), status="incumbent", nodes=0, restarts=0,
+        )
+        return cuts, limits, start
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 40),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+        node_limit=st.integers(1, 300),
+        stack=st.sampled_from([None, 1, 2, 5]),
+        weak=st.booleans(),
+    )
+    def test_matches_one_descent_per_kept_child(
+        self, n, k, seed, integer, node_limit, stack, weak
+    ):
+        # stack: rows per look-ahead stack, or None for the block rule,
+        # which at these n puts most searches in one or two stacks
+        cuts, limits, start = self.forced(n, k, seed, integer, node_limit, weak)
+        with pytest.MonkeyPatch.context() as patch:
+            if stack is not None:
+                patch.setattr(bqp, "_stack_size", lambda cuts: stack)
+            res = bqp._exact(cuts, limits, start, np.inf)
+        ref = naive_master_branch_and_bound(cuts, limits, start, np.inf)
+        assert res.x_star.x.tolist() == ref.x_star.x.tolist()
+        assert (res.value, res.lower_bound, res.status, res.nodes) == (
+            ref.value, ref.lower_bound, ref.status, ref.nodes,
+        )
+
+    @pytest.mark.parametrize(
+        "n, k, integer, stack",
+        [(30, 1, False, 3), (41, 3, False, None), (36, 2, True, 3), (60, 4, True, None)],
+    )
+    def test_stacks_hold_distinct_starts_the_cache_lacks(self, n, k, integer, stack, monkeypatch):
+        cuts, limits, start = self.forced(n, k, 281 + n, integer, 300)
+        if stack is not None:
+            monkeypatch.setattr(bqp, "_stack_size", lambda cuts: stack)
+        descent = bqp._descent
+        stacks = []
+
+        def spy(c, A, diag, X0, deadline):
+            stacks.append({x.tobytes() for x in X0})
+            assert len(stacks[-1]) == len(X0)
+            return descent(c, A, diag, X0, deadline)
+
+        monkeypatch.setattr(bqp, "_descent", spy)
+        res = bqp._exact(cuts, limits, start, np.inf)
+        ours = stacks.copy()
+        stacks.clear()
+        ref = naive_master_branch_and_bound(cuts, limits, start, np.inf)
+        assert res.nodes == ref.nodes > 0
+        # stacks of at most R rows, fewer calls than one per kept child,
+        # and no start of the latest stack descends again
+        assert 0 < len(ours) < len(stacks)
+        assert max(map(len, ours)) <= bqp._stack_size(cuts)
+        for before, after in zip(ours, ours[1:]):
+            assert not before & after
 
 
 class TestOpenList:

@@ -449,6 +449,27 @@ class TestEvaluate:
             ref = rand_benchmark(H, objective=name, replicates=5, seed=3)
             assert block["quantiles"] == ref.to_dict()["quantiles"]
 
+    def test_separations_stop_at_the_limits(self, tmp_path, capsys):
+        # p = 25 separations run as branch and bound, and none finishes
+        # in one node: each RAND replicate counts as unfinished, and the
+        # design's values only bound its worst cases from below
+        matrix = tmp_path / "m.csv"
+        alloc_path = tmp_path / "alloc.csv"
+        run_cli(capsys, "synth", "--n", "60", "--p", "25", "--seed", "1", "--out", str(matrix))
+        write_allocation_csv(alloc_path, Allocation(np.resize([1, -1], 60)))
+        argv = ["evaluate", "--matrix", str(matrix), "--allocation", str(alloc_path),
+                "--replicates", "3", "--skip-variance"]
+        code, full, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        code, doc, err = run_cli(capsys, *argv, "--node-limit", "1")
+        assert code == 0, err
+        for name, block in doc["rand"].items():
+            assert full["rand"][name]["unfinished"] == 0
+            assert block["unfinished"] == 3
+            assert block["separation_nodes"] < full["rand"][name]["separation_nodes"]
+        assert doc["surrogate_value"] <= full["surrogate_value"]
+        assert doc["original_value"] <= full["original_value"]
+
     def test_variance_csv_written(self, toy_csv, tmp_path, capsys):
         alloc_path = tmp_path / "alloc.csv"
         write_allocation_csv(alloc_path, Allocation(np.array([1, 1, -1, -1])))
@@ -547,27 +568,33 @@ class TestScan:
         if doc["mean_relative_gap"] is not None:
             assert doc["mean_relative_gap"] >= 0.0
 
-    def test_counts_pairs_stopped_at_a_limit(self, tmp_path, capsys, monkeypatch):
-        # scan takes no solver limits, so one node is imposed on its call;
-        # no p = 25 surrogate search, which every pair runs, finishes in it
-        from trialdesign import cli
-        from trialdesign.evaluation import surrogate_gap_scan
-        from trialdesign.limits import SolveLimits
-
-        monkeypatch.setattr(
-            cli, "surrogate_gap_scan",
-            lambda *a, **k: surrogate_gap_scan(*a, limits=SolveLimits(node_limit=1), **k),
-        )
+    def test_counts_pairs_stopped_at_a_limit(self, tmp_path, capsys):
+        # no p = 25 surrogate search, which every pair runs, finishes in
+        # one node
         rng = np.random.default_rng(43)
         H = np.hstack([np.ones((60, 1)), rng.choice([-1.0, 1.0], size=(60, 24))])
         matrix_path = tmp_path / "H.csv"
         write_matrix_csv(matrix_path, H)
         code, doc, _ = run_cli(
             capsys, "scan", "--matrix", str(matrix_path), "--samples", "3",
-            "--out", str(tmp_path / "pairs.csv"),
+            "--out", str(tmp_path / "pairs.csv"), "--node-limit", "1",
         )
         assert code == 0
         assert doc["unfinished"] == 3
+
+
+@pytest.mark.parametrize("command", ["evaluate", "scan"])
+@pytest.mark.parametrize(
+    "flag, value, field", [("--time-limit", "0", "time_limit"), ("--node-limit", "0", "node_limit")]
+)
+def test_evaluate_and_scan_check_their_limits(command, flag, value, field, toy_csv, tmp_path, capsys):
+    alloc_path = tmp_path / "alloc.csv"
+    write_allocation_csv(alloc_path, Allocation(np.array([1, -1, -1, 1])))
+    extra = ["--allocation", str(alloc_path)] if command == "evaluate" else ["--out", str(tmp_path / "p.csv")]
+    code, doc, err = run_cli(capsys, command, "--matrix", str(toy_csv), *extra, flag, value)
+    assert code == 1 and doc is None
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and field in error["message"]
 
 
 class TestUsageErrors:
