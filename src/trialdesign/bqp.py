@@ -33,11 +33,11 @@ Exact mode enumerates every canonical balanced allocation when n is at
 most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
 trailing signs in one matrix product per block and cut.  The same
 engine, run without the balance constraint, enumerates the separation
-max z'Mz for inner_max as min z'(-M)z.  Past that, exact mode first
-runs the descent and its root test, and when that fails continues with
-depth-first branch and bound from the descent's incumbent.  Given a
-heuristic result on the same cuts as ``incumbent``, it continues from
-that result instead of running the descent again.  Its node bound is
+max z'Mz for inner_max as min z'(-M)z.  Past that, exact mode is auto
+mode: the descent and its root test.  The branch and bound has one
+role, continuing a descent that did not certify: given that heuristic
+result on the same cuts as ``incumbent``, an exact-mode solve searches
+depth first from its allocation.  Its node bound is
 the interval bound of inner_max, flipped for minimization: every
 product x_i x_j that touches a free subject is relaxed to -|A_ij|.
 Subjects are fixed in one static order, so the relaxed part of each
@@ -806,7 +806,8 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
 
 
 def solver_method(n: int, mode: str) -> str:
-    """The method that solves an n-subject problem in this mode."""
+    """The method that solves an n-subject problem in a resolved mode;
+    past ENUM_MAX_N, exact mode only continues an incumbent."""
     if mode == "heuristic":
         return "descent"
     return "enumeration" if n <= ENUM_MAX_N else "branch_and_bound"
@@ -815,10 +816,10 @@ def solver_method(n: int, mode: str) -> str:
 def resolve_mode(n: int, mode: str) -> str:
     """"exact" or "heuristic" for a SolveLimits mode and n subjects.
 
-    "auto" is exact where the n-subject master enumerates (n up to
-    ENUM_MAX_N) and heuristic past that.
+    "auto" and "exact" alike are exact where the n-subject master
+    enumerates (n up to ENUM_MAX_N) and heuristic past that.
     """
-    if mode != "auto":
+    if mode == "heuristic":
         return mode
     return "exact" if n <= ENUM_MAX_N else "heuristic"
 
@@ -831,16 +832,10 @@ def _solve(
         return _heuristic(cuts, limits, warm_start)
     if method == "enumeration":
         return _enumerate_master(cuts, time.monotonic() + limits.time_limit)
-    # the branch and bound continues from a descent whose root test did
-    # not certify, under the same deadline
-    deadline = time.monotonic() + limits.time_limit
-    if incumbent is None:
-        seed = _heuristic(cuts, limits, warm_start)
-    else:
-        seed = replace(incumbent, restarts=0)
+    seed = replace(incumbent, restarts=0)
     if seed.status == "optimal":
         return seed
-    return _exact(cuts, limits, seed, deadline)
+    return _exact(cuts, limits, seed, time.monotonic() + limits.time_limit)
 
 
 def minimize_max_quadratic(
@@ -851,9 +846,10 @@ def minimize_max_quadratic(
 ) -> BqpResult:
     """Entry point; the method follows limits.mode and n (see ``resolve_mode``).
 
-    ``incumbent`` is a heuristic-mode result on these cuts under the same
-    epsilon; only the branch and bound takes one, and then continues from
-    it instead of running the descent again, reporting no restarts.
+    Past ENUM_MAX_N, a result that did not certify is continued by branch
+    and bound when passed as ``incumbent`` to an exact-mode solve of the
+    same cuts and epsilon, which then reports no restarts; no other solve
+    takes an incumbent.
 
     At odd n the cuts gain the phantom of the module docstring, and a
     warm start or incumbent its entry -sum x.
@@ -871,8 +867,10 @@ def minimize_max_quadratic(
         if abs(wv.sum()) > 1:
             raise ValueError("warm start must be balanced")
     method = solver_method(n, resolve_mode(n, limits.mode))
-    if incumbent is not None and (method != "branch_and_bound" or incumbent.x_star.n != n):
-        raise ValueError(f"an incumbent continues only an n = {n} branch and bound")
+    if incumbent is not None:
+        if limits.mode != "exact" or method != "descent" or incumbent.x_star.n != n:
+            raise ValueError(f"an incumbent continues only an n = {n} branch and bound")
+        method = "branch_and_bound"
     if n % 2 == 0:
         return _solve(method, cuts, limits, wv, incumbent)
     if wv is not None:

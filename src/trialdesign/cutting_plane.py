@@ -5,13 +5,16 @@ minimizes theta = max_k (z_k'(H'H)^-1 z_k + x'Upsilon(z_k,H)x) over
 balanced sign vectors.  The separation step maximizes the surrogate
 quadratic at the master solution over the reported profile space
 (objective.worst_case_stack); the loop stops once theta_m >= delta_m -
-epsilon.  Each iteration that goes on adds a profile of that space not
-yet in Z_m (a repeat raises DuplicateCut), so the loop ends within as
-many iterations as the space has distinct profiles, 2^(p-1) on the
-hypercube, plus one for the verification switch below.  A separation
-depends on the allocation alone, so when a master returns the allocation
-just separated, as the first verification master can, its iteration
-reuses that separation instead of solving it again.
+epsilon.  Past the enumeration cutover masters are descents; unless
+limits.mode is "heuristic", a converged descent that its root test did
+not certify is continued by one branch-and-bound master on the same
+cuts, and a cut that master adds brings the descents back.  Every other
+iteration that goes on adds a profile of that space not yet in Z_m (a
+repeat raises DuplicateCut), so the loop ends within twice as many
+iterations as the space has distinct profiles, 2^(p-1) on the
+hypercube.  A separation depends on the allocation alone, so when a
+master returns the allocation just separated, as a continuing master
+can, its iteration reuses that separation instead of solving it again.
 """
 
 from __future__ import annotations
@@ -72,10 +75,7 @@ def solve_exact(
     if report_space is None:
         report_space = CovariateSpace.hypercube()
 
-    # under "auto", past the enumeration cutover heuristic masters find the
-    # design and exact ones then verify it, unless a heuristic master's
-    # root test already certified it
-    mode_now = resolve_mode(n, limits.mode)
+    resolved = resolve_mode(n, limits.mode)
 
     Z = (_seed_vectors(p) if report_space.kind == "hypercube"
          else [worst_case_quadratic(F.gram_inverse, report_space, F)[1]])
@@ -98,6 +98,7 @@ def solve_exact(
         if iteration and remaining <= 0.01:
             break  # the first master/separation round always runs
         iteration += 1
+        mode_now = resolved if continue_from is None else "exact"
         master_limits = replace(limits, time_limit=max(remaining, 0.05), mode=mode_now)
         master: BqpResult = minimize_max_quadratic(
             CutSet.from_pairs(cut_pairs), master_limits, warm_start=prev_x,
@@ -135,14 +136,12 @@ def solve_exact(
             converged = master.status == "optimal" and finished
             if (
                 not converged
-                and limits.mode == "auto"
+                and limits.mode != "heuristic"
                 and mode_now == "heuristic"
                 and deadline - time.monotonic() > 0.05
             ):
-                # the heuristic master did not certify: re-run the loop
-                # with exact masters while budget remains, the first of
-                # them continuing from this master on the same cuts
-                mode_now = "exact"
+                # the descent did not certify: the next master continues
+                # it by branch and bound while budget remains
                 continue_from = master
                 continue
             break

@@ -21,10 +21,10 @@ class SolveLimits:
                  bound; in RAND and the scan, each separation's branch and
                  bound.  Enumeration and descent count no nodes.
     seed         seeds every random draw made by the solver
-    mode         how the master problem is solved: "exact" (certified),
-                 "heuristic" (multi-start descent), or "auto", which is
-                 exact where an n-subject master enumerates (n up to
-                 bqp.ENUM_MAX_N) and heuristic past that
+    mode         how the master problem is solved: "heuristic"
+                 (multi-start descent) or "auto", also spelled "exact",
+                 which enumerates up to bqp.ENUM_MAX_N subjects and
+                 descends past that (cutting_plane verifies a descent)
     """
 
     epsilon: float = 1e-6

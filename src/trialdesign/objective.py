@@ -436,14 +436,15 @@ def upsilon(H, z) -> np.ndarray:
     if zv[0] != 1.0:
         raise ValueError("z must have first entry +1")
     u = F.matrix @ (F.gram_inverse @ zv)
-    return _sym(F.U @ F.U.T) * np.outer(u, u)
+    hat = F.U @ F.U.T  # numpy's symmetric rank-p update: exactly symmetric
+    return np.multiply(hat, np.outer(u, u), out=hat)
 
 
 def lb_matrix(H) -> np.ndarray:
     """Elementwise square of the hat matrix; PSD by the Schur product."""
     F = _factored(H)
-    hat = _sym(F.U @ F.U.T)
-    return hat * hat
+    hat = F.U @ F.U.T  # exactly symmetric, as in upsilon
+    return np.multiply(hat, hat, out=hat)
 
 
 def lb_value(H, x) -> float:

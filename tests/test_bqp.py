@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,11 +248,13 @@ class TestKnownInstances:
 
 
 def exact_branch_and_bound(cuts: CutSet, limits: SolveLimits, warm_start=None) -> BqpResult:
-    """Exact mode past the enumeration cutover: the descent's root test,
-    then branch and bound."""
+    """A master past the enumeration cutover, continued: the descent and
+    its root test, then an exact-mode solve with that result as its
+    incumbent."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bqp, "ENUM_MAX_N", 1)
-        return minimize_max_quadratic(cuts, limits, warm_start)
+        seed = minimize_max_quadratic(cuts, replace(limits, mode="heuristic"), warm_start)
+        return minimize_max_quadratic(cuts, limits, incumbent=seed)
 
 
 class TestExact:
@@ -501,14 +504,34 @@ class TestMasterEnumeration:
     def test_cutover_follows_enum_max_n(self, monkeypatch):
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
         rng = np.random.default_rng(233)
+        for mode in ("auto", "exact"):
+            assert (bqp.resolve_mode(8, mode), bqp.resolve_mode(9, mode)) == ("exact", "heuristic")
+        assert bqp.resolve_mode(8, "heuristic") == "heuristic"
         assert bqp.solver_method(8, "exact") == "enumeration"
         assert bqp.solver_method(9, "exact") == "branch_and_bound"
         assert bqp.solver_method(8, "heuristic") == "descent"
         small = minimize_max_quadratic(random_cuts(8, 2, rng), SolveLimits(mode="exact"))
         assert small.restarts == 0
-        # past the cutover the branch and bound continues from a descent
-        large = minimize_max_quadratic(random_cuts(10, 2, rng), SolveLimits(mode="exact"))
-        assert large.restarts == bqp.RESTARTS
+        # past the cutover exact mode is the descent and its root test,
+        # which does not certify these cuts
+        cuts = random_cuts(10, 2, rng)
+        large = minimize_max_quadratic(cuts, SolveLimits(mode="exact"))
+        heur = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"))
+        assert (large.status, large.nodes, large.restarts) == ("incumbent", 0, bqp.RESTARTS)
+        assert large.x_star.x.tolist() == heur.x_star.x.tolist()
+        assert (large.value, large.lower_bound) == (heur.value, heur.lower_bound)
+
+    def test_exact_mode_runs_no_search_without_an_incumbent(self, monkeypatch):
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
+        rng = np.random.default_rng(234)
+
+        def forbidden(*args):
+            raise AssertionError("an exact solve without an incumbent ran the branch and bound")
+
+        monkeypatch.setattr(bqp, "_exact", forbidden)
+        for n, k in [(10, 2), (11, 3), (14, 3), (40, 2)]:
+            res = minimize_max_quadratic(random_cuts(n, k, rng), SolveLimits(mode="exact"))
+            assert (res.status, res.nodes) == ("incumbent", 0)
 
     def test_default_mode_resolves_per_n(self, monkeypatch):
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
@@ -656,32 +679,33 @@ class TestExactCutValues:
 
 @pytest.mark.blas_bits
 class TestIncumbentContinuation:
-    """An exact solve past the cutover can continue from a heuristic result."""
+    """Past the cutover, an exact-mode solve given a heuristic result as
+    its incumbent continues it by branch and bound; no other solve does."""
 
     def test_continues_without_a_multi_start_rerun(self, monkeypatch):
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
         rng = np.random.default_rng(257)
         cuts = random_cuts(14, 3, rng)
+        limits = SolveLimits(mode="exact")
         heur = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic"))
         assert heur.status == "incumbent"
-        fresh = minimize_max_quadratic(cuts, SolveLimits(mode="exact"), warm_start=heur.x_star)
 
         def forbidden(*args):
             raise AssertionError("the continued solve reran the multi-start descent")
 
-        # the search's completions still descend, one start at a time
+        # the search's completions still descend
         monkeypatch.setattr(bqp, "_heuristic", forbidden)
-        cont = minimize_max_quadratic(
-            cuts, SolveLimits(mode="exact"), warm_start=heur.x_star, incumbent=heur
-        )
-        assert cont.x_star.x.tolist() == fresh.x_star.x.tolist()
+        cont = minimize_max_quadratic(cuts, limits, incumbent=heur)
+        ref = naive_master_branch_and_bound(cuts, limits, heur, np.inf)
+        assert cont.x_star.x.tolist() == ref.x_star.x.tolist()
         assert (cont.value, cont.lower_bound, cont.status, cont.nodes) == (
-            fresh.value, fresh.lower_bound, fresh.status, fresh.nodes,
+            ref.value, ref.lower_bound, ref.status, ref.nodes,
         )
-        assert cont.nodes > 0
-        assert (cont.restarts, fresh.restarts) == (0, 33)
+        assert cont.nodes > 0 and cont.restarts == 0
 
     def test_only_branch_and_bound_takes_an_incumbent(self, monkeypatch):
+        # under auto, which exact mode equals in every solve without an
+        # incumbent, and at or below the cutover, an incumbent is refused
         monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
         rng = np.random.default_rng(263)
         small, large = random_cuts(8, 2, rng), random_cuts(10, 2, rng)
@@ -693,6 +717,8 @@ class TestIncumbentContinuation:
             minimize_max_quadratic(
                 random_cuts(12, 2, rng), SolveLimits(mode="exact"), incumbent=heur
             )
+        cont = minimize_max_quadratic(large, SolveLimits(mode="exact"), incumbent=heur)
+        assert heur.status == "incumbent" and cont.nodes > 0
 
 
 @pytest.mark.blas_bits
@@ -882,7 +908,7 @@ class TestPhantom:
         assert res.value == min(ref_values)
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11])
-    def test_every_method_solves_the_real_problem(self, n, monkeypatch):
+    def test_every_method_solves_the_real_problem(self, n):
         # the masters run on n + 1 subjects; integer cuts make every value
         # exact and put every other allocation at least 1 from the optimum
         rng = np.random.default_rng(157 + n)
@@ -907,18 +933,15 @@ class TestPhantom:
                 assert enum.value == pytest.approx(opt, rel=1e-12)
                 assert opt - 1e-12 <= bnb.value <= opt + eps
             nodes += bnb.nodes
-            # an odd-n incumbent gains the phantom as a warm start does
-            limits = SolveLimits(mode="exact")
-            with monkeypatch.context() as m:
-                m.setattr(bqp, "ENUM_MAX_N", 1)
-                fresh = minimize_max_quadratic(cuts, limits, warm_start=heur.x_star)
-                cont = minimize_max_quadratic(cuts, limits, warm_start=heur.x_star, incumbent=heur)
-            assert cont.x_star.x.tolist() == fresh.x_star.x.tolist()
-            assert (cont.value, cont.lower_bound, cont.status, cont.nodes) == (
-                fresh.value, fresh.lower_bound, fresh.status, fresh.nodes,
+            # bnb continued heur: an odd-n incumbent gains the phantom's
+            # entry -sum x, and the search runs on the padded cuts
+            x = heur.x_star.x
+            seed = replace(heur, x_star=Allocation(np.append(x, -x.sum())))
+            ref = naive_master_branch_and_bound(
+                bqp._with_phantom(cuts), SolveLimits(mode="exact"), seed, np.inf
             )
-            # no multi-start rerun
-            assert cont.restarts == 0
+            assert bnb.x_star.x.tolist() == ref.x_star.x[:n].tolist()
+            assert (bnb.status, bnb.nodes, bnb.restarts) == (ref.status, ref.nodes, 0)
         # the padded tree was searched, not only certified at its root
         assert nodes > 0
 

@@ -129,6 +129,61 @@ class TestMasterModes:
             brute_bilevel_surrogate(H), abs=1e-6
         )
 
+    @pytest.mark.parametrize("n, p, seed", [(10, 3, 5), (14, 4, 6)])
+    def test_exact_mode_is_auto(self, n, p, seed, monkeypatch):
+        # past the cutover exact mode ran a branch and bound from scratch in
+        # every master; it now runs auto's masters, and a branch and bound
+        # only continues a converged descent given to it as its incumbent
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 6)
+        masters = []
+
+        def spy(cuts, limits, warm_start=None, incumbent=None):
+            result = bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
+            masters.append((incumbent, result))
+            return result
+
+        monkeypatch.setattr(cutting_plane, "minimize_max_quadratic", spy)
+        H = random_design(n, p, np.random.default_rng(seed))
+        exact = solve_exact(H, SolveLimits(mode="exact"))
+        assert any(result.nodes > 0 for _, result in masters)
+        assert all(incumbent is not None for incumbent, result in masters if result.nodes > 0)
+        auto = solve_exact(H)
+        assert exact.parameters["mode"] == "exact"
+        assert exact.allocation.x.tolist() == auto.allocation.x.tolist()
+        assert (exact.surrogate_value, exact.original_value, exact.status) == (
+            auto.surrogate_value, auto.original_value, auto.status,
+        )
+
+        def untimed(report):
+            d = dict(report.diagnostics)
+            d["history"] = [h[:2] for h in d["history"]]
+            return d
+
+        assert untimed(exact) == untimed(auto)
+
+    def test_a_cut_after_a_continuation_brings_the_descents_back(self, monkeypatch):
+        # with one start per descent, the first continuation here finds an
+        # allocation whose separation adds a cut; the next master descends
+        # on the grown cut set, and only its converged result is continued
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 6)
+        monkeypatch.setattr(bqp, "RESTARTS", 1)
+        masters = []
+
+        def spy(cuts, limits, warm_start=None, incumbent=None):
+            result = bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
+            masters.append((limits.mode, cuts.k, incumbent is not None, result.nodes > 0))
+            return result
+
+        monkeypatch.setattr(cutting_plane, "minimize_max_quadratic", spy)
+        H = random_design(12, 5, np.random.default_rng(16))
+        report = solve_exact(H)
+        assert masters == [
+            ("heuristic", 2, False, False), ("exact", 2, True, True),
+            ("heuristic", 3, False, False), ("exact", 3, True, True),
+        ]
+        assert report.status == "optimal"
+        assert report.diagnostics["master_mode_final"] == "exact"
+        assert report.surrogate_value == pytest.approx(brute_bilevel_surrogate(H), abs=1e-6)
 
     def test_heuristic_master_root_test_certifies(self):
         # the descent's value sits 6.2e-7 above the root bound, within

@@ -100,14 +100,32 @@ class TestModes:
         assert report.diagnostics["nodes"] == 0
 
     def test_auto_is_exact_only_where_the_engine_enumerates(self):
-        # past ENUM_MAX_N an exact solve is branch and bound, which runs out
-        # its budget at n in the low thirties; auto takes the descent there
+        # past ENUM_MAX_N a master branch and bound ran out its budget at n
+        # in the low thirties; auto takes the descent there
         rng = np.random.default_rng(8)
         n = bqp.ENUM_MAX_N
         assert solve_lb(random_design(n, 4, rng)).diagnostics["mode_resolved"] == "exact"
         report = solve_lb(random_design(n + 2, 4, rng), SolveLimits(time_limit=5.0))
         assert report.diagnostics["mode_resolved"] == "heuristic"
         assert report.diagnostics["nodes"] == 0
+
+    def test_exact_is_auto_past_threshold(self, monkeypatch):
+        # exact mode ran a branch and bound here, 41k-81k nodes in 5 s at
+        # n = 30-60 for auto's design and bound
+        monkeypatch.setattr(bqp, "ENUM_MAX_N", 8)
+        rng = np.random.default_rng(10)
+        for n in (12, 15):
+            H = random_design(n, 3, rng)
+            exact = solve_lb(H, SolveLimits(mode="exact"))
+            auto = solve_lb(H)
+            assert exact.diagnostics["nodes"] == 0
+            assert exact.diagnostics["mode_resolved"] == "heuristic"
+            assert exact.parameters["mode"] == "exact"
+            assert exact.allocation.x.tolist() == auto.allocation.x.tolist()
+            assert exact.diagnostics == auto.diagnostics
+            assert (exact.surrogate_value, exact.original_value, exact.status) == (
+                auto.surrogate_value, auto.original_value, auto.status,
+            )
 
     def test_explicit_heuristic_echoed(self):
         # n = 20 enumerates under auto, so only limits.mode can pick descent

@@ -372,6 +372,19 @@ class TestLbMatrix:
         assert Q == pytest.approx(oracle_lb_matrix(H), abs=1e-12)
         assert float(np.linalg.eigvalsh(Q)[0]) >= -1e-10
 
+    def test_builds_one_n_by_n_array(self):
+        # the hat matrix is squared in place: a symmetrized copy of it
+        # doubled the peak to 5.8 MB at n = 600
+        cache = spectral_cache(random_design(600, 10, np.random.default_rng(8)))
+        tracemalloc.start()
+        try:
+            Q = lb_matrix(cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Q.nbytes == 600 * 600 * 8
+        assert peak < 1.25 * Q.nbytes
+
 
 class TestLbValue:
     def test_toy_values(self, toy_design):
