@@ -29,6 +29,20 @@ stack; each start still ends bit for bit where it would alone.  The
 deadline is read once per round, so under an expiring time limit a
 stack's starts stop together.
 
+Where a stack holds one start (n >= 514 with one cut), every move pays
+the full (n/2)^2 passes, so the cold starts come from a seeded greedy
+pair walk instead of random signs: each start signs its subjects in
+pairs, in its own random order, giving each pair the opposite signs
+that keep max_k (c_k + x'A_k x) over the signed subjects smaller.  With
+the LB cut this keeps the p x p matrix U'D_xU small, since x'(M o M)x
+is its squared Frobenius norm.  Walk starts begin near the floor and
+need fewer moves: LB masters at n = 600 and 1000 took 1.4-2.3 times
+less CPU (CHANGES.md).  The walk costs two to four descent moves per
+start and reads no deadline.  Larger stacks keep random starts: they
+share each move's numpy overhead, so the walk's n/2 sequential steps
+cost about what they save, and at small n/p^2 its less diverse starts
+end worse.
+
 Exact mode enumerates every canonical balanced allocation when n is at
 most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
 trailing signs in one matrix product per block and cut.  The same
@@ -75,7 +89,9 @@ CUT_PSD_ATOL = 1e-8
 # strict-decrease guard for the descent heuristic
 MOVE_RTOL = 1e-12
 
-# seeded descents per heuristic solve, at every n (see the module docstring)
+# seeded descents per heuristic solve, at every n, from walk starts where a
+# descent stack holds one start and random ones elsewhere (see the module
+# docstring)
 RESTARTS = 32
 
 # exact masters with at most this many subjects are enumerated
@@ -461,20 +477,70 @@ def _stack_size(cuts: CutSet) -> int:
     return max(1, BLOCK_ENTRIES // (cuts.k * (cuts.n // 2) ** 2))
 
 
+def _walk(c: np.ndarray, A: np.ndarray, diag: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Greedy pair walk: one balanced start per row of orders, a
+    permutation of the n subjects (n even).
+
+    A start signs its subjects two at a time, in its row's order.  The
+    pair (i, j) gets opposite signs, x_i = s = -x_j, with s chosen to give
+    the smaller max_k (c_k + x_S'A_k x_S) over the subjects S signed so
+    far; a tie gives i the +1.  With g_k = A_k x_S, cut k's value f_k
+    becomes (f_k + e_k) + s d_k, where e_k = (A_k,ii + A_k,jj) - 2 A_k,ij
+    and d_k = 2 (g_k,i - g_k,j), and g_k gains s (A_k,i - A_k,j).  The
+    starts walk together, elementwise, so each ends bit for bit where it
+    would alone; they walk BLOCK_ENTRIES // (K n) at a time, so that g
+    holds about BLOCK_ENTRIES entries.
+    """
+    K, n = A.shape[0], A.shape[1]
+    X = np.empty(orders.shape)
+    At = A.transpose(1, 0, 2)
+    width = max(1, BLOCK_ENTRIES // (K * n))
+    for lo in range(0, len(orders), width):
+        I, J = orders[lo : lo + width, ::2], orders[lo : lo + width, 1::2]
+        rows = np.arange(len(I))
+        # e_k of every pair, indexed (pair, start, cut)
+        E = ((diag[:, I] + diag[:, J]) - 2.0 * A[:, I, J]).transpose(2, 1, 0)
+        G = np.zeros((len(I), K, n))
+        F = np.tile(c, (len(I), 1))
+        up = np.empty(I.shape, dtype=bool)
+        for t, (i, j) in enumerate(zip(I.T, J.T)):
+            D = G[rows, :, i] - G[rows, :, j]
+            D *= 2.0
+            F += E[t]
+            plus, minus = F + D, F - D
+            up[:, t] = plus.max(axis=1) <= minus.max(axis=1)
+            F = np.where(up[:, t, None], plus, minus)
+            # s (a_i - a_j) is a_p - a_m exactly, p the subject signed +1
+            # and m the one signed -1, since rounding is symmetric
+            p, m = np.where(up[:, t], i, j), np.where(up[:, t], j, i)
+            G += At[p] - At[m]
+        X[lo + rows[:, None], I] = np.where(up, 1.0, -1.0)
+        X[lo + rows[:, None], J] = np.where(up, -1.0, 1.0)
+    return X
+
+
 def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start: np.ndarray | None) -> BqpResult:
     """Multi-start descent and the root test: optimal when the best value
     is within epsilon of the root bound, which is then the lower bound.
 
     The starts descend in order, in stacks whose swap blocks hold about
-    BLOCK_ENTRIES entries.  Each final row is valued here by
-    ``_exact_cut_values``."""
+    BLOCK_ENTRIES entries.  Where a stack holds one start, each move pays
+    the full swap scan, so the cold starts are ``_walk`` starts, each from
+    its own seeded permutation: they need fewer moves.  Elsewhere they are
+    random balanced signs.  The warm start is not walked, and the walk
+    reads no deadline: it costs two to four descent moves per start.  Each
+    final row is valued here by ``_exact_cut_values``."""
     deadline = time.monotonic() + limits.time_limit
     rng = np.random.default_rng(limits.seed)
-    starts = [] if warm_start is None else [warm_start]
-    starts.extend(random_balanced_stack(cuts.n, RESTARTS, rng))
-    starts = np.array(starts, dtype=float)
-    c, A = cuts.constants, cuts.matrices
+    c, A, n = cuts.constants, cuts.matrices, cuts.n
     size = _stack_size(cuts)
+    starts = [] if warm_start is None else [warm_start]
+    if size == 1:
+        orders = rng.permuted(np.tile(np.arange(n), (RESTARTS, 1)), axis=1)
+        starts.extend(_walk(c, A, cuts.diagonals, orders))
+    else:
+        starts.extend(random_balanced_stack(n, RESTARTS, rng))
+    starts = np.array(starts, dtype=float)
     best_x, best_val = None, np.inf
     for s in range(0, len(starts), size):
         for xv in _descent(c, A, cuts.diagonals, starts[s : s + size], deadline):

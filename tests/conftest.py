@@ -162,6 +162,34 @@ def naive_descent(
     return x, float(_exact_cut_values(c, A, x).max())
 
 
+def naive_walk(c: np.ndarray, A: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Greedy pair walk of one start, a pair and a cut at a time.
+
+    Reference for the heuristic's stacked walk: the subjects of order are
+    signed two at a time, (order[0], order[1]) first, with opposite signs
+    chosen to give the smaller max over cuts of c_k + x_S'A_k x_S, the
+    first subject taking +1 on a tie.  Each cut's value and gradient
+    g_k = A_k x_S are carried from pair to pair in the walk's arithmetic
+    order, so that a start ends bit for bit where the walk ends it.
+    """
+    K, n = A.shape[0], A.shape[1]
+    x = np.zeros(n)
+    f = [float(ck) for ck in c]
+    g = np.zeros((K, n))
+    for t in range(0, n, 2):
+        i, j = int(order[t]), int(order[t + 1])
+        base = [f[k] + ((A[k, i, i] + A[k, j, j]) - 2.0 * A[k, i, j]) for k in range(K)]
+        d = [2.0 * (g[k, i] - g[k, j]) for k in range(K)]
+        plus = max(base[k] + d[k] for k in range(K))
+        minus = max(base[k] - d[k] for k in range(K))
+        s = 1.0 if plus <= minus else -1.0
+        f = [base[k] + s * d[k] for k in range(K)]
+        x[i], x[j] = s, -s
+        for k in range(K):
+            g[k] += s * (A[k, i] - A[k, j])
+    return x
+
+
 def naive_branch_and_bound(
     w: np.ndarray, N: np.ndarray, node_limit: int, deadline: float
 ) -> tuple[np.ndarray, int, bool, float]:

@@ -13,6 +13,7 @@ from conftest import (
     brute_min_max_cuts,
     naive_descent,
     naive_master_branch_and_bound,
+    naive_walk,
     oracle_lb_matrix,
     random_design,
 )
@@ -652,8 +653,75 @@ class TestRestarts:
         m = n + n % 2
         seeded = np.random.default_rng(5)
         expected = [np.append(warm, -warm.sum())[:m]]
-        expected += [random_balanced_signs(m, seeded) for _ in range(bqp.RESTARTS)]
+        if sizes[1] == 1:
+            # stacks of one walk their cold starts, each from its own
+            # seeded permutation
+            orders = [seeded.permutation(m) for _ in range(bqp.RESTARTS)]
+            expected += [naive_walk(cuts.constants, cuts.matrices, o) for o in orders]
+        else:
+            expected += [random_balanced_signs(m, seeded) for _ in range(bqp.RESTARTS)]
         assert np.array_equal(np.concatenate(stacks), expected)
+
+
+class TestWalk:
+    """Where a descent stack holds one start, the cold starts come from the
+    greedy pair walk; each must be the one-start reference's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(8, 60),
+        k=st.integers(1, 4),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_walk_matches_the_reference(self, n, k, integer, seed):
+        # integer cuts tie often and exactly; odd n walks the padded cuts
+        rng = np.random.default_rng(seed)
+        cuts = (integer_cuts if integer else random_cuts)(n, k, rng)
+        if n % 2:
+            cuts = bqp._with_phantom(cuts)
+        c, A = cuts.constants, cuts.matrices
+        orders = np.array([rng.permutation(cuts.n) for _ in range(5)])
+        X = bqp._walk(c, A, cuts.diagonals, orders)
+        assert X.shape == orders.shape
+        for x, order in zip(X, orders):
+            assert np.array_equal(x, naive_walk(c, A, order))
+        assert np.all(np.abs(X) == 1.0) and np.all(X.sum(axis=1) == 0.0)
+        # the first pair, walked from nothing, always ties
+        assert np.all(X[np.arange(len(X)), orders[:, 0]] == 1.0)
+
+    @pytest.mark.blas_bits
+    @pytest.mark.parametrize("n, k", [(40, 1), (60, 3)])
+    def test_stack_of_one_walks_then_descends_like_the_references(self, n, k, monkeypatch):
+        # one start per descent stack and per walk block; odd n is
+        # TestPhantom's
+        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", 1)
+        descent = bqp._descent
+        starts = []
+
+        def spy(c, A, diag, X0, deadline):
+            starts.append(np.array(X0))
+            return descent(c, A, diag, X0, deadline)
+
+        monkeypatch.setattr(bqp, "_descent", spy)
+        rng = np.random.default_rng(163 + n)
+        cuts = random_cuts(n, k, rng)
+        c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
+        res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=4))
+        assert [len(X0) for X0 in starts] == [1] * bqp.RESTARTS
+        seeded = np.random.default_rng(4)
+        ref_values = []
+        for X0 in starts:
+            x0 = naive_walk(c, A, seeded.permutation(n))
+            assert np.array_equal(X0[0], x0)
+            ref_values.append(naive_descent(c, A, diag, x0, np.inf)[1])
+        assert res.value == min(ref_values)
+        # a seed reproduces its starts
+        first = np.concatenate(starts)
+        starts.clear()
+        again = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=4))
+        assert np.array_equal(np.concatenate(starts), first)
+        assert again.x_star.x.tolist() == res.x_star.x.tolist()
 
 
 @pytest.mark.blas_bits
@@ -899,9 +967,13 @@ class TestPhantom:
         c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
         res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=3))
         assert len(runs) == bqp.RESTARTS
+        # stacks of one walk their starts on the padded cuts
+        padded, seeded = bqp._with_phantom(cuts), np.random.default_rng(3)
         ref_values = []
         for X0, X in runs:
             assert X0.shape == X.shape == (1, n + 1)
+            order = seeded.permutation(n + 1)
+            assert np.array_equal(X0[0], naive_walk(padded.constants, padded.matrices, order))
             x_ref, v_ref = naive_descent(c, A, diag, X0[0, :n], np.inf)
             assert np.array_equal(X[0, :n], x_ref)
             ref_values.append(v_ref)
