@@ -22,26 +22,30 @@ at most 5.1e-4 relative, either way, except on one iid draw of three at
 n = 200, p = 25 (1%); 32 descents cost an eighth of n/4 at n = 1000.
 The starts descend in order, in stacks of R = BLOCK_ENTRIES // (K
 ceil(n/2)^2), so a stack's swap blocks hold about BLOCK_ENTRIES entries:
-13 starts at n = 200 with one cut, 3 at n = 400, 1 at n = 600.  A round
+13 starts at n = 200 with one cut, 5 at n = 100 with ten.  A round
 makes one move in every running start of a stack with one set of array
 operations, so at trial sizes a move pays numpy's call overhead once per
 stack; each start still ends bit for bit where it would alone.  The
 deadline is read once per round, so under an expiring time limit a
 stack's starts stop together.
 
-Where a stack holds one start (n >= 514 with one cut), every move pays
-the full (n/2)^2 passes, so the cold starts come from a seeded greedy
-pair walk instead of random signs: each start signs its subjects in
-pairs, in its own random order, giving each pair the opposite signs
-that keep max_k (c_k + x'A_k x) over the signed subjects smaller.  With
-the LB cut this keeps the p x p matrix U'D_xU small, since x'(M o M)x
-is its squared Frobenius norm.  Walk starts begin near the floor and
-need fewer moves: LB masters at n = 600 and 1000 took 1.4-2.3 times
-less CPU (CHANGES.md).  The walk costs two to four descent moves per
-start and reads no deadline.  Larger stacks keep random starts: they
-share each move's numpy overhead, so the walk's n/2 sequential steps
-cost about what they save, and at small n/p^2 its less diverse starts
-end worse.
+Where one cut's swap block is large, a stack saves little of that
+overhead.  So from n = 295, where stacks of one-cut blocks would hold
+fewer than LONE_STACK_BELOW starts, a stack holds one start at any K, as
+it does wherever one start's K blocks exceed BLOCK_ENTRIES.  Stacks of
+one draw their cold starts from a seeded greedy pair walk instead of
+random signs: each start signs its subjects in pairs, in its own random
+order, giving each pair the opposite signs that keep
+max_k (c_k + x'A_k x) over the signed subjects smaller.  With the LB cut
+this keeps the p x p matrix U'D_xU small, since x'(M o M)x is its
+squared Frobenius norm.  Walk starts begin near the floor and need fewer
+moves: lone walked LB masters took 1.4-2.3 times less CPU than lone
+random starts at n = 600 and 1000 (CHANGES.md).  The walk costs two to
+four descent moves per start and reads no deadline.  Larger stacks keep
+random starts: they share each move's numpy overhead, so the walk's n/2
+sequential steps cost about what they save, and at small n/p^2 its less
+diverse starts end worse.  LONE_STACK_BELOW cites the curve that puts
+the cutover at n = 295.
 
 Exact mode enumerates every canonical balanced allocation when n is at
 most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
@@ -90,8 +94,8 @@ CUT_PSD_ATOL = 1e-8
 MOVE_RTOL = 1e-12
 
 # seeded descents per heuristic solve, at every n, from walk starts where a
-# descent stack holds one start and random ones elsewhere (see the module
-# docstring)
+# descent stack holds one start (n >= 295) and random ones elsewhere (see
+# the module docstring)
 RESTARTS = 32
 
 # exact masters with at most this many subjects are enumerated
@@ -103,6 +107,13 @@ SUFFIX_BITS = 12
 # entries in one enumeration block or descent stack, so each temporary
 # holds about 1 MB
 BLOCK_ENTRIES = 1 << 17
+
+# a descent stack holds one start, from walk starts, where stacks of one-cut
+# swap blocks would hold fewer than this many (n >= 295).  From the curve in
+# CHANGES.md, lone walked LB descents against stacks: 0.26-0.36 of the CPU
+# at p = 4 and 0.66-0.95 at p = 25 for n = 300-400; up to 1.27 times it at
+# n = 230-280, p = 25
+LONE_STACK_BELOW = 6
 
 STATUSES = ("optimal", "incumbent")
 
@@ -473,8 +484,18 @@ def _descent(
 
 def _stack_size(cuts: CutSet) -> int:
     """Starts per descent stack: its swap blocks hold about BLOCK_ENTRIES
-    entries."""
-    return max(1, BLOCK_ENTRIES // (cuts.k * (cuts.n // 2) ** 2))
+    entries, and it holds one start where one-cut blocks would fill a
+    stack of fewer than LONE_STACK_BELOW.
+
+    The lone rule reads one cut's block, whatever K: a lone descent pays
+    numpy's call overhead once per cut and move, and a stack once per
+    move, so the share of each move that stacking saves depends on the
+    block alone.  At n = 100 with 7-26 cuts, stacks of 2-8 took 0.46-0.81
+    of the lone walked descents' CPU (CHANGES.md)."""
+    block = (cuts.n // 2) ** 2
+    if BLOCK_ENTRIES // block < LONE_STACK_BELOW:
+        return 1
+    return max(1, BLOCK_ENTRIES // (cuts.k * block))
 
 
 def _walk(c: np.ndarray, A: np.ndarray, diag: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -523,10 +544,10 @@ def _heuristic(cuts: CutSet, limits: SolveLimits, warm_start: np.ndarray | None)
     """Multi-start descent and the root test: optimal when the best value
     is within epsilon of the root bound, which is then the lower bound.
 
-    The starts descend in order, in stacks whose swap blocks hold about
-    BLOCK_ENTRIES entries.  Where a stack holds one start, each move pays
-    the full swap scan, so the cold starts are ``_walk`` starts, each from
-    its own seeded permutation: they need fewer moves.  Elsewhere they are
+    The starts descend in order, in ``_stack_size`` stacks.  Where a
+    stack holds one start (n >= 295, or many cuts), each move pays the
+    full swap scan, so the cold starts are ``_walk`` starts, each from its
+    own seeded permutation: they need fewer moves.  Elsewhere they are
     random balanced signs.  The warm start is not walked, and the walk
     reads no deadline: it costs two to four descent moves per start.  Each
     final row is valued here by ``_exact_cut_values``."""

@@ -364,6 +364,10 @@ def main(argv=None) -> int:
     except (TrialDesignError, ValueError, OSError) as err:
         _emit_error(type(err).__name__, str(err))
         return 1
+    except MemoryError as err:
+        # numpy raises a private subclass, so the builtin's name is reported
+        _emit_error("MemoryError", str(err) or "out of memory")
+        return 1
 
 
 if __name__ == "__main__":

@@ -629,11 +629,13 @@ class TestRestarts:
     @pytest.mark.parametrize("n, k, sizes", [
         (200, 1, [13, 13, 7]),
         (100, 4, [13, 13, 7]),
-        (401, 1, [3] * 11),
+        (401, 1, [1] * 33),
         (600, 1, [1] * 33),
+        (400, 1, [1] * 33),
     ])
     def test_starts_run_in_order_in_block_sized_stacks(self, n, k, sizes, monkeypatch):
-        # a stack's swap blocks hold about BLOCK_ENTRIES entries
+        # a stack's swap blocks hold about BLOCK_ENTRIES entries; from
+        # n = 295 a stack holds one start
         stacks = []
         descent = bqp._descent
 
@@ -655,12 +657,68 @@ class TestRestarts:
         expected = [np.append(warm, -warm.sum())[:m]]
         if sizes[1] == 1:
             # stacks of one walk their cold starts, each from its own
-            # seeded permutation
+            # seeded permutation; odd n walks the padded cuts
+            walked = bqp._with_phantom(cuts) if n % 2 else cuts
             orders = [seeded.permutation(m) for _ in range(bqp.RESTARTS)]
-            expected += [naive_walk(cuts.constants, cuts.matrices, o) for o in orders]
+            expected += [naive_walk(walked.constants, walked.matrices, o) for o in orders]
         else:
             expected += [random_balanced_signs(m, seeded) for _ in range(bqp.RESTARTS)]
         assert np.array_equal(np.concatenate(stacks), expected)
+
+
+class TestStackSize:
+    """Stacks fill BLOCK_ENTRIES, except that a stack holds one start
+    where one-cut stacks would hold fewer than LONE_STACK_BELOW."""
+
+    @pytest.mark.parametrize("n, k, size", [
+        # the workloads' shapes: cohort and LB at n = 200, exact's n = 100
+        # masters, lb-large
+        (200, 1, 13),
+        (100, 4, 13),
+        (400, 1, 1),
+        (600, 1, 1),
+        # either side of the lone rule with one cut
+        (294, 1, 6),
+        (296, 1, 1),
+        # more cuts shrink a stack but cannot make it lone below n = 295
+        (100, 10, 5),
+        (100, 26, 2),
+        (240, 4, 2),
+        # ... nor keep it stacked above
+        (296, 2, 1),
+        # K cuts that fill BLOCK_ENTRIES alone
+        (200, 14, 1),
+    ])
+    def test_rule(self, n, k, size):
+        cuts = CutSet(constants=np.zeros(k), matrices=np.zeros((k, n, n)))
+        assert bqp._stack_size(cuts) == size
+
+    @pytest.mark.blas_bits
+    @pytest.mark.parametrize("n, k", [(296, 1), (300, 2)])
+    def test_lone_stacks_walk_then_descend_like_the_references(self, n, k, monkeypatch):
+        # the rule itself, not a patched BLOCK_ENTRIES, makes stacks of one
+        descent = bqp._descent
+        starts = []
+
+        def spy(c, A, diag, X0, deadline):
+            starts.append(np.array(X0))
+            return descent(c, A, diag, X0, deadline)
+
+        monkeypatch.setattr(bqp, "_descent", spy)
+        rng = np.random.default_rng(211 + n + k)
+        B = rng.normal(size=(k, n, 6))
+        cuts = CutSet(constants=rng.normal(size=k), matrices=B @ B.transpose(0, 2, 1))
+        c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
+        assert bqp._stack_size(cuts) == 1
+        res = minimize_max_quadratic(cuts, SolveLimits(mode="heuristic", seed=6))
+        assert [len(X0) for X0 in starts] == [1] * bqp.RESTARTS
+        seeded = np.random.default_rng(6)
+        ref_values = []
+        for X0 in starts:
+            x0 = naive_walk(c, A, seeded.permutation(n))
+            assert np.array_equal(X0[0], x0)
+            ref_values.append(naive_descent(c, A, diag, x0, np.inf)[1])
+        assert res.value == min(ref_values)
 
 
 class TestWalk:

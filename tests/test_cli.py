@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from trialdesign import baselines
+from trialdesign import baselines, lower_bound
 from trialdesign.baselines import rand_benchmark
 from trialdesign.cli import main
 from trialdesign.report import (
@@ -378,6 +378,32 @@ class TestUnreadableInput:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"{path}: ")
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private subclass of MemoryError."""
+
+
+class TestOutOfMemory:
+    # the LB matrix is n x n: 3.2 GB at n = 20,000; nothing large is
+    # allocated here, the library call is patched to fail
+    @pytest.mark.parametrize(
+        "err, message",
+        [
+            (MemoryError(), "out of memory"),
+            (_ArrayMemoryError("Unable to allocate 3.0 GiB"), "Unable to allocate 3.0 GiB"),
+        ],
+        ids=["bare", "numpy-subclass"],
+    )
+    def test_memory_error_is_one_json_object(self, err, message, toy_csv, capsys, monkeypatch):
+        def fail(F):
+            raise err
+
+        monkeypatch.setattr(lower_bound, "lb_matrix", fail)
+        code, doc, err_text = run_cli(capsys, "design", "--matrix", str(toy_csv), "--method", "lb")
+        assert code == 1
+        assert doc is None
+        assert json.loads(err_text) == {"error": {"type": "MemoryError", "message": message}}
 
 
 class TestEvaluate:
