@@ -70,6 +70,11 @@ the latest stack and the cached starts its walk met.  The search makes
 the pops, prunes and offers of one descent per child, except that under
 an expiring time limit a stack's starts stop together.
 
+A CutSet made from a caller's arrays is checked once, as it is made:
+symmetric within CUT_PSD_ATOL, and PSD by one stacked eigenvalue test.
+The cuts the package builds, and their phantom padding, are exactly
+symmetric and PSD by construction, so they skip that check.
+
 Every method returns one contract.  lower_bound is a valid bound on the
 optimum and is never below min(value, root bound), where the root bound
 is max(max c, the interval bound at the root); status is "optimal"
@@ -87,7 +92,7 @@ import numpy as np
 from .limits import SolveLimits
 from .objective import Allocation, allocation_vector, random_balanced_stack
 
-# cut matrices must be symmetric PSD up to this slack
+# cut matrices given to CutSet must be symmetric PSD up to this slack
 CUT_PSD_ATOL = 1e-8
 
 # strict-decrease guard for the descent heuristic
@@ -118,43 +123,18 @@ LONE_STACK_BELOW = 6
 STATUSES = ("optimal", "incumbent")
 
 
-def _factor_in_place(mats: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the (K, n, n) stack has a Cholesky factor.
-
-    The factorization runs in place, a block of columns at a time
-    (left-looking), so its temporaries hold about BLOCK_ENTRIES entries
-    where np.linalg.cholesky would return a second stack.  It reads only
-    lower triangles and leaves the stack overwritten.
-    """
-    n = mats.shape[1]
-    width = max(1, BLOCK_ENTRIES // n)
-    cleared = np.ones(len(mats), dtype=bool)
-    for k, M in enumerate(mats):
-        for j in range(0, n, width):
-            e = min(j + width, n)
-            if j:
-                M[j:, j:e] -= M[j:, :j] @ M[j:e, :j].T
-            try:
-                corner = np.linalg.cholesky(M[j:e, j:e])
-            except np.linalg.LinAlgError:
-                cleared[k] = False
-                break
-            if e < n:
-                M[e:, j:e] = np.linalg.solve(corner, M[e:, j:e].T).T
-    return cleared
-
-
 @dataclass(frozen=True, eq=False)
 class CutSet:
     """K cuts (c_k, A_k) sharing one allocation dimension n.
 
-    The PSD check screens each cut with a Cholesky factorization of
-    A_k + (CUT_PSD_ATOL / 2) I: a factor puts every eigenvalue of A_k
-    above -CUT_PSD_ATOL / 2, less a rounding error of about n eps max|A_k|.
-    Cuts the screen does not clear, and cuts whose rounding error could
-    exceed CUT_PSD_ATOL / 2, get the eigenvalue test instead.  The
-    diagonals (``diagonals``, (K, n)) are kept read-only.  So is
-    ``root_bound``, computed on first read.
+    Cuts given here are checked once: shapes, finite entries, symmetry
+    within CUT_PSD_ATOL, and PSD, by one stacked eigenvalue test of the
+    symmetrized copy that is kept (smallest eigenvalue at least
+    -CUT_PSD_ATOL).  The cuts the package builds, Upsilon(z) and M o M,
+    are Hadamard products of PSD matrices, exactly symmetric as computed,
+    so they come through ``_built`` and skip the check.  The constants,
+    matrices and diagonals (``diagonals``, (K, n)) are kept read-only.
+    So is ``root_bound``, computed on first read.
     """
 
     constants: np.ndarray
@@ -168,40 +148,37 @@ class CutSet:
             raise ValueError("constants must be a non-empty vector")
         if mats.ndim != 3 or mats.shape[0] != cons.size or mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must be a (K, n, n) stack matching constants")
+        if mats.shape[1] == 0:
+            raise ValueError("cuts need at least one subject")
         if not (np.all(np.isfinite(cons)) and np.all(np.isfinite(mats))):
             raise ValueError("cut data has non-finite entries")
-        # one new array holds the asymmetry, the screen's factors and the
-        # symmetrized stack in turn: the caller's stack is read, never
-        # stored or written
+        # one new array holds the asymmetry, then the symmetrized stack:
+        # the caller's stack is read, never stored or written
         given, mats = mats, mats - mats.transpose(0, 2, 1)
         asym = np.max(np.abs(mats, out=mats))
         if asym > CUT_PSD_ATOL:
             raise ValueError(f"cut matrices must be symmetric, max asymmetry {asym:.3e}")
-
-        def symmetrize() -> None:
-            np.add(given, given.transpose(0, 2, 1), out=mats)
-            np.divide(mats, 2.0, out=mats)
-
-        symmetrize()
-        K, n = mats.shape[:2]
-        scale = np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2)))
-        rounding = n * np.finfo(float).eps * scale
-        # the screen overwrites the stack, which is then symmetrized again
-        # by the same steps
-        mats.reshape(K, -1)[:, :: n + 1] += CUT_PSD_ATOL / 2.0
-        cleared = _factor_in_place(mats)
-        symmetrize()
-        tested = np.flatnonzero(~cleared | (rounding > CUT_PSD_ATOL / 2.0))
-        if tested.size:
-            low = np.linalg.eigvalsh(mats[tested])[:, 0]
-            bad = np.flatnonzero(low < -CUT_PSD_ATOL)
-            if bad.size:
-                k = bad[0]
-                raise ValueError(f"cut {tested[k]} is not PSD: smallest eigenvalue {low[k]:.3e}")
-        diag = np.einsum("kii->ki", mats).copy()
-        for name, arr in (("constants", cons), ("matrices", mats), ("diagonals", diag)):
-            arr.flags.writeable = False
+        np.add(given, given.transpose(0, 2, 1), out=mats)
+        np.divide(mats, 2.0, out=mats)
+        low = np.linalg.eigvalsh(mats)[:, 0]
+        bad = np.flatnonzero(low < -CUT_PSD_ATOL)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"cut {k} is not PSD: smallest eigenvalue {low[k]:.3e}")
+        # keep the checked copies read-only, with their diagonals, as _built does
+        for name, arr in vars(CutSet._built(cons, mats)).items():
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _built(cls, constants: np.ndarray, matrices: np.ndarray) -> "CutSet":
+        """Cuts the package built: a fresh (K, n, n) stack, exactly symmetric
+        and PSD by construction, kept as given, unchecked and uncopied."""
+        cuts = object.__new__(cls)
+        diag = np.einsum("kii->ki", matrices).copy()
+        for name, arr in (("constants", constants), ("matrices", matrices), ("diagonals", diag)):
+            arr.flags.writeable = False
+            object.__setattr__(cuts, name, arr)
+        return cuts
 
     @functools.cached_property
     def root_bound(self) -> float:
@@ -239,19 +216,12 @@ def _with_phantom(cuts: CutSet) -> CutSet:
     """The cuts with a phantom subject n: a zero row, column and diagonal
     entry in every cut.
 
-    Zero entries keep every cut symmetric PSD, so the screen does not run
-    again.  They change no bound either, but the sums of the padded
-    arrays could round differently, so the cuts' own root bound is kept.
+    Zero entries keep every cut exactly symmetric and PSD.  They change
+    no bound either, but the sums of the padded arrays could round
+    differently, so the cuts' own root bound is kept.
     """
-    mats = np.pad(cuts.matrices, ((0, 0), (0, 1), (0, 1)))
-    diag = np.pad(cuts.diagonals, ((0, 0), (0, 1)))
-    mats.flags.writeable = diag.flags.writeable = False
-    padded = object.__new__(CutSet)
-    for name, value in zip(
-        ("constants", "matrices", "diagonals", "root_bound"),
-        (cuts.constants, mats, diag, cuts.root_bound),
-    ):
-        object.__setattr__(padded, name, value)
+    padded = CutSet._built(cuts.constants, np.pad(cuts.matrices, ((0, 0), (0, 1), (0, 1))))
+    object.__setattr__(padded, "root_bound", cuts.root_bound)
     return padded
 
 
@@ -359,8 +329,9 @@ def _descent(
     move in every running row with one set of array operations, and rows
     that cannot improve leave the stack.  Each row's state is a slice of
     stacked arrays, kept in no particular order: moving rows come first,
-    so most writes hit a leading slice.  A is exactly symmetric (as
-    ``CutSet`` makes it), so rows of A serve where columns are meant.
+    so most writes hit a leading slice.  A is exactly symmetric (a
+    checked ``CutSet`` is symmetrized, a built one is so by construction),
+    so rows of A serve where columns are meant.
 
     Swap candidates live in a slot-indexed block per row: PM[r, 0] and
     PM[r, 1] hold the +1 and -1 coordinates in slot order, and

@@ -79,7 +79,8 @@ def solve_exact(
 
     Z = (_seed_vectors(p) if report_space.kind == "hypercube"
          else [worst_case_quadratic(F.gram_inverse, report_space, F)[1]])
-    cut_pairs = [(float(z @ F.gram_inverse @ z), upsilon(F, z)) for z in Z]
+    constants = [float(z @ F.gram_inverse @ z) for z in Z]
+    matrices = [upsilon(F, z) for z in Z]
 
     history: list[tuple[float, float, float]] = []
     best_delta = np.inf
@@ -101,8 +102,8 @@ def solve_exact(
         mode_now = resolved if continue_from is None else "exact"
         master_limits = replace(limits, time_limit=max(remaining, 0.05), mode=mode_now)
         master: BqpResult = minimize_max_quadratic(
-            CutSet.from_pairs(cut_pairs), master_limits, warm_start=prev_x,
-            incumbent=continue_from,
+            CutSet._built(np.array(constants), np.stack(matrices)), master_limits,
+            warm_start=prev_x, incumbent=continue_from,
         )
         continue_from = None
         theta = master.value
@@ -150,7 +151,8 @@ def solve_exact(
                 "separation returned an existing cut before the stopping test fired"
             )
         Z.append(z_new)
-        cut_pairs.append((float(z_new @ F.gram_inverse @ z_new), upsilon(F, z_new)))
+        constants.append(float(z_new @ F.gram_inverse @ z_new))
+        matrices.append(upsilon(F, z_new))
 
     # a finished separation already maximized over report_space; one
     # stopped at a limit only bounds the design's value from below

@@ -46,7 +46,8 @@ def solve_lb(
         report_space = CovariateSpace.hypercube()
     resolved = resolve_mode(n, limits.mode)
 
-    cuts = CutSet(constants=np.zeros(1), matrices=lb_matrix(F)[None, :, :])
+    # M o M is exactly symmetric and PSD, so its array is the cut, uncopied
+    cuts = CutSet._built(np.zeros(1), lb_matrix(F)[None])
     result = minimize_max_quadratic(cuts, replace(limits, mode=resolved))
     x_star = result.x_star
 

@@ -111,7 +111,8 @@ class DesignReport:
 
 
 def solver_parameters(limits: SolveLimits, space: CovariateSpace) -> dict:
-    """The parameter echo of EXACT and LB: the SolveLimits they read and the report space."""
+    """The parameter echo of EXACT and LB: their SolveLimits (LB reads no
+    node_limit) and the report space."""
     return {"epsilon": limits.epsilon, "time_limit": limits.time_limit,
             "node_limit": limits.node_limit, "mode": limits.mode, "space": space.kind}
 

@@ -17,7 +17,7 @@ from conftest import (
     oracle_lb_matrix,
     random_design,
 )
-from trialdesign import bqp
+from trialdesign import bqp, cutting_plane, lower_bound
 from trialdesign.bqp import (
     BqpResult,
     CutSet,
@@ -26,7 +26,7 @@ from trialdesign.bqp import (
 )
 from trialdesign.inner_max import InnerMaxProblem, solve_inner_max
 from trialdesign.limits import SolveLimits
-from trialdesign.objective import Allocation, random_balanced_signs
+from trialdesign.objective import Allocation, CovariateSpace, random_balanced_signs
 
 
 def random_cuts(n: int, k: int, rng: np.random.Generator) -> CutSet:
@@ -87,12 +87,15 @@ class TestCutSet:
         with pytest.raises(ValueError, match=r"cut 1 is not PSD: smallest eigenvalue -1\.000e\+00"):
             CutSet(constants=np.zeros(3), matrices=mats)
 
+    def test_rejects_zero_subjects(self):
+        with pytest.raises(ValueError, match="cuts need at least one subject"):
+            CutSet(constants=np.zeros(1), matrices=np.zeros((1, 0, 0)))
+
     @pytest.mark.parametrize("n, k", [(5, 8), (60, 3), (200, 2)])
     def test_stacked_spectrum_matches_each_cut(self, monkeypatch, n, k):
-        # entries this large skip the screen, so every cut goes to one
-        # stacked eigvalsh; each cut alone gives the same bits
+        # every cut goes to one stacked eigvalsh; each cut alone gives the
+        # same bits
         source = random_cuts(n, k, np.random.default_rng(n))
-        mats = 1e8 * source.matrices
         stacked = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -102,10 +105,24 @@ class TestCutSet:
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvalsh", spy)
-            CutSet(constants=source.constants, matrices=mats)
+            CutSet(constants=source.constants, matrices=source.matrices)
         assert len(stacked) == 1 and stacked[0].shape == (k, n)
-        for A, spectrum in zip(mats, stacked[0]):
+        for A, spectrum in zip(source.matrices, stacked[0]):
             assert np.array_equal(spectrum, np.linalg.eigvalsh(A))
+
+    @pytest.mark.parametrize("low, accepted", [(-0.6, True), (-0.999, True), (-1.5, False)])
+    def test_accepts_eigenvalues_down_to_the_tolerance(self, low, accepted):
+        # the eigenvalue test accepts a smallest eigenvalue down to
+        # -CUT_PSD_ATOL and rejects one below it
+        Q, _ = np.linalg.qr(np.random.default_rng(13).normal(size=(6, 6)))
+        spectrum = np.array([low * bqp.CUT_PSD_ATOL, 0.0, 1.0, 1.0, 2.0, 3.0])
+        bad = (Q * spectrum) @ Q.T
+        mats = np.stack([np.eye(6), bad])
+        if accepted:
+            CutSet(constants=np.zeros(2), matrices=mats)
+        else:
+            with pytest.raises(ValueError, match=r"cut 1 is not PSD: smallest eigenvalue -1\.5"):
+                CutSet(constants=np.zeros(2), matrices=mats)
 
     def test_rejects_non_finite(self):
         A = np.full((2, 2), np.inf)
@@ -130,80 +147,89 @@ class TestCutSet:
             assert not np.shares_memory(stored, given)
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.blas_bits
-class TestCutSetScreen:
-    """The Cholesky screen clears PSD stacks without a spectrum; the
-    eigenvalue test still decides every cut it does not clear."""
+class TestBuiltCuts:
+    """The cut sets the solvers build skip CutSet's check, so the checked
+    constructor is their oracle: it must accept each of them and keep
+    every bit."""
 
     @staticmethod
-    def spy_eigvalsh(monkeypatch) -> list:
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+    def assert_passes_the_check(cuts: CutSet) -> None:
+        checked = CutSet(constants=cuts.constants, matrices=cuts.matrices)
+        assert same_bits(checked.matrices, cuts.matrices)
+        assert same_bits(checked.diagonals, cuts.diagonals)
+        assert same_bits(checked.root_bound, cuts.root_bound)
 
-        def spy(a):
-            calls.append(np.array(a))
-            return eigvalsh(a)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(6, 40),
+        p=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.booleans(),
+        mode=st.sampled_from(["auto", "heuristic"]),
+    )
+    def test_exact_masters_get_checked_bits(self, n, p, seed, rows, mode):
+        # even and odd n; with ENUM_MAX_N = 12, auto descends past n = 12
+        # and continues an uncertified descent by branch and bound
+        H = random_design(n, p, np.random.default_rng(seed))
+        masters, padded = [], []
+        solve = bqp._solve
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        return calls
+        def spy(cuts, limits, warm_start=None, incumbent=None):
+            masters.append(cuts)
+            return bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
 
-    def test_psd_stack_needs_no_spectrum(self, monkeypatch):
-        calls = self.spy_eigvalsh(monkeypatch)
-        rng = np.random.default_rng(11)
-        B = rng.normal(size=(3, 50, 4))
-        cuts = CutSet(constants=np.zeros(3), matrices=B @ B.transpose(0, 2, 1))
-        # nor does the root bound, read on demand
-        assert cuts.root_bound >= 0.0
-        assert calls == []
+        def spy_solve(method, cuts, *args):
+            padded.append(cuts)
+            return solve(method, cuts, *args)
 
-    @pytest.mark.parametrize("low, accepted", [(-0.6, True), (-0.999, True), (-1.5, False)])
-    def test_shallow_negative_eigenvalues_go_to_the_eigenvalue_test(
-        self, low, accepted, monkeypatch
-    ):
-        # an eigenvalue in (-CUT_PSD_ATOL, -CUT_PSD_ATOL / 2) fails the screen
-        # but passes the test; below -CUT_PSD_ATOL both reject
-        calls = self.spy_eigvalsh(monkeypatch)
-        Q, _ = np.linalg.qr(np.random.default_rng(13).normal(size=(6, 6)))
-        spectrum = np.array([low * bqp.CUT_PSD_ATOL, 0.0, 1.0, 1.0, 2.0, 3.0])
-        bad = (Q * spectrum) @ Q.T
-        mats = np.stack([np.eye(6), bad])
-        if accepted:
-            CutSet(constants=np.zeros(2), matrices=mats)
-        else:
-            with pytest.raises(ValueError, match=r"cut 1 is not PSD: smallest eigenvalue -1\.5"):
-                CutSet(constants=np.zeros(2), matrices=mats)
-        # only the cut the screen did not clear was tested
-        assert len(calls) == 1 and calls[0].shape == (1, 6, 6)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bqp, "ENUM_MAX_N", 12)
+            patch.setattr(bqp, "_solve", spy_solve)
+            patch.setattr(cutting_plane, "minimize_max_quadratic", spy)
+            cutting_plane.solve_exact(
+                H, SolveLimits(mode=mode, node_limit=200),
+                CovariateSpace.rows() if rows else None,
+            )
+        assert masters and len(padded) == len(masters)
+        for cuts in masters:
+            self.assert_passes_the_check(cuts)
+        for cuts, real in zip(padded, masters):
+            # the phantom's cuts keep the real cuts' root bound
+            assert cuts.n == n + n % 2
+            checked = CutSet(constants=cuts.constants, matrices=cuts.matrices)
+            assert same_bits(checked.matrices, cuts.matrices)
+            assert same_bits(checked.diagonals, cuts.diagonals)
 
-    @pytest.mark.parametrize("block_entries", [64, 1 << 17])
-    def test_blocked_factor_agrees_with_numpy(self, block_entries, monkeypatch):
-        # 64 entries make blocks of two columns at n = 30
-        monkeypatch.setattr(bqp, "BLOCK_ENTRIES", block_entries)
-        rng = np.random.default_rng(19)
-        n = 30
-        mats = []
-        for shift in (1e-9, 0.5, -1e-6, -0.5):
-            B = rng.normal(size=(n, 8))
-            mats.append(B @ B.T + shift * np.eye(n))
-        mats = np.stack(mats)
-        numpy_cleared = []
-        for A in mats:
-            try:
-                np.linalg.cholesky(A)
-                numpy_cleared.append(True)
-            except np.linalg.LinAlgError:
-                numpy_cleared.append(False)
-        assert numpy_cleared == [True, True, False, False]
-        assert bqp._factor_in_place(mats.copy()).tolist() == numpy_cleared
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 80), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_lb_master_gets_checked_bits_without_a_copy(self, n, p, seed):
+        H = random_design(n, p, np.random.default_rng(seed))
+        built, masters = [], []
 
-    def test_large_entries_skip_the_screen(self, monkeypatch):
-        # with n eps max|A| above CUT_PSD_ATOL / 2 the factor proves too
-        # little, so the eigenvalue test decides
-        calls = self.spy_eigvalsh(monkeypatch)
-        mats = np.stack([np.eye(4), 1e8 * np.eye(4)])
-        CutSet(constants=np.zeros(2), matrices=mats)
-        assert len(calls) == 1 and calls[0].shape == (1, 4, 4)
-        assert calls[0][0, 0, 0] == 1e8
+        def spy_lb_matrix(F):
+            built.append(bqp_lb_matrix(F))
+            return built[-1]
+
+        def spy(cuts, limits, warm_start=None, incumbent=None):
+            masters.append(cuts)
+            return bqp.minimize_max_quadratic(cuts, limits, warm_start, incumbent)
+
+        bqp_lb_matrix = lower_bound.lb_matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lower_bound, "lb_matrix", spy_lb_matrix)
+            patch.setattr(lower_bound, "minimize_max_quadratic", spy)
+            lower_bound.solve_lb(H)
+        (cuts,) = masters
+        self.assert_passes_the_check(cuts)
+        # the cut is the lb_matrix array itself: no second n x n copy
+        (Q,) = built
+        assert np.shares_memory(cuts.matrices, Q)
 
 
 class TestResult:
