@@ -52,23 +52,11 @@ most ENUM_MAX_N: blocks of leading signs meet a tabulated table of
 trailing signs in one matrix product per block and cut.  The same
 engine, run without the balance constraint, enumerates the separation
 max z'Mz for inner_max as min z'(-M)z.  Past that, exact mode is auto
-mode: the descent and its root test.  The branch and bound has one
-role, continuing a descent that did not certify: given that heuristic
-result on the same cuts as ``incumbent``, an exact-mode solve searches
-depth first from its allocation.  Its node bound is
-the interval bound of inner_max, flipped for minimization: every
-product x_i x_j that touches a free subject is relaxed to -|A_ij|.
-Subjects are fixed in one static order, so the relaxed part of each
-cut's bound depends on the depth alone and is tabulated once; a child's
-bound follows from its parent's in O(Kn).  The lower-bound child is
-expanded first, so the open stack holds at most one sibling per depth.
-Every kept child's completion is descended, in look-ahead stacks: on a
-completion with no cached end, the search is walked forward with the
-incumbent frozen, and the next starts it meets that are not cached, up
-to a descent stack's worth, descend as one stack.  The cache holds only
-the latest stack and the cached starts its walk met.  The search makes
-the pops, prunes and offers of one descent per child, except that under
-an expiring time limit a stack's starts stop together.
+mode: the descent and its root test.  A depth-first branch and bound
+on the interval bound of inner_max, flipped for minimization, only
+continues a descent that did not certify, given as ``incumbent`` to an
+exact-mode solve of the same cuts.  Its kept children's completions
+wait as distinct pending starts and descend a stack at a time.
 
 A CutSet made from a caller's arrays is checked once, as it is made:
 symmetric within CUT_PSD_ATOL, and PSD by one stacked eigenvalue test.
@@ -702,31 +690,24 @@ def _interval_tables(cuts: CutSet) -> tuple[np.ndarray, np.ndarray]:
 
 def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) -> BqpResult:
     """Depth-first branch and bound from ``seed``, a descent that failed its
-    root test.
+    root test: its allocation is the first incumbent, and its lower bound,
+    the root bound, floors the reported bound.
 
-    The descent's allocation is the first incumbent, and its lower bound,
-    the root bound, floors the reported bound.  A node at depth d has
-    fixed x on order[:d] (``_interval_tables``) and carries each cut's
-    fixed-part value v_k and g = A x, its free entries at 0; its bound is
-    max(max c, max_k c_k + v_k + tail[k, d]), and a child updates v and g
-    in O(Kn).  Each child that is neither pruned nor fully fixed offers a
-    completion: the free subjects with the smallest gradient of its
-    binding cut go to +1, as many as balance needs, and the descent
-    improves it.  The lower-bound child is expanded first, so the stack
-    holds at most one sibling per depth.  At a limit, the open bound is
-    the least bound on the stack or pruned.
+    A node at depth d has fixed x on order[:d] (``_interval_tables``) and
+    carries each cut's fixed-part value v_k and g = A x, its free entries
+    at 0; its bound is max(max c, max_k c_k + v_k + tail[k, d]), and a
+    child updates v and g in O(Kn).  The lower-bound child is expanded
+    first, so the stack holds at most one sibling per depth.  At a limit,
+    the open bound is the least bound on the stack or pruned.
 
-    Completions descend in look-ahead stacks, and a cache maps each
-    start of the latest stack to its end.  On a miss, the search is
-    walked forward from the missing child on a copy of the open stack
-    with the incumbent frozen, so the walk keeps every child that the
-    search will keep, in the same order; the first R = ``_stack_size``
-    distinct starts it meets that the cache lacks descend as one
-    ``_descent`` stack.  The next cache holds them and at most R cached
-    starts met on the way, so it stays within 2R starts.  Every row of a
-    stack ends where it would alone, so the search makes the pops, prunes
-    and offers of one descent per kept child; under an expiring time
-    limit, though, a stack's rows stop together.
+    A child neither pruned nor fully fixed is kept.  Its completion, the
+    free subjects with the smallest gradient of its binding cut at +1 as
+    balance needs, joins one dict of distinct pending starts.  When R =
+    ``_stack_size`` starts are pending, or the search ends, they descend
+    as one ``_descent`` stack and their ends are offered in order.  So the
+    incumbent changes once per stack, and with R = 1 once per kept child.
+    A start of the previous stack is not pending again: offering its end
+    a second time could change nothing.
     """
     c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
     eps = limits.epsilon
@@ -734,6 +715,8 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
     c_max = float(c.max())
     size = _stack_size(cuts)
     best_x, best_val = seed.x_star.x.astype(float), seed.value
+    pending: dict = {}
+    latest: set = set()
 
     def offer(xv: np.ndarray) -> None:
         # only a lower value replaces the incumbent: a tie keeps the
@@ -743,16 +726,32 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
         if val < best_val:
             best_x, best_val = _canonical(xv).copy(), val
 
-    def stopped(nodes: int) -> bool:
-        return nodes >= limits.node_limit or time.monotonic() > deadline
+    def descend_pending() -> None:
+        nonlocal latest
+        ends = _descent(c, A, diag, np.array(list(pending.values())), deadline)
+        latest = set(pending)
+        pending.clear()
+        for xv in ends:
+            offer(xv)
 
-    def expand(node: tuple) -> list:
-        """The children of an open node, in branching order: a fully
-        fixed child as (None, allocation), any other as (bound, node).
-        A node is (depth, x, v, g, k), k the cut binding its bound."""
-        d, x, v, g, _ = node
+    x = np.zeros(cuts.n)
+    x[0] = 1.0
+    v, g = diag[:, 0].copy(), A[:, 0].copy()
+    stack = [(max(c_max, float((c + v + tail[:, 1]).max())), 1, x, v, g)]
+    pruned = np.inf
+    nodes = 0
+    status = "optimal"
+    while stack:
+        if nodes >= limits.node_limit or time.monotonic() > deadline:
+            status = "incumbent"
+            break
+        bound, d, x, v, g = stack.pop()
+        if bound >= best_val - eps:
+            pruned = min(pruned, bound)
+            continue
+        nodes += 1
         b, free = order[d], order[d + 1 :]
-        kids = []
+        kept = []
         for s in (-1.0, 1.0):
             # the free subjects' plus count that brings the sum to 0
             m = (free.size - int(x.sum() + s)) // 2
@@ -763,95 +762,29 @@ def _exact(cuts: CutSet, limits: SolveLimits, seed: BqpResult, deadline: float) 
             child_v = v + 2.0 * s * g[:, b] + diag[:, b]
             if m in (0, free.size):
                 child[free] = 1.0 if m else -1.0
-                kids.append((None, child))
+                offer(child)
                 continue
             cut_bounds = c + child_v + tail[:, d + 1]
             k = int(np.argmax(cut_bounds))
             child_bound = max(c_max, float(cut_bounds[k]))
-            kids.append((child_bound, (d + 1, child, child_v, g + s * A[:, b], k)))
-        return kids
-
-    def completion(node: tuple) -> np.ndarray:
-        # the free subjects with the smallest gradient of the binding cut
-        # go to +1, as many as balance needs
-        d, x, _, g, k = node
-        free = order[d:]
-        m = (free.size - int(x.sum())) // 2
-        y = x.copy()
-        y[free] = -1.0
-        y[free[np.argsort(g[k, free], kind="stable")[:m]]] = 1.0
-        return y
-
-    def ahead(kids: list, kept: list, stack: list, nodes: int, level: float):
-        """Completion starts in the order the search descends them, from
-        kids (the rest of the node being expanded, whose kept children
-        are kept) on, with every bound at or above level pruned."""
-        stack = stack.copy()
-        while kids is not None:
-            for bound, child in kids:
-                if bound is not None and bound < level:
-                    yield completion(child)
-                    kept.append((bound, child))
-            kept.sort(key=lambda entry: entry[0], reverse=True)
-            stack.extend(kept)
-            kids, kept = None, []
-            while stack and not stopped(nodes):
-                bound, node = stack.pop()
-                if bound < level:
-                    nodes += 1
-                    kids = expand(node)
-                    break
-
-    def restock(starts, cache: dict) -> dict:
-        # the first `size` starts the cache lacks descend as one stack;
-        # the cached starts met on the way stay cached, up to `size`
-        ends, fresh = {}, {}
-        for y in starts:
+            if child_bound >= best_val - eps:
+                pruned = min(pruned, child_bound)
+                continue
+            child_g = g + s * A[:, b]
+            y = child.copy()
+            y[free] = -1.0
+            y[free[np.argsort(child_g[k, free], kind="stable")[:m]]] = 1.0
             key = y.tobytes()
-            if key in cache:
-                ends[key] = cache[key]
-            elif key not in fresh:
-                fresh[key] = y
-            if len(fresh) == size or len(ends) == size:
-                break
-        stacked = _descent(c, A, diag, np.array(list(fresh.values())), deadline)
-        ends.update(zip(fresh, stacked))
-        return ends
-
-    x = np.zeros(cuts.n)
-    x[0] = 1.0
-    v, g = diag[:, 0].copy(), A[:, 0].copy()
-    stack = [(max(c_max, float((c + v + tail[:, 1]).max())), (1, x, v, g, 0))]
-    cache: dict = {}
-    pruned = np.inf
-    nodes = 0
-    status = "optimal"
-    while stack:
-        if stopped(nodes):
-            status = "incumbent"
-            break
-        bound, node = stack.pop()
-        if bound >= best_val - eps:
-            pruned = min(pruned, bound)
-            continue
-        nodes += 1
-        kids = expand(node)
-        kept = []
-        for i, (bound, child) in enumerate(kids):
-            if bound is None:
-                offer(child)
-                continue
-            if bound >= best_val - eps:
-                pruned = min(pruned, bound)
-                continue
-            key = completion(child).tobytes()
-            if key not in cache:
-                cache = restock(ahead(kids[i:], kept.copy(), stack, nodes, best_val - eps), cache)
-            offer(cache[key])
-            kept.append((bound, child))
+            if key not in latest:
+                pending[key] = y
+                if len(pending) == size:
+                    descend_pending()
+            kept.append((child_bound, d + 1, child, child_v, child_g))
         # the stack's top is expanded next: the lower bound goes last
         kept.sort(key=lambda entry: entry[0], reverse=True)
         stack.extend(kept)
+    if pending:
+        descend_pending()
     open_bound = min([pruned] + [entry[0] for entry in stack])
     return BqpResult(
         x_star=Allocation(best_x.astype(np.int64)),

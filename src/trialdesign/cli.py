@@ -68,6 +68,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+def _at_least(low: int):
+    # an argparse type: a bad count or seed is a usage error naming its flag
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value: ..."
+    return parse
+
+
 def _space(name: str) -> CovariateSpace:
     return CovariateSpace.hypercube() if name == "hypercube" else CovariateSpace.rows()
 
@@ -296,7 +308,7 @@ def _add_limit_args(sub) -> None:
 def _add_common_solver_args(sub) -> None:
     sub.add_argument("--epsilon", type=float, default=1e-6)
     _add_limit_args(sub)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_at_least(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser("synth", help="generate a synthetic covariate matrix")
     synth.add_argument("--n", type=int, required=True)
     synth.add_argument("--p", type=int, required=True)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_at_least(0), default=0)
     synth.add_argument("--out", required=True)
     synth.set_defaults(fn=cmd_synth)
 
@@ -340,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--rand-designs", type=int, default=1000)
     evaluate.add_argument("--skip-variance", action="store_true")
     evaluate.add_argument("--variance-out", default=None)
-    evaluate.add_argument("--seed", type=int, default=0)
+    evaluate.add_argument("--seed", type=_at_least(0), default=0)
     evaluate.add_argument("--out", default=None)
     _add_limit_args(evaluate)
     evaluate.set_defaults(fn=cmd_evaluate)
 
     scan = commands.add_parser("scan", help="original-vs-surrogate pairs on random allocations")
     scan.add_argument("--matrix", required=True)
-    scan.add_argument("--samples", type=int, default=50)
-    scan.add_argument("--seed", type=int, default=0)
+    scan.add_argument("--samples", type=_at_least(1), default=50)
+    scan.add_argument("--seed", type=_at_least(0), default=0)
     scan.add_argument("--space", choices=SPACE_CHOICES, default="hypercube")
     scan.add_argument("--out", required=True)
     _add_limit_args(scan)

@@ -124,6 +124,8 @@ class SyntheticSpec:
             raise ValueError(f"p must be at least 1, got {self.p}")
         if self.n < 2 * self.p:
             raise ValueError(f"need n >= 2p, got n={self.n}, p={self.p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> CovariateMatrix:

@@ -22,7 +22,7 @@ class SolveLimits:
                  bound and evaluates its design under default limits, so
                  it reads no node_limit.  Enumeration and descent count
                  no nodes.
-    seed         seeds every random draw made by the solver
+    seed         seeds every random draw made by the solver; non-negative
     mode         how the master problem is solved: "heuristic"
                  (multi-start descent) or "auto", also spelled "exact",
                  which enumerates up to bqp.ENUM_MAX_N subjects and
@@ -43,5 +43,7 @@ class SolveLimits:
             raise ValueError("time_limit must be positive")
         if self.node_limit < 1:
             raise ValueError("node_limit must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")

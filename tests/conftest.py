@@ -283,21 +283,28 @@ def naive_branch_and_bound(
 
 
 def naive_master_branch_and_bound(
-    cuts: "bqp.CutSet", limits, seed: BqpResult, deadline: float
+    cuts: "bqp.CutSet", limits, seed: BqpResult, deadline: float, stack: int = 1
 ) -> BqpResult:
-    """Depth-first interval branch and bound that descends each kept
-    child's completion alone, when the child is kept.
+    """Depth-first interval branch and bound whose kept children's
+    completions descend in stacks of ``stack`` distinct starts.
 
-    Reference for ``bqp._exact``'s look-ahead stacks: the same branch
-    order and tail table (``bqp._interval_tables``), the same incremental
-    node values, pop order, completions and incumbent rule, with one
-    ``bqp._descent`` call on a single row per kept child.
+    Reference for ``bqp._exact``: the same branch order and tail table
+    (``bqp._interval_tables``), the same incremental node values, pop
+    order, completions and incumbent rule.  A kept child's completion is
+    offered at once if the previous stack started from it; otherwise it
+    joins the pending list unless already there.  When the list holds
+    ``stack`` starts, and once more when the search ends, each pending
+    start descends alone (one single-row ``bqp._descent`` call) and the
+    ends are offered in list order.  With the default stack of one, each
+    kept child's completion descends when the child is kept.
     """
     c, A, diag = cuts.constants, cuts.matrices, cuts.diagonals
     eps = limits.epsilon
     order, tail = bqp._interval_tables(cuts)
     c_max = float(c.max())
     best_x, best_val = seed.x_star.x.astype(float), seed.value
+    pending: list[np.ndarray] = []
+    previous: list[tuple[np.ndarray, np.ndarray]] = []
 
     def offer(xv: np.ndarray) -> None:
         nonlocal best_x, best_val
@@ -305,18 +312,24 @@ def naive_master_branch_and_bound(
         if val < best_val:
             best_x, best_val = (xv if xv[0] > 0 else -xv).copy(), val
 
+    def descend_pending() -> None:
+        previous[:] = [(y, bqp._descent(c, A, diag, y[None], deadline)[0]) for y in pending]
+        pending.clear()
+        for _, end in previous:
+            offer(end)
+
     x = np.zeros(cuts.n)
     x[0] = 1.0
     v, g = diag[:, 0].copy(), A[:, 0].copy()
-    stack = [(max(c_max, float((c + v + tail[:, 1]).max())), 1, x, v, g)]
+    open_nodes = [(max(c_max, float((c + v + tail[:, 1]).max())), 1, x, v, g)]
     pruned = np.inf
     nodes = 0
     status = "optimal"
-    while stack:
+    while open_nodes:
         if nodes >= limits.node_limit or time.monotonic() > deadline:
             status = "incumbent"
             break
-        bound, d, x, v, g = stack.pop()
+        bound, d, x, v, g = open_nodes.pop()
         if bound >= best_val - eps:
             pruned = min(pruned, bound)
             continue
@@ -344,11 +357,19 @@ def naive_master_branch_and_bound(
             y = child.copy()
             y[free] = -1.0
             y[free[np.argsort(child_g[k, free], kind="stable")[:m]]] = 1.0
-            offer(bqp._descent(c, A, diag, y[None], deadline)[0])
+            done = [end for start, end in previous if np.array_equal(start, y)]
+            if done:
+                offer(done[0])
+            elif not any(np.array_equal(start, y) for start in pending):
+                pending.append(y)
+                if len(pending) == stack:
+                    descend_pending()
             children.append((child_bound, d + 1, child, child_v, child_g))
         children.sort(key=lambda entry: entry[0], reverse=True)
-        stack.extend(children)
-    open_bound = min([pruned] + [entry[0] for entry in stack])
+        open_nodes.extend(children)
+    if pending:
+        descend_pending()
+    open_bound = min([pruned] + [entry[0] for entry in open_nodes])
     return BqpResult(
         x_star=Allocation(best_x.astype(np.int64)),
         value=best_val,

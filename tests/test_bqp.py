@@ -848,7 +848,9 @@ class TestIncumbentContinuation:
         # the search's completions still descend
         monkeypatch.setattr(bqp, "_heuristic", forbidden)
         cont = minimize_max_quadratic(cuts, limits, incumbent=heur)
-        ref = naive_master_branch_and_bound(cuts, limits, heur, np.inf)
+        ref = naive_master_branch_and_bound(
+            cuts, limits, heur, np.inf, stack=bqp._stack_size(cuts)
+        )
         assert cont.x_star.x.tolist() == ref.x_star.x.tolist()
         assert (cont.value, cont.lower_bound, cont.status, cont.nodes) == (
             ref.value, ref.lower_bound, ref.status, ref.nodes,
@@ -1093,8 +1095,9 @@ class TestPhantom:
             # entry -sum x, and the search runs on the padded cuts
             x = heur.x_star.x
             seed = replace(heur, x_star=Allocation(np.append(x, -x.sum())))
+            padded = bqp._with_phantom(cuts)
             ref = naive_master_branch_and_bound(
-                bqp._with_phantom(cuts), SolveLimits(mode="exact"), seed, np.inf
+                padded, SolveLimits(mode="exact"), seed, np.inf, stack=bqp._stack_size(padded)
             )
             assert bnb.x_star.x.tolist() == ref.x_star.x[:n].tolist()
             assert (bnb.status, bnb.nodes, bnb.restarts) == (ref.status, ref.nodes, 0)
@@ -1136,9 +1139,9 @@ class TestNodeBounds:
 
 
 @pytest.mark.blas_bits
-class TestLookAheadStacks:
-    """The branch and bound descends its completions in look-ahead
-    stacks, and must end where one descent per kept child ends."""
+class TestCompletionStacks:
+    """The branch and bound descends its completions in stacks of pending
+    starts, and must end where the stack-aware oracle ends."""
 
     @staticmethod
     def forced(n: int, k: int, seed: int, integer: bool, node_limit: int, weak: bool = False):
@@ -1171,17 +1174,21 @@ class TestLookAheadStacks:
         stack=st.sampled_from([None, 1, 2, 5]),
         weak=st.booleans(),
     )
-    def test_matches_one_descent_per_kept_child(
+    def test_matches_the_oracle_at_each_stack_size(
         self, n, k, seed, integer, node_limit, stack, weak
     ):
-        # stack: rows per look-ahead stack, or None for the block rule,
-        # which at these n puts most searches in one or two stacks
+        # stack: starts per descent stack, or None for the block rule,
+        # which at these n puts most searches in one or two stacks; at a
+        # stack of one the oracle descends once per kept child
         cuts, limits, start = self.forced(n, k, seed, integer, node_limit, weak)
+        size = bqp._stack_size(cuts) if stack is None else stack
         with pytest.MonkeyPatch.context() as patch:
-            if stack is not None:
-                patch.setattr(bqp, "_stack_size", lambda cuts: stack)
+            patch.setattr(bqp, "_stack_size", lambda cuts: size)
             res = bqp._exact(cuts, limits, start, np.inf)
-        ref = naive_master_branch_and_bound(cuts, limits, start, np.inf)
+        if size == 1:
+            ref = naive_master_branch_and_bound(cuts, limits, start, np.inf)
+        else:
+            ref = naive_master_branch_and_bound(cuts, limits, start, np.inf, stack=size)
         assert res.x_star.x.tolist() == ref.x_star.x.tolist()
         assert (res.value, res.lower_bound, res.status, res.nodes) == (
             ref.value, ref.lower_bound, ref.status, ref.nodes,
@@ -1195,6 +1202,7 @@ class TestLookAheadStacks:
         cuts, limits, start = self.forced(n, k, 281 + n, integer, 300)
         if stack is not None:
             monkeypatch.setattr(bqp, "_stack_size", lambda cuts: stack)
+        size = bqp._stack_size(cuts)
         descent = bqp._descent
         stacks = []
 
@@ -1206,13 +1214,13 @@ class TestLookAheadStacks:
         monkeypatch.setattr(bqp, "_descent", spy)
         res = bqp._exact(cuts, limits, start, np.inf)
         ours = stacks.copy()
-        stacks.clear()
-        ref = naive_master_branch_and_bound(cuts, limits, start, np.inf)
+        ref = naive_master_branch_and_bound(cuts, limits, start, np.inf, stack=size)
         assert res.nodes == ref.nodes > 0
-        # stacks of at most R rows, fewer calls than one per kept child,
+        # stacks of at most R rows; every row is a distinct kept child's
+        # start, so fewer calls than rows means fewer than kept children;
         # and no start of the latest stack descends again
-        assert 0 < len(ours) < len(stacks)
-        assert max(map(len, ours)) <= bqp._stack_size(cuts)
+        assert max(map(len, ours)) <= size
+        assert 0 < len(ours) < sum(map(len, ours))
         for before, after in zip(ours, ours[1:]):
             assert not before & after
 

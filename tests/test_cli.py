@@ -623,6 +623,41 @@ def test_evaluate_and_scan_check_their_limits(command, flag, value, field, toy_c
     assert error["type"] == "ValueError" and field in error["message"]
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, low",
+    [
+        ("synth", "--seed", "-1", 0),
+        ("exact", "--seed", "-1", 0),
+        ("lb", "--seed", "-1", 0),
+        ("rand", "--seed", "-1", 0),
+        ("evaluate", "--seed", "-1", 0),
+        ("scan", "--seed", "-1", 0),
+        ("scan", "--samples", "0", 1),
+    ],
+)
+def test_bad_seed_or_sample_count_names_its_flag(
+    command, flag, value, low, toy_csv, tmp_path, capsys
+):
+    # exact, lb and rand are design methods; at the toy's n = 4 the design
+    # methods draw nothing from the seed, and it is refused all the same
+    alloc_path = tmp_path / "alloc.csv"
+    write_allocation_csv(alloc_path, Allocation(np.array([1, -1, -1, 1])))
+    argv = {
+        "synth": ["synth", "--n", "4", "--p", "1", "--out", str(tmp_path / "m.csv")],
+        "evaluate": ["evaluate", "--matrix", str(toy_csv), "--allocation", str(alloc_path)],
+        "scan": ["scan", "--matrix", str(toy_csv), "--out", str(tmp_path / "p.csv")],
+    }.get(command, ["design", "--matrix", str(toy_csv), "--method", command])
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "UsageError"
+    assert f"argument {flag}: must be at least {low}, got {value}" in error["message"]
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "extra, fragment",

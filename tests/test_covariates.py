@@ -111,6 +111,10 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(n=4, p=3, seed=0)
 
+    def test_spec_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SyntheticSpec(n=4, p=1, seed=-1)
+
     def test_intercept_only_instance(self):
         m = generate_synthetic(SyntheticSpec(n=4, p=1, seed=7))
         assert np.array_equal(m.data, np.ones((4, 1)))

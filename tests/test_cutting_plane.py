@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,24 @@ class TestMasterModes:
         assert report.status == "optimal"
         assert report.diagnostics["master_mode_final"] == "exact"
         assert report.surrogate_value == pytest.approx(brute_bilevel_surrogate(H), abs=1e-6)
+
+    def test_the_continuation_improves_a_converged_descent(self):
+        # past the cutover, at the default ENUM_MAX_N: the search's
+        # descended completions lower the design below the heuristic
+        # loop's, at an equal bound.  A node limit rather than a time
+        # limit keeps the continuation deterministic
+        rng = np.random.default_rng([7, 60, 10, 1])
+        H = np.hstack([np.ones((60, 1)), rng.choice([-1.0, 1.0], size=(60, 9))])
+        limits = SolveLimits(node_limit=2000, time_limit=600.0)
+        auto = solve_exact(H, limits)
+        heur = solve_exact(H, replace(limits, mode="heuristic"))
+        assert auto.diagnostics["master_method"] == "branch_and_bound"
+        assert auto.diagnostics["master_nodes"] == 2000
+        assert auto.status == heur.status == "incumbent"
+        assert auto.diagnostics["lower_bound"] == heur.diagnostics["lower_bound"]
+        assert auto.surrogate_value < heur.surrogate_value
+        assert auto.surrogate_value == pytest.approx(0.3023656867, rel=1e-9)
+        assert heur.surrogate_value == pytest.approx(0.3025424844, rel=1e-9)
 
     def test_heuristic_master_root_test_certifies(self):
         # the descent's value sits 6.2e-7 above the root bound, within

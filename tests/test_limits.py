@@ -18,6 +18,7 @@ def test_defaults():
         ("epsilon", float("nan")),
         ("time_limit", -1.0),
         ("node_limit", 0),
+        ("seed", -1),
         ("mode", "annealing"),
     ],
 )
