@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--method", choices=METHOD_CHOICES, required=True)
     design.add_argument("--mode", choices=MODES, default="auto")
     design.add_argument("--space", choices=SPACE_CHOICES, default="hypercube")
-    design.add_argument("--replicates", type=int, default=100, help="rand method only")
+    design.add_argument("--replicates", type=_at_least(1), default=100, help="rand method only")
     design.add_argument("--out", default=None, help="write the report JSON here too")
     design.add_argument("--allocation-out", default=None, help="write the allocation CSV")
     design.add_argument("--verbose", action="store_true")
@@ -347,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--matrix", required=True)
     evaluate.add_argument("--allocation", required=True)
     evaluate.add_argument("--space", choices=SPACE_CHOICES, default="hypercube")
-    evaluate.add_argument("--replicates", type=int, default=100)
-    evaluate.add_argument("--z0-count", type=int, default=1000)
-    evaluate.add_argument("--rand-designs", type=int, default=1000)
+    evaluate.add_argument("--replicates", type=_at_least(1), default=100)
+    evaluate.add_argument("--z0-count", type=_at_least(1), default=1000)
+    evaluate.add_argument("--rand-designs", type=_at_least(1), default=1000)
     evaluate.add_argument("--skip-variance", action="store_true")
     evaluate.add_argument("--variance-out", default=None)
     evaluate.add_argument("--seed", type=_at_least(0), default=0)

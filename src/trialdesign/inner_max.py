@@ -19,15 +19,14 @@ values are computed exactly (integer or dyadic entries).  Otherwise rounding can
 bound prunes and pushes on bounds summed in one order, and enumeration
 judges ties on its block values.
 
-A search is a generator: it yields the fresh heap entries of each batch
-and is sent their expansions, which one module-level function computes.
-solve_inner_max drives one search; solve_inner_max_group drives many,
-and each round expands the fresh entries of every running search in one
-pass, so the per-call cost of the array operations is paid once per
-round rather than once per search.  The products with a search's own
-matrix run over that search's entries alone, and the rest is elementwise
-or rowwise, so a search takes the same path and the same bits alone or
-in a group.
+A search is a generator: it yields each batch it pops and is sent its
+expansions, which one module-level function computes.  solve_inner_max
+drives one search; solve_inner_max_group drives many, and each round
+expands the batches of every running search in one pass, so the
+per-call cost of the array operations is paid once per round rather
+than once per search.  The products with a search's own matrix run over
+that search's entries alone, and the rest is elementwise or rowwise, so
+a search takes the same path and the same bits alone or in a group.
 """
 
 from __future__ import annotations
@@ -168,7 +167,7 @@ class _Tables:
 
 
 def _expand(tables: _Tables, requests: list) -> list[tuple]:
-    """Expand the fresh entries of every search of a round in one pass.
+    """Expand the batches of every search of a round in one pass.
 
     requests holds (slot, entries) per search.  Returns, per request, the
     children of its entries by position: flat lists of values, bounds and
@@ -208,8 +207,9 @@ def _expand(tables: _Tables, requests: list) -> list[tuple]:
     Nyw = by_search(lambda j, a, b: flat[2 * a : 2 * b] @ tables.N[j] + tables.w[j])
     approx = np.einsum("ij,ij->i", Nyw, flat)
     vals, bounds, approxs = val.T.ravel().tolist(), bound.T.ravel().tolist(), approx.tolist()
-    # the completions are views of one block; a search copies the rows of
-    # an entry it keeps past the round (_branch_and_bound)
+    # the completions are views of one block, read by the search within
+    # its round; an entry it pushes back is expanded again with its next
+    # batch (_branch_and_bound)
     return [
         (vals[2 * a : 2 * b], bounds[2 * a : 2 * b], approxs[2 * a : 2 * b], flat[2 * a : 2 * b])
         for _, a, b in spans
@@ -235,22 +235,22 @@ def _branch_and_bound(
     one (k, q) @ 2N product, then the children's values, bounds, greedy
     completions and approximate completion values as array operations.
     Every decision then follows one node at a time, in pop order, reading
-    the expansions of a fresh batch by position: the children of its i-th
-    fresh entry are 2i and 2i + 1.  Should a child pushed meanwhile
-    outrank the next popped entry, the rest go back on the heap with their
-    keys and keep their expansions, by tie counter, for their turn, so
-    nodes are expanded in the order, and with the outcome, of a search
-    that pops them one at a time.  The batch doubles, up to
-    EXPAND_MAX, while batches are used up, and shrinks to the number used
-    when one is cut short: diving searches run batches of mostly one to
-    four nodes, flat frontiers mostly full ones.
+    the batch's expansions by position: the children of its i-th entry
+    are 2i and 2i + 1.  Should a child pushed meanwhile outrank the next
+    popped entry, the rest go back on the heap with their keys and are
+    expanded again with the batch that pops them next, so nodes are
+    expanded in the order, and with the outcome, of a search that pops
+    them one at a time.  The batch doubles, up to EXPAND_MAX, while
+    batches are used up, and shrinks to the number used when one is cut
+    short: diving searches run batches of mostly one to four nodes, flat
+    frontiers mostly full ones.
 
     The node loop writes out both children, tests the leaf depth once per
     node and keeps best_val - margin in a local, cut, that an offer
     refreshes; a child's signs are its parent's bytes with one replaced.
 
-    A generator: it loads its tables into the given slot, yields the
-    fresh entries of each batch and is sent their expansions by _expand;
+    A generator: it loads its tables into the given slot, yields each
+    batch it pops and is sent its expansions by _expand;
     it returns (y, nodes, optimal, gap).
     """
     q = tables.q
@@ -281,62 +281,47 @@ def _branch_and_bound(
     counter = 1
     nodes = 0
     size = 1
-    # expansions of entries pushed back after a cut, by tie counter
-    expanded: dict[int, tuple] = {}
     while heap:
         batch = [heappop(heap) for _ in range(min(size, len(heap)))]
-        fresh = [entry for entry in batch if entry[1] not in expanded]
-        if fresh:
-            vals, bounds, approxs, ys = yield fresh
-        at = 0  # position of the next fresh entry's first child
+        vals, bounds, approxs, ys = yield batch
         for i, entry in enumerate(batch):
             if heap and heap[0] < entry:
                 # a child pushed in this batch comes first; the rest wait
-                # their turn, each keeping a copy of its own rows only
+                # their turn, to be expanded again with a later batch
                 for later in batch[i:]:
-                    if later[1] not in expanded:
-                        two = slice(at, at + 2)
-                        expanded[later[1]] = (vals[two], bounds[two], approxs[two], ys[two].copy())
-                        at += 2
                     heappush(heap, later)
                 size = max(1, i)
                 break
-            neg_bound, tie, depth, _, signs = entry
+            neg_bound, _, depth, _, signs = entry
             if nodes >= node_limit or monotonic() > deadline:
                 return best_y, nodes, False, max(0.0, -neg_bound - best_val)
             nodes += 1
             if -neg_bound < best_val:
                 return best_y, nodes, True, 0.0  # every open node is dominated by the incumbent
-            if tie in expanded:
-                c_vals, c_bounds, c_approxs, c_ys = expanded.pop(tie)
-                c = 0
-            else:
-                c_vals, c_bounds, c_approxs, c_ys = vals, bounds, approxs, ys
-                c = at
-                at += 2
+            c = 2 * i
             b = branch_at[depth]
             head, rest = signs[:b], signs[b + 1 :]
             depth += 1
             if depth == q:  # leaves: only their values count
-                if c_approxs[c] >= cut:
-                    offer(c_ys[c])
-                if c_approxs[c + 1] >= cut:
-                    offer(c_ys[c + 1])
+                if approxs[c] >= cut:
+                    offer(ys[c])
+                if approxs[c + 1] >= cut:
+                    offer(ys[c + 1])
                 continue
             # child of sign -1 (int8 0xff), then of sign +1
-            bound = c_bounds[c]
+            bound = bounds[c]
             if bound >= cut:
-                if c_approxs[c] >= cut:
-                    offer(c_ys[c])
+                if approxs[c] >= cut:
+                    offer(ys[c])
                 if bound >= best_val:
-                    heappush(heap, (-bound, counter, depth, c_vals[c], head + b"\xff" + rest))
+                    heappush(heap, (-bound, counter, depth, vals[c], head + b"\xff" + rest))
                     counter += 1
-            bound = c_bounds[c + 1]
+            bound = bounds[c + 1]
             if bound >= cut:
-                if c_approxs[c + 1] >= cut:
-                    offer(c_ys[c + 1])
+                if approxs[c + 1] >= cut:
+                    offer(ys[c + 1])
                 if bound >= best_val:
-                    heappush(heap, (-bound, counter, depth, c_vals[c + 1], head + b"\x01" + rest))
+                    heappush(heap, (-bound, counter, depth, vals[c + 1], head + b"\x01" + rest))
                     counter += 1
         else:
             size = min(EXPAND_MAX, 2 * size)
@@ -357,7 +342,7 @@ def _multiplex(matrices: list, limits: SolveLimits, deadline: float) -> list[tup
     slots = max(1, BLOCK_ENTRIES // (4 * q * q + 2 * EXPAND_MAX * q))
     tables = _Tables(min(len(matrices), slots), q)
     found: list = [None] * len(matrices)
-    running: dict[int, tuple] = {}  # slot -> (search index, generator, fresh entries)
+    running: dict[int, tuple] = {}  # slot -> (search index, generator, batch)
     free = list(range(len(tables.w)))[::-1]
     waiting = iter(range(len(matrices)))
 
@@ -377,7 +362,7 @@ def _multiplex(matrices: list, limits: SolveLimits, deadline: float) -> list[tup
             advance(slot, index, _branch_and_bound(matrices[index], limits, deadline, tables, slot), None)
         if not running:
             return found
-        requests = [(slot, fresh) for slot, (_, _, fresh) in running.items()]
+        requests = [(slot, batch) for slot, (_, _, batch) in running.items()]
         for (slot, _), expansion in zip(requests, _expand(tables, requests)):
             index, search, _ = running.pop(slot)
             advance(slot, index, search, expansion)

@@ -677,6 +677,31 @@ class TestUsageErrors:
         assert error["type"] == "UsageError"
         assert fragment in error["message"]
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("evaluate", "--replicates"),
+            ("rand", "--replicates"),
+            ("evaluate", "--z0-count"),
+            ("evaluate", "--rand-designs"),
+        ],
+    )
+    def test_zero_count_names_its_flag(self, command, flag, toy_csv, tmp_path, capsys):
+        alloc_path = tmp_path / "alloc.csv"
+        write_allocation_csv(alloc_path, Allocation(np.array([1, -1, -1, 1])))
+        argv = {
+            "evaluate": ["evaluate", "--matrix", str(toy_csv), "--allocation", str(alloc_path)],
+            "rand": ["design", "--matrix", str(toy_csv), "--method", "rand"],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, "0"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "UsageError"
+        assert f"argument {flag}: must be at least 1, got 0" in error["message"]
+
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["design", "--help"])
